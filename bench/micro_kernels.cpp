@@ -21,7 +21,7 @@
 #include "initpart/bisection_state.hpp"
 #include "initpart/graph_grow.hpp"
 #include "obs/trace.hpp"
-#include "refine/parallel_refine.hpp"
+#include "refine/refine.hpp"
 #include "spectral/laplacian.hpp"
 #include "support/alloc_guard.hpp"
 #include "support/arena.hpp"
@@ -111,14 +111,25 @@ BENCHMARK(BM_Matching)
 void BM_ParallelMatching(benchmark::State& state) {
   // Round-synchronous proposal HEM; results identical across thread counts.
   const Graph& g = bench_graph();
-  const int threads = static_cast<int>(state.range(0));
+  ThreadPool pool(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    Matching m = compute_matching_parallel_hem(g, threads);
+    Matching m = compute_matching_parallel_hem(g, pool);
     benchmark::DoNotOptimize(m.pairs);
   }
   state.SetItemsProcessed(state.iterations() * g.num_arcs());
 }
 BENCHMARK(BM_ParallelMatching)->Arg(1)->Arg(2)->Arg(4);
+
+/// BGR through refine_bisection with the pooled leg forced on: the k-way
+/// propose/commit engine at k=2.  Draws no randomness.
+void pooled_bgr(const Graph& g, Bisection& b, vwt_t target0, ThreadPool& pool,
+                KlWorkspace& ws) {
+  KlOptions opts;
+  opts.parallel_boundary_min = 0;
+  Rng rng(0);
+  refine_bisection(g, b, target0, RefinePolicy::kBGR, g.num_vertices(), rng, opts,
+                   nullptr, &ws, &pool);
+}
 
 void BM_ParallelRefine(benchmark::State& state) {
   // Round-synchronous propose/commit boundary refinement; the partition is
@@ -138,7 +149,7 @@ void BM_ParallelRefine(benchmark::State& state) {
   for (auto _ : state) {
     b.side = start;
     refresh_bisection(g, b);
-    parallel_bgr_refine(g, b, target0, {}, pool, nullptr, &ws);
+    pooled_bgr(g, b, target0, pool, ws);
     cut = b.cut;
     benchmark::DoNotOptimize(b.cut);
   }
@@ -164,7 +175,7 @@ void BM_ParallelRefineWorkspace(benchmark::State& state) {
   auto run = [&]() {
     b.side = start;
     refresh_bisection(g, b);
-    parallel_bgr_refine(g, b, target0, {}, pool, nullptr, &ws);
+    pooled_bgr(g, b, target0, pool, ws);
   };
   run();  // warm the buffers
   run();

@@ -96,9 +96,4 @@ void compute_matching_parallel_hem(const Graph& g, ThreadPool& pool, Matching& r
   }
 }
 
-Matching compute_matching_parallel_hem(const Graph& g, int num_threads) {
-  ThreadPool pool(num_threads <= 0 ? 1 : num_threads);
-  return compute_matching_parallel_hem(g, pool);
-}
-
 }  // namespace mgp

@@ -36,8 +36,4 @@ Matching compute_matching_parallel_hem(const Graph& g, ThreadPool& pool);
 void compute_matching_parallel_hem(const Graph& g, ThreadPool& pool, Matching& out,
                                    std::vector<vid_t>& propose_scratch);
 
-/// Convenience overload: runs on a temporary pool of `num_threads` workers
-/// (1 = inline sequential execution of the same algorithm).
-Matching compute_matching_parallel_hem(const Graph& g, int num_threads);
-
 }  // namespace mgp

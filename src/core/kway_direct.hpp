@@ -83,6 +83,7 @@ struct KwayDirectWorkspace {
   KwayScratch init_scratch;
   KwayRefineWorkspace refine;
   std::vector<vwt_t> pwgts;  ///< k: maintained incrementally, never rescanned
+  std::vector<vwt_t> ceilings;  ///< k: the level's (uniform) part-weight ceiling
   std::vector<part_t> proj;  ///< projection ping-pong buffer
 
   /// Heap bytes currently reserved (capacity, not size).
@@ -115,22 +116,5 @@ KwayResult kway_partition_direct(const Graph& g, part_t k,
                                  const KwayDirectConfig& cfg, Rng& rng,
                                  PhaseTimers* timers = nullptr,
                                  ThreadPool* pool = nullptr);
-
-struct KwayRefineStats {
-  int passes = 0;
-  vid_t moves = 0;
-  ewt_t cut_reduction = 0;
-};
-
-/// Sequential greedy k-way refinement of an existing labelling, in place.
-/// Exposed for tests and for refining partitions from any source; the
-/// production sweep uses kway_parallel_refine (refine/kway_refine.*).
-/// Part weights are tracked incrementally across the whole call (computed
-/// once on entry, updated per move).  `min_part_weight` stops moves that
-/// would shrink a part below the floor — enforced uniformly for every k,
-/// 2 included, so refinement can never empty a part; pass 0 to disable.
-KwayRefineStats kway_greedy_refine(const Graph& g, std::span<part_t> part, part_t k,
-                                   vwt_t max_part_weight, vwt_t min_part_weight,
-                                   int max_passes, Rng& rng);
 
 }  // namespace mgp

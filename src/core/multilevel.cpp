@@ -198,7 +198,7 @@ BisectStats multilevel_bisect_into(const Graph& g, vwt_t target0,
       const ewt_t cut_before = b.cut;
       std::vector<obs::KlPassReport> pass_log;
       // With a pool the greedy boundary leg auto-selects the deterministic
-      // parallel propose/commit refiner (refine/parallel_refine.*) once the
+      // k-way propose/commit refiner at k=2 (refine/kway_refine.*) once the
       // boundary passes cfg.kl.parallel_boundary_min; no pool keeps the
       // exact sequential path.
       KlStats s = refine_bisection(level_graph, b, target0, cfg.refine, original_n,
@@ -221,8 +221,8 @@ BisectStats multilevel_bisect_into(const Graph& g, vwt_t target0,
           ob->metrics.add(ob->pipeline.refine_conflict_rejects, s.conflict_rejects);
         }
         for (const obs::KlPassReport& p : pass_log) {
-          // Parallel propose/commit rounds log commit-time conflict rejects
-          // in moves_undone; those are already counted by
+          // The propose/commit leg logs commit-time conflict rejects in
+          // moves_undone; those are already counted by
           // refine.conflict_rejects above and are not KL undo rollbacks.
           if (s.parallel_rounds == 0) {
             ob->metrics.add(ob->pipeline.kl_rollbacks, p.moves_undone);

@@ -41,7 +41,8 @@ struct KlPassReport {
   std::int64_t moves_kept = 0;       ///< best-prefix moves that survived undo
   std::int64_t moves_undone = 0;     ///< trailing rollback length (sequential
                                      ///< KL); commit-time conflict rejects
-                                     ///< for parallel propose/commit rounds
+                                     ///< for the pooled propose/commit leg,
+                                     ///< which logs one report per call
   std::int64_t insertions = 0;       ///< gain-queue insertions this pass
   std::int64_t cut_before = 0;
   std::int64_t cut_after = 0;

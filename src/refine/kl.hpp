@@ -18,6 +18,7 @@
 
 #include "initpart/bisection_state.hpp"
 #include "obs/report.hpp"
+#include "refine/kway_refine.hpp"
 #include "support/bucket_queue.hpp"
 #include "support/rng.hpp"
 
@@ -29,8 +30,8 @@ namespace mgp {
 /// field is fully re-initialised per pass, so a reused workspace behaves
 /// exactly like a fresh one.
 ///
-/// The parallel refiner (refine/parallel_refine.*) shares the gain tables
-/// and lock bits and adds its per-chunk proposal table, so one warm
+/// `kway` is the scratch of the pooled greedy leg, which runs the k-way
+/// propose/commit engine at k=2 (refine/kway_refine.*), so one warm
 /// workspace serves both refinement paths allocation-free.
 struct KlWorkspace {
   std::vector<ewt_t> ed;        ///< external degree: edge weight to other side
@@ -39,14 +40,12 @@ struct KlWorkspace {
   BucketQueue queue[2];         ///< per-side gain queues
   std::vector<vid_t> moves;     ///< move log for undo
   std::vector<vid_t> order;     ///< random insertion order
-  std::vector<vid_t> cand;        ///< parallel refiner: per-chunk proposal slots
-  std::vector<vid_t> cand_count;  ///< parallel refiner: per-chunk proposal counts
+  KwayRefineWorkspace kway;     ///< pooled greedy leg (k-way engine at k=2)
 
   std::size_t memory_bytes() const {
     return ed.capacity() * sizeof(ewt_t) + id.capacity() * sizeof(ewt_t) +
            locked.capacity() + moves.capacity() * sizeof(vid_t) +
-           order.capacity() * sizeof(vid_t) + cand.capacity() * sizeof(vid_t) +
-           cand_count.capacity() * sizeof(vid_t);
+           order.capacity() * sizeof(vid_t) + kway.bytes_reserved();
   }
 };
 
@@ -68,7 +67,7 @@ struct KlOptions {
   double bklgr_boundary_fraction = 0.02;
   /// Parallel refinement auto-selection: with a thread pool attached, the
   /// greedy boundary leg (BGR, and BKLGR's large-boundary leg) switches to
-  /// the propose/commit parallel refiner once the boundary has at least
+  /// the k-way propose/commit refiner at k=2 once the boundary has at least
   /// this many vertices (below it, sequential KL is faster than a fork).
   /// 0 forces the parallel refiner whenever a pool is attached.  The
   /// decision depends only on the partition, never on the pool size, so

@@ -1,6 +1,8 @@
 #include "refine/refine.hpp"
 
-#include "refine/parallel_refine.hpp"
+#include <algorithm>
+
+#include "refine/kway_refine.hpp"
 
 namespace mgp {
 
@@ -26,6 +28,49 @@ bool use_parallel_greedy(ThreadPool* pool, vid_t boundary, const KlOptions& opts
   return pool != nullptr && boundary >= opts.parallel_boundary_min;
 }
 
+/// The greedy boundary leg on the k-way propose/commit engine at k=2: one
+/// pass, no floor, each side capped by KL's rule max(entry weight, target +
+/// slack), and one pass report per call (DESIGN.md §8).
+KlStats pooled_greedy_refine(const Graph& g, Bisection& b, vwt_t target0,
+                             const KlOptions& opts, ThreadPool& pool,
+                             std::vector<obs::KlPassReport>* pass_log,
+                             KlWorkspace* ws) {
+  vwt_t max_vwgt = 0;
+  for (vid_t v = 0; v < g.num_vertices(); ++v) {
+    max_vwgt = std::max(max_vwgt, g.vertex_weight(v));
+  }
+  const vwt_t slack =
+      static_cast<vwt_t>(opts.weight_slack_factor * static_cast<double>(max_vwgt));
+  const vwt_t ceiling[2] = {
+      std::max(b.part_weight[0], target0 + slack),
+      std::max(b.part_weight[1], g.total_vertex_weight() - target0 + slack),
+  };
+  KwayRefineWorkspace local_ws;
+  const ewt_t cut_before = b.cut;
+  const KwayRefineResult r =
+      kway_parallel_refine(g, b.side, 2, b.part_weight, ceiling, 0, 1, &pool,
+                           ws ? ws->kway : local_ws);
+  b.cut -= r.cut_reduction;
+
+  if (pass_log) {
+    pass_log->push_back({.pass = 1,
+                         .moves_attempted = r.proposals,
+                         .moves_kept = r.moves,
+                         .moves_undone = r.conflict_rejects,
+                         .insertions = r.proposals,
+                         .cut_before = cut_before,
+                         .cut_after = b.cut,
+                         .queue_peak = r.proposals});
+  }
+  return {.passes = 1,
+          .swapped = r.moves,
+          .moves_attempted = r.proposals,
+          .insertions = r.proposals,
+          .cut_reduction = r.cut_reduction,
+          .parallel_rounds = r.rounds,
+          .conflict_rejects = r.conflict_rejects};
+}
+
 }  // namespace
 
 KlStats refine_bisection(const Graph& g, Bisection& b, vwt_t target0,
@@ -48,7 +93,7 @@ KlStats refine_bisection(const Graph& g, Bisection& b, vwt_t target0,
     case RefinePolicy::kBGR: {
       if (pool != nullptr &&
           use_parallel_greedy(pool, count_boundary_vertices(g, b.side), base_opts)) {
-        return parallel_bgr_refine(g, b, target0, base_opts, *pool, pass_log, ws);
+        return pooled_greedy_refine(g, b, target0, base_opts, *pool, pass_log, ws);
       }
       opts.boundary_only = true;
       opts.single_pass = true;
@@ -69,7 +114,7 @@ KlStats refine_bisection(const Graph& g, Bisection& b, vwt_t target0,
       // The greedy (large-boundary) leg is exactly where refinement cost
       // peaks and where the propose/commit scheme applies.
       if (!small_boundary && use_parallel_greedy(pool, boundary, base_opts)) {
-        return parallel_bgr_refine(g, b, target0, base_opts, *pool, pass_log, ws);
+        return pooled_greedy_refine(g, b, target0, base_opts, *pool, pass_log, ws);
       }
       opts.boundary_only = true;
       opts.single_pass = !small_boundary;

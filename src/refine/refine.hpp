@@ -31,15 +31,16 @@ std::string to_string(RefinePolicy p);
 /// Returns the engine stats (zeroed for kNone).
 ///
 /// `pass_log`, when non-null, collects one obs::KlPassReport per KL pass
-/// (see kl_refine); passive, never perturbs the result.
+/// (see kl_refine), or one per call on the pooled leg; passive, never
+/// perturbs the result.
 ///
-/// `ws`, when non-null, supplies the KL engine's scratch buffers (reused
+/// `ws`, when non-null, supplies both engines' scratch buffers (reused
 /// across calls; byte-identical results either way — see kl_refine).
 ///
 /// `pool`, when non-null, lets the greedy boundary leg (BGR, and BKLGR's
-/// large-boundary leg) run as the deterministic parallel propose/commit
-/// refiner once the boundary reaches base_opts.parallel_boundary_min
-/// vertices (refine/parallel_refine.*).  The selection depends only on the
+/// large-boundary leg) run on the deterministic k-way propose/commit
+/// refiner at k=2 once the boundary reaches base_opts.parallel_boundary_min
+/// vertices (refine/kway_refine.*, DESIGN.md §8).  The selection depends only on the
 /// partition, so results are byte-identical across pool sizes — and ANY
 /// attached pool selects it, including a 1-thread pool (which runs the
 /// propose/commit algorithm inline).  Only a null pool keeps the exact

@@ -20,7 +20,6 @@
 #include "core/multilevel.hpp"
 #include "graph/generators.hpp"
 #include "initpart/graph_grow.hpp"
-#include "refine/parallel_refine.hpp"
 #include "refine/refine.hpp"
 #include "support/alloc_guard.hpp"
 #include "support/thread_pool.hpp"
@@ -127,10 +126,11 @@ TEST(AllocRegressionTest, BklgrSteadyStateIsAllocationFree) {
 }
 
 TEST(AllocRegressionTest, ParallelBgrSteadyStateIsAllocationFree) {
-  // The parallel refiner shares the KlWorkspace zero-allocation guarantee.
-  // A one-worker pool executes parallel_for_chunks inline (no task futures),
-  // so the only possible allocations are the refiner's own buffers — which
-  // must all live in the warm workspace.
+  // The pooled greedy leg (refine_bisection's BGR on the k-way engine at
+  // k=2) shares the KlWorkspace zero-allocation guarantee.  A one-worker
+  // pool executes parallel_for_chunks inline (no task futures), so the only
+  // possible allocations are the refiner's own buffers — which must all
+  // live in the warm workspace.
   const Graph g = grid2d(40, 40);
   const vid_t n = g.num_vertices();
   const vwt_t target0 = g.total_vertex_weight() / 2;
@@ -146,9 +146,15 @@ TEST(AllocRegressionTest, ParallelBgrSteadyStateIsAllocationFree) {
     refresh_bisection(g, b);
   };
 
+  KlOptions opts;
+  opts.parallel_boundary_min = 0;
+  int rounds = 0;
   auto run = [&]() {
     relabel();
-    parallel_bgr_refine(g, b, target0, {}, pool, nullptr, &ws);
+    Rng rng(1);
+    rounds = refine_bisection(g, b, target0, RefinePolicy::kBGR, n, rng, opts,
+                              nullptr, &ws, &pool)
+                 .parallel_rounds;
   };
 
   run();
@@ -158,6 +164,7 @@ TEST(AllocRegressionTest, ParallelBgrSteadyStateIsAllocationFree) {
   run();
   EXPECT_EQ(guard.allocations(), 0u)
       << "parallel BGR allocated in steady state (" << guard.bytes() << " bytes)";
+  EXPECT_GT(rounds, 0) << "the pooled leg did not run";
 }
 
 TEST(AllocRegressionTest, KwayDirectIntoSteadyStateIsAllocationFree) {
