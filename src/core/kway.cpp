@@ -1,5 +1,6 @@
 #include "core/kway.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <optional>
 
@@ -26,6 +27,40 @@ std::uint64_t subproblem_seed(std::uint64_t root_seed, std::uint64_t path) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
+}
+
+/// Each side of a split must keep at least as many vertices as the parts it
+/// will be cut into, or one of those parts comes out empty: a multinode
+/// heavier than a small subproblem's target can leave the other side with
+/// nothing.  Moves the vertex of the long side with the most edge weight
+/// into the short side (ties: lower id) until both sides suffice; n > k
+/// guarantees the long side can spare them.  Only labels change, which is
+/// all the caller reads before splitting.
+void give_each_side_its_parts(const Graph& g, std::span<part_t> side, part_t k0,
+                              part_t k1) {
+  const part_t need[2] = {k0, k1};
+  vid_t count[2] = {0, 0};
+  for (part_t s : side) ++count[s];
+  for (part_t s = 0; s < 2; ++s) {
+    for (; count[s] < need[s]; ++count[s], --count[1 - s]) {
+      vid_t pick = -1;
+      ewt_t pick_w = -1;
+      for (vid_t v = 0; v < g.num_vertices(); ++v) {
+        if (side[static_cast<std::size_t>(v)] == s) continue;
+        auto nbrs = g.neighbors(v);
+        auto wgts = g.edge_weights(v);
+        ewt_t w = 0;
+        for (std::size_t i = 0; i < nbrs.size(); ++i) {
+          if (side[static_cast<std::size_t>(nbrs[i])] == s) w += wgts[i];
+        }
+        if (w > pick_w) {
+          pick = v;
+          pick_w = w;
+        }
+      }
+      side[static_cast<std::size_t>(pick)] = s;
+    }
+  }
 }
 
 /// Shared, read-only (or disjointly-written) state of one recursion.
@@ -70,6 +105,7 @@ void recurse(const Graph& g, std::span<const vid_t> to_global, part_t k,
   Rng rng(subproblem_seed(ctx.root_seed, path));
   Bisection b = ctx.bisect(g, target0, rng);
   assert(b.side.size() == static_cast<std::size_t>(g.num_vertices()));
+  give_each_side_its_parts(g, b.side, k0, k1);
 
   // Build both subproblems in this frame so a spawned child can borrow them.
   Subgraph sub[2];
@@ -195,6 +231,7 @@ KwayResult kway_partition(const Graph& g, part_t k, const MultilevelConfig& cfg,
       obs::PhaseMetrics(cfg.obs->metrics).add(merged);
     }
   }
+  assert(check_kway_answer(g, out.part, k, out.edge_cut).empty());
   return out;
 }
 
@@ -266,6 +303,7 @@ void recurse_with_scratch(const Graph& g, std::span<const vid_t> to_global, part
   multilevel_bisect_into(g, target0, ctx.cfg, rng, fr.bisection, nullptr, nullptr,
                          nullptr, ctx.ws);
   assert(fr.bisection.side.size() == static_cast<std::size_t>(g.num_vertices()));
+  give_each_side_its_parts(g, fr.bisection.side, k0, k1);
 
   const std::uint64_t child_path[2] = {2 * path, 2 * path + 1};
   const part_t child_k[2] = {k0, k1};
@@ -325,7 +363,31 @@ ewt_t kway_partition_into(const Graph& g, part_t k, const MultilevelConfig& cfg,
   const std::uint64_t root_seed = rng.next_u64();
   RbScratchContext ctx{cfg, out_part, root_seed, scratch, ws};
   recurse_with_scratch(g, scratch.identity_, k, 0, /*path=*/1, /*depth=*/0, ctx);
-  return compute_kway_cut(g, out_part);
+  const ewt_t cut = compute_kway_cut(g, out_part);
+  assert(check_kway_answer(g, out_part, k, cut).empty());
+  return cut;
+}
+
+std::string check_kway_answer(const Graph& g, std::span<const part_t> part,
+                              part_t k, ewt_t cut) {
+  const vid_t n = g.num_vertices();
+  if (part.size() != static_cast<std::size_t>(n)) return "label count != n";
+  for (part_t p : part) {
+    if (p < 0 || p >= k) return "label " + std::to_string(p) + " outside [0, k)";
+  }
+  // A search per part instead of a count table: the check allocates
+  // nothing on success, so warm entry points stay allocation-free with it
+  // compiled in.
+  for (part_t p = 0; n >= k && p < k; ++p) {
+    if (std::find(part.begin(), part.end(), p) == part.end()) {
+      return "part " + std::to_string(p) + " is empty";
+    }
+  }
+  const ewt_t actual = compute_kway_cut(g, part);
+  if (actual != cut) {
+    return "cut " + std::to_string(cut) + " != " + std::to_string(actual);
+  }
+  return {};
 }
 
 ewt_t compute_kway_cut(const Graph& g, std::span<const part_t> part) {

@@ -19,6 +19,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/config.hpp"
@@ -67,6 +68,14 @@ KwayResult kway_partition(const Graph& g, part_t k, const MultilevelConfig& cfg,
 
 /// Edge-cut of an arbitrary k-way labelling.
 ewt_t compute_kway_cut(const Graph& g, std::span<const part_t> part);
+
+/// Empty when `part` is an answer a k-way entry point may return for g:
+/// every label in [0, k), no part empty when n >= k, and `cut` equal to
+/// compute_kway_cut; otherwise the first violation.  kway_partition,
+/// kway_partition_into, kway_partition_direct_into and
+/// repartition_after_delta assert it on exit in builds without NDEBUG.
+std::string check_kway_answer(const Graph& g, std::span<const part_t> part,
+                              part_t k, ewt_t cut);
 
 /// Reusable scratch for kway_partition_into's sequential recursion: one
 /// frame per recursion depth holding the subproblem's bisection buffer,

@@ -70,6 +70,33 @@ TEST(KwayTest, ComputeKwayCutBruteForceAgreement) {
   EXPECT_EQ(compute_kway_cut(g, part), brute);
 }
 
+TEST(KwayTest, CheckKwayAnswerNamesTheFirstViolation) {
+  const Graph g = path_graph(6);
+  std::vector<part_t> part = {0, 0, 1, 1, 2, 2};
+  EXPECT_EQ(check_kway_answer(g, part, 3, 2), "");
+  EXPECT_EQ(check_kway_answer(g, part, 3, 3), "cut 3 != 2");
+  EXPECT_EQ(check_kway_answer(g, part, 4, 2), "part 3 is empty");
+  EXPECT_EQ(check_kway_answer(path_graph(2), std::vector<part_t>{0, 1}, 4, 1), "");
+  part[5] = 3;
+  EXPECT_EQ(check_kway_answer(g, part, 3, 3), "label 3 outside [0, k)");
+}
+
+TEST(KwayTest, LopsidedBisectorStillFillsEveryPart) {
+  // A bisection that leaves one side with fewer vertices than its parts
+  // (here: everything on side 1, as a heavy multinode can force) must not
+  // produce an empty part: each split hands the short side vertices first.
+  const Graph g = grid2d(6, 6);
+  Bisector all_on_one_side = [](const Graph& sub, vwt_t, Rng&) {
+    return make_bisection(sub, std::vector<part_t>(
+                                   static_cast<std::size_t>(sub.num_vertices()), 1));
+  };
+  for (part_t k : {2, 3, 7, 36}) {
+    Rng rng(1);
+    const KwayResult r = recursive_bisection(g, k, all_on_one_side, rng);
+    EXPECT_EQ(check_kway_answer(g, r.part, k, r.edge_cut), "") << "k=" << k;
+  }
+}
+
 TEST(KwayTest, CustomBisectorIsUsed) {
   // A bisector that splits by vertex id parity produces a predictable part
   // structure through the recursion.
