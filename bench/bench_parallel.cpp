@@ -22,8 +22,9 @@
 // (the binary links the counting allocator from tests/support/alloc_guard).
 // The workspace-arena subsystem keeps the serial rows orders of magnitude
 // below |V|; multi-thread rows additionally pay the thread pool's per-task
-// future/function plumbing.  The whole table is emitted as machine-readable
-// JSON (default BENCH_arena.json, override with MGP_BENCH_ARENA_OUT; see
+// future/function plumbing.  The whole table, with a host block naming the
+// machine and commit it ran on, is emitted as machine-readable JSON
+// (default BENCH_arena.json, override with MGP_BENCH_ARENA_OUT; see
 // README for how to read it).
 #include <algorithm>
 #include <cstdio>
@@ -70,12 +71,14 @@ void write_arena_json(const std::string& path, const Graph& g, vid_t side,
                "  \"num_edges\": %lld,\n"
                "  \"k\": %d,\n"
                "  \"seed\": %llu,\n"
+               "  \"host\": %s,\n"
                "  \"counting_allocator\": %s,\n"
                "  \"sequential\": {\"kway_seconds\": %.6f, \"cut\": %lld, "
                "\"allocations\": %llu},\n"
                "  \"rows\": [\n",
                side, g.num_vertices(), static_cast<long long>(g.num_edges()),
                static_cast<int>(k), static_cast<unsigned long long>(seed),
+               bench::host_json().c_str(),
                mgp::testing::counting_allocator_active() ? "true" : "false",
                seq_kway, static_cast<long long>(seq_cut),
                static_cast<unsigned long long>(seq_allocs));
@@ -102,9 +105,12 @@ void write_arena_json(const std::string& path, const Graph& g, vid_t side,
   std::printf("wrote %s\n", path.c_str());
 }
 
-double time_coarsen_kernels(const Graph& g, ThreadPool& pool) {
+/// One level of pooled coarsening.  The matcher's buffers are the caller's,
+/// so a repeat call times the warm matcher, as the pipeline runs it.
+double time_coarsen_kernels(const Graph& g, ThreadPool& pool, Matching& m,
+                            ParallelHemScratch& scratch) {
   Timer t;
-  Matching m = compute_matching_parallel_hem(g, pool);
+  compute_matching_parallel_hem(g, pool, m, scratch);
   Contraction c = contract(g, m, {}, &pool);
   // Touch the result so the work cannot be elided.
   volatile ewt_t sink = c.coarse.total_edge_weight();
@@ -175,8 +181,10 @@ int main(int argc, char** argv) {
     ThreadPool pool(threads);
     // Warm-up + min-of-2 for the kernel timing; the end-to-end partition
     // dominates the runtime so one run suffices there.
-    double coarsen = time_coarsen_kernels(g, pool);
-    coarsen = std::min(coarsen, time_coarsen_kernels(g, pool));
+    Matching m;
+    ParallelHemScratch scratch;
+    double coarsen = time_coarsen_kernels(g, pool, m, scratch);
+    coarsen = std::min(coarsen, time_coarsen_kernels(g, pool, m, scratch));
 
     Rng rng(seed);
     mgp::testing::AllocGuard alloc_guard;

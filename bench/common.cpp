@@ -3,7 +3,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 
 #include "obs/trace.hpp"
 
@@ -29,6 +31,56 @@ std::vector<NamedGraph> load_suite(SuiteKind kind, double default_scale) {
   std::printf("suite scale=%.3g seed=%llu (override with MGP_BENCH_SCALE / MGP_BENCH_SEED)\n",
               scale, static_cast<unsigned long long>(seed));
   return paper_suite(kind, scale, seed);
+}
+
+namespace {
+
+/// `s` with the characters a JSON string cannot hold raw dropped.
+std::string json_safe(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
+  }
+  return out.empty() ? "unknown" : out;
+}
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "" : line.substr(start);
+  }
+  return "";
+}
+
+std::string git_sha() {
+  std::FILE* p =
+      popen("git -C \"" MGP_BENCH_SOURCE_DIR "\" rev-parse HEAD 2>/dev/null", "r");
+  if (p == nullptr) return "";
+  char buf[64] = {};
+  const bool ok = std::fgets(buf, sizeof(buf), p) != nullptr;
+  pclose(p);
+  std::string sha = ok ? buf : "";
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) sha.pop_back();
+  return sha;
+}
+
+}  // namespace
+
+std::string host_json() {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{\"nproc\": %u, \"cpu\": \"%s\", \"compiler\": \"%s\", "
+                "\"build_type\": \"%s\", \"mgp_obs\": \"%s\", \"git_sha\": \"%s\"}",
+                std::thread::hardware_concurrency(), json_safe(cpu_model()).c_str(),
+                json_safe(MGP_BENCH_COMPILER).c_str(),
+                json_safe(MGP_BENCH_BUILD_TYPE).c_str(),
+                MGP_OBS_ENABLED ? "ON" : "OFF", json_safe(git_sha()).c_str());
+  return buf;
 }
 
 void print_banner(const std::string& artifact, const std::string& expectation) {

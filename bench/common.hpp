@@ -40,6 +40,12 @@ std::vector<NamedGraph> load_suite(SuiteKind kind, double default_scale);
 /// and what the expected shape of the result is.
 void print_banner(const std::string& artifact, const std::string& expectation);
 
+/// The machine a JSON artifact was measured on, as one JSON object: nproc,
+/// CPU model, compiler, build type, MGP_OBS and the source tree's git SHA
+/// ("unknown" where a field cannot be read).  The same fields as mgpbench's
+/// host block, so bench rows and mgpbench runs can be compared.
+std::string host_json();
+
 /// Fixed-width helpers for table rows.
 std::string pad(const std::string& s, int width);
 std::string fmt_int(long long v, int width);

@@ -112,8 +112,10 @@ void BM_ParallelMatching(benchmark::State& state) {
   // Round-synchronous proposal HEM; results identical across thread counts.
   const Graph& g = bench_graph();
   ThreadPool pool(static_cast<int>(state.range(0)));
+  Matching m;
+  ParallelHemScratch scratch;
   for (auto _ : state) {
-    Matching m = compute_matching_parallel_hem(g, pool);
+    compute_matching_parallel_hem(g, pool, m, scratch);
     benchmark::DoNotOptimize(m.pairs);
   }
   state.SetItemsProcessed(state.iterations() * g.num_arcs());

@@ -93,7 +93,10 @@ class MatchingCoarsening final : public CoarseningStrategy {
     // across pool sizes, since they draw the same RNG stream regardless and
     // contraction is thread-count-invariant.
     if (pool && matching == MatchingScheme::kHeavyEdge) {
-      compute_matching_parallel_hem(fine, *pool, ws.match, ws.propose);
+      const ParallelHemStats hem =
+          compute_matching_parallel_hem(fine, *pool, ws.match, ws.hem);
+      stats.match_rounds = hem.rounds;
+      stats.match_proposals = hem.proposals;
     } else {
       compute_matching(fine, matching, fine_cewgt, rng, ws.match, ws.match_order);
     }

@@ -87,6 +87,9 @@ struct CoarsenLevelStats {
   int ad_sweeps = 0;
   /// Lazy-heap pushes this level (kNLevel only).
   std::int64_t pq_updates = 0;
+  /// Proposal rounds and proposals computed this level (pooled HEM only).
+  int match_rounds = 0;
+  std::int64_t match_proposals = 0;
 };
 
 /// One way of coarsening a graph by one level.  Implementations own the

@@ -132,6 +132,10 @@ ewt_t kway_partition_direct_into(const Graph& g, part_t k,
         if (ls.pq_updates > 0) {
           ob->metrics.add(ob->pipeline.coarsen_nlevel_pq_updates, ls.pq_updates);
         }
+        if (ls.match_rounds > 0) {
+          ob->metrics.add(ob->pipeline.coarsen_match_rounds, ls.match_rounds);
+          ob->metrics.add(ob->pipeline.coarsen_match_proposals, ls.match_proposals);
+        }
         ob->metrics.observe(ob->pipeline.shrink_pct,
                             fine_n > 0 ? 100 * static_cast<std::int64_t>(coarse_n) /
                                              fine_n

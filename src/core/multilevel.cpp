@@ -132,6 +132,10 @@ BisectStats multilevel_bisect_into(const Graph& g, vwt_t target0,
         if (ls.pq_updates > 0) {
           ob->metrics.add(ob->pipeline.coarsen_nlevel_pq_updates, ls.pq_updates);
         }
+        if (ls.match_rounds > 0) {
+          ob->metrics.add(ob->pipeline.coarsen_match_rounds, ls.match_rounds);
+          ob->metrics.add(ob->pipeline.coarsen_match_proposals, ls.match_proposals);
+        }
         ob->metrics.observe(ob->pipeline.shrink_pct,
                             fine_n > 0 ? 100 * static_cast<std::int64_t>(coarse_n) /
                                              fine_n

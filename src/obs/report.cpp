@@ -219,6 +219,8 @@ Obs::PipelineMetrics::PipelineMetrics(MetricsRegistry& reg)
       coarsen_strategy(reg.max_gauge("coarsen.strategy")),
       coarsen_ad_iters(reg.counter("coarsen.ad_iters")),
       coarsen_nlevel_pq_updates(reg.counter("coarsen.nlevel_pq_updates")),
+      coarsen_match_rounds(reg.counter("coarsen.match_rounds")),
+      coarsen_match_proposals(reg.counter("coarsen.match_proposals")),
       arena_bytes_peak(reg.max_gauge("arena.bytes_peak")),
       arena_reuse_hits(reg.counter("arena.reuse_hits")),
       arena_workspaces(reg.counter("arena.workspaces")),

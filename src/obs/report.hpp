@@ -154,6 +154,8 @@ struct Obs {
     MetricsRegistry::Id coarsen_strategy;  ///< max gauge: CoarsenStrategy last used
     MetricsRegistry::Id coarsen_ad_iters;  ///< counter: AD Jacobi sweeps performed
     MetricsRegistry::Id coarsen_nlevel_pq_updates;  ///< counter: lazy-heap pushes
+    MetricsRegistry::Id coarsen_match_rounds;       ///< counter: pooled HEM rounds
+    MetricsRegistry::Id coarsen_match_proposals;    ///< counter: pooled HEM proposals
     MetricsRegistry::Id arena_bytes_peak;  ///< max gauge: workspace footprint peak
     MetricsRegistry::Id arena_reuse_hits;  ///< counter: warm workspace checkouts
     MetricsRegistry::Id arena_workspaces;  ///< counter: workspaces constructed

@@ -8,7 +8,7 @@ std::size_t BisectWorkspace::bytes_reserved() const {
   std::size_t total = arena.bytes_reserved();
   total += match.match.capacity() * sizeof(vid_t);
   total += match_order.capacity() * sizeof(vid_t);
-  total += propose.capacity() * sizeof(vid_t);
+  total += hem.bytes_reserved();
   total += contract.memory_bytes();
   total += coarsen.bytes_reserved();
   total += levels.capacity() * sizeof(std::unique_ptr<Contraction>);

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "coarsen/contract.hpp"
+#include "coarsen/parallel_matching.hpp"
 #include "coarsen/strategy.hpp"
 #include "initpart/graph_grow.hpp"
 #include "refine/kl.hpp"
@@ -46,7 +47,7 @@ struct BisectWorkspace {
   // Coarsening.
   Matching match;
   std::vector<vid_t> match_order;  ///< sequential matchers' random visit order
-  std::vector<vid_t> propose;      ///< parallel HEM's proposal table
+  ParallelHemScratch hem;          ///< parallel HEM's proposals and candidate lists
   ContractScratch contract;
   CoarsenWorkspace coarsen;        ///< AD relaxation / n-level PQ scratch
   /// One slot per coarsening level.  unique_ptr keeps each Contraction's

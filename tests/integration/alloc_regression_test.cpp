@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "coarsen/contract.hpp"
+#include "coarsen/parallel_matching.hpp"
 #include "core/kway_direct.hpp"
 #include "core/multilevel.hpp"
 #include "graph/generators.hpp"
@@ -70,6 +71,35 @@ TEST(AllocRegressionTest, HemContractSteadyStateIsAllocationFree) {
   EXPECT_EQ(guard.allocations(), 0u)
       << "HEM+contract allocated in steady state (" << guard.bytes() << " bytes)";
   EXPECT_GT(ws.levels[1]->coarse.num_vertices(), 0);
+}
+
+TEST(AllocRegressionTest, ParallelHemSteadyStateIsAllocationFree) {
+  // The pooled matcher keeps its proposals, candidate lists and stamps in
+  // the workspace.  A one-thread pool runs parallel_for inline (no task
+  // futures), so any counted allocation is the matcher's own.  The graph is
+  // large enough that round 0 goes through parallel_for, and the second
+  // level is a weighted coarse graph.
+  const Graph g = grid3d_27(20, 20, 20);
+  ThreadPool pool(1);
+  BisectWorkspace ws;
+  ws.levels.push_back(std::make_unique<Contraction>());
+
+  vid_t pairs = 0;
+  auto run = [&]() {
+    compute_matching_parallel_hem(g, pool, ws.match, ws.hem);
+    contract_into(g, ws.match, {}, nullptr, ws.contract, ws.arena, *ws.levels[0]);
+    compute_matching_parallel_hem(ws.levels[0]->coarse, pool, ws.match, ws.hem);
+    pairs = ws.match.pairs;
+  };
+
+  run();
+  run();
+
+  AllocGuard guard;
+  run();
+  EXPECT_EQ(guard.allocations(), 0u)
+      << "parallel HEM allocated in steady state (" << guard.bytes() << " bytes)";
+  EXPECT_GT(pairs, 0);
 }
 
 TEST(AllocRegressionTest, GggpSteadyStateIsAllocationFree) {

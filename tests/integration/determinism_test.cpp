@@ -192,6 +192,7 @@ TEST(PipelineDeterminismTest, ObsCollectionDoesNotPerturbPartitions) {
   std::vector<part_t> reference;
   std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t, std::int64_t>>
       ref_bisections;
+  std::pair<std::int64_t, std::int64_t> ref_work{0, 0};
   for (int threads : kPoolSizes) {
     ThreadPool pool(threads);
     Rng plain_rng(1234);
@@ -211,6 +212,17 @@ TEST(PipelineDeterminismTest, ObsCollectionDoesNotPerturbPartitions) {
     EXPECT_EQ(ob.report.num_bisections(), 7u);  // k=8 -> 7 bisections
     EXPECT_EQ(ob.metrics.snapshot().counter_value("pipeline.bisections"), 7);
     EXPECT_GT(timers.total(), 0.0);
+
+    // The pooled HEM fed its work counters, and that work depends only on
+    // the graphs matched, so it is the same at every pool size.
+    const auto snap = ob.metrics.snapshot();
+    const std::pair<std::int64_t, std::int64_t> work{
+        snap.counter_value("coarsen.match_rounds"),
+        snap.counter_value("coarsen.match_proposals")};
+    EXPECT_GT(work.first, 0) << "t=" << threads;
+    EXPECT_GE(work.second, g.num_vertices()) << "t=" << threads;
+    if (ref_work.first == 0) ref_work = work;
+    EXPECT_EQ(work, ref_work) << "t=" << threads;
 
     // Report content (modulo times) is pool-size-invariant: same multiset
     // of bisections regardless of scheduling.
@@ -344,8 +356,10 @@ TEST(ContractDeterminismTest, ParallelContractionOfDeepHierarchy) {
   const Graph* cur = &g;
   std::vector<Contraction> seq_levels, par_levels;
   std::span<const ewt_t> cewgt;
+  ParallelHemScratch scratch;
+  Matching m;
   while (cur->num_vertices() > 60) {
-    Matching m = compute_matching_parallel_hem(*cur, pool);
+    compute_matching_parallel_hem(*cur, pool, m, scratch);
     Contraction s = contract(*cur, m, cewgt);
     Contraction p = contract(*cur, m, cewgt, &pool);
     ASSERT_EQ(p.cmap, s.cmap);

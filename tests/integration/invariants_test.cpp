@@ -78,6 +78,8 @@ void expect_matching_consistent(const Graph& g, const Matching& m,
 
 TEST(InvariantsTest, MatchingInvolutionPairsWeightAllSchemes) {
   ThreadPool pool(4);
+  ParallelHemScratch scratch;
+  Matching pm;
   for (std::uint64_t seed : {3u, 17u}) {
     for (const auto& [name, g] : random_graphs(seed)) {
       for (MatchingScheme scheme : kSchemes) {
@@ -85,7 +87,7 @@ TEST(InvariantsTest, MatchingInvolutionPairsWeightAllSchemes) {
         Matching m = compute_matching(g, scheme, {}, rng);
         expect_matching_consistent(g, m, name + "/" + to_string(scheme));
       }
-      Matching pm = compute_matching_parallel_hem(g, pool);
+      compute_matching_parallel_hem(g, pool, pm, scratch);
       expect_matching_consistent(g, pm, name + "/parallelHEM");
     }
   }
