@@ -1,15 +1,16 @@
 #pragma once
 
-// Shared definition of the golden regression corpus: six generator-family
-// graphs partitioned with the paper-default pipeline at pinned seeds.  Both
-// the diffing test (tests/integration/golden_test.cpp) and the refresh tool
-// (tests/golden/golden_refresh.cpp) include this header, so the corpus can
-// only ever be defined in one place.
+// Shared definition of the golden regression corpus: generator-family graphs
+// partitioned (or MLND-ordered) with the paper-default pipeline at pinned
+// seeds.  Both the diffing test (tests/integration/golden_test.cpp) and the
+// refresh tool (tests/golden/golden_refresh.cpp) include this header, so the
+// corpus can only ever be defined in one place.
 //
 // Regenerate the pinned file with scripts/refresh_golden.sh after any
 // *intentional* behavioural change; an unintentional diff is a regression.
 
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
@@ -20,7 +21,10 @@
 #include "dynamic/churn.hpp"
 #include "dynamic/delta.hpp"
 #include "dynamic/incremental.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "order/nested_dissection.hpp"
+#include "order/symbolic.hpp"
 
 namespace mgp::golden {
 
@@ -38,7 +42,31 @@ struct GoldenEntry {
   /// Coarsening engine (DESIGN.md §12); non-default rows pin the algebraic-
   /// distance and n-level strategies so their output can't drift silently.
   CoarsenStrategy strategy = CoarsenStrategy::kMatching;
+  /// MLND ordering row (order/nested_dissection, default NdOptions): `cut`
+  /// pins nnz(L) of the ordering and the hash covers the permutation; k is 0.
+  bool nd = false;
 };
+
+/// Disjoint union of `parts`, vertex ids offset in order: a disconnected
+/// input for the ordering rows.
+inline Graph disjoint_union(std::initializer_list<Graph> parts) {
+  vid_t n = 0;
+  for (const Graph& p : parts) n += p.num_vertices();
+  GraphBuilder b(n);
+  vid_t base = 0;
+  for (const Graph& p : parts) {
+    for (vid_t u = 0; u < p.num_vertices(); ++u) {
+      b.set_vertex_weight(base + u, p.vertex_weight(u));
+      auto nbrs = p.neighbors(u);
+      auto wgts = p.edge_weights(u);
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        if (u < nbrs[i]) b.add_edge(base + u, base + nbrs[i], wgts[i]);
+      }
+    }
+    base += p.num_vertices();
+  }
+  return std::move(b).build();
+}
 
 inline std::vector<GoldenEntry> corpus() {
   return {
@@ -75,6 +103,20 @@ inline std::vector<GoldenEntry> corpus() {
        false, 0, 0.0, CoarsenStrategy::kNLevel},
       {"finan_24x24_nlevel_k16", 16, 4242, [] { return finan(24, 24, 5); },
        true, 0, 0.0, CoarsenStrategy::kNLevel},
+      // MLND ordering rows (§4.3): a 2D and a 3D mesh, and a disconnected
+      // graph whose islands the recursion must split or order whole.
+      {.name = "fem2d_tri_40x40_mlnd", .k = 0, .seed = 4242,
+       .build = [] { return fem2d_tri(40, 40, 7); }, .nd = true},
+      {.name = "grid3d_27_8x8x8_mlnd", .k = 0, .seed = 4242,
+       .build = [] { return grid3d_27(8, 8, 8); }, .nd = true},
+      {.name = "islands_mlnd", .k = 0, .seed = 4242,
+       .build =
+           [] {
+             return disjoint_union(
+                 {fem2d_tri(24, 24, 5), grid3d_27(6, 6, 6), circuit(400, 3),
+                  path_graph(90)});
+           },
+       .nd = true},
   };
 }
 
@@ -83,7 +125,8 @@ struct GoldenResult {
   std::uint64_t part_hash;
 };
 
-/// FNV-1a over the label sequence: any single relabelled vertex changes it.
+/// FNV-1a over the label sequence (or a permutation: vid_t and part_t are
+/// the same type): any single relabelled vertex changes it.
 inline std::uint64_t fnv1a64(std::span<const part_t> part) {
   std::uint64_t h = 1469598103934665603ull;
   for (part_t p : part) {
@@ -123,6 +166,11 @@ inline GoldenResult run_entry(const GoldenEntry& e) {
   }
   const Graph g = e.build();
   Rng rng(e.seed);
+  if (e.nd) {
+    const std::vector<vid_t> perm =
+        mlnd_order(g, MultilevelConfig{}, NdOptions{}, rng);
+    return {symbolic_cholesky(g, perm).nnz_factor, fnv1a64(perm)};
+  }
   if (e.direct) {
     KwayDirectConfig cfg;  // defaults on top of the paper pipeline
     cfg.base.coarsen.strategy = e.strategy;

@@ -20,6 +20,8 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "# Golden partition corpus — pinned cuts and partition hashes.\n"
                "# Format: name k seed cut fnv1a64(part)\n"
+               "# MLND ordering rows (*_mlnd, k 0): cut is nnz(L), the hash\n"
+               "# covers the permutation.\n"
                "# Regenerate with scripts/refresh_golden.sh after intentional\n"
                "# behavioural changes; unexpected diffs are regressions.\n");
   for (const mgp::golden::GoldenEntry& e : mgp::golden::corpus()) {
