@@ -29,9 +29,45 @@ vid_t count_boundary_vertices(const Graph& g, std::span<const part_t> side) {
   return count;
 }
 
+KlGainScan kl_scan_gains(const Graph& g, std::span<const part_t> side, KlWorkspace& ws) {
+  const vid_t n = g.num_vertices();
+  ws.ed.resize(static_cast<std::size_t>(n));
+  ws.id.resize(static_cast<std::size_t>(n));
+  KlGainScan scan;
+  for (vid_t u = 0; u < n; ++u) {
+    ewt_t ed = 0, id = 0;
+    bool cut = false;
+    auto nbrs = g.neighbors(u);
+    auto wgts = g.edge_weights(u);
+    const part_t su = side[static_cast<std::size_t>(u)];
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      if (side[static_cast<std::size_t>(nbrs[i])] == su) {
+        id += wgts[i];
+      } else {
+        ed += wgts[i];
+        cut = true;
+      }
+    }
+    ws.ed[static_cast<std::size_t>(u)] = ed;
+    ws.id[static_cast<std::size_t>(u)] = id;
+    scan.boundary += cut ? 1 : 0;
+    scan.max_degree = std::max(scan.max_degree, ed + id);
+  }
+  return scan;
+}
+
 KlStats kl_refine(const Graph& g, Bisection& b, vwt_t target0, const KlOptions& opts,
                   Rng& rng, std::vector<obs::KlPassReport>* pass_log,
                   KlWorkspace* ext_ws) {
+  KlWorkspace local_ws;
+  KlWorkspace& ws = ext_ws ? *ext_ws : local_ws;
+  const KlGainScan scan = kl_scan_gains(g, b.side, ws);
+  return kl_refine_scanned(g, b, target0, opts, rng, scan, ws, pass_log);
+}
+
+KlStats kl_refine_scanned(const Graph& g, Bisection& b, vwt_t target0,
+                          const KlOptions& opts, Rng& rng, const KlGainScan& scan,
+                          KlWorkspace& ws, std::vector<obs::KlPassReport>* pass_log) {
   const vid_t n = g.num_vertices();
   KlStats stats;
   if (n == 0) return stats;
@@ -45,14 +81,10 @@ KlStats kl_refine(const Graph& g, Bisection& b, vwt_t target0, const KlOptions& 
   const vwt_t slack =
       static_cast<vwt_t>(opts.weight_slack_factor * static_cast<double>(max_vwgt));
 
-  KlWorkspace local_ws;
-  KlWorkspace& ws = ext_ws ? *ext_ws : local_ws;
-  ws.ed.resize(static_cast<std::size_t>(n));
-  ws.id.resize(static_cast<std::size_t>(n));
   ws.locked.resize(static_cast<std::size_t>(n));
   ws.moves.reserve(static_cast<std::size_t>(n));
 
-  const ewt_t max_gain = std::max<ewt_t>(1, g.max_weighted_degree());
+  const ewt_t max_gain = std::max<ewt_t>(1, scan.max_degree);
 
   for (int pass = 0; pass < (opts.single_pass ? 1 : opts.max_passes); ++pass) {
     ++stats.passes;
@@ -60,22 +92,8 @@ KlStats kl_refine(const Graph& g, Bisection& b, vwt_t target0, const KlOptions& 
     const KlStats stats_at_pass_start = stats;
     std::int64_t queue_peak = 0;
 
-    // --- Gain initialisation (O(|E|)). ---
-    for (vid_t u = 0; u < n; ++u) {
-      ewt_t ed = 0, id = 0;
-      auto nbrs = g.neighbors(u);
-      auto wgts = g.edge_weights(u);
-      const part_t su = b.side[static_cast<std::size_t>(u)];
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        if (b.side[static_cast<std::size_t>(nbrs[i])] == su) {
-          id += wgts[i];
-        } else {
-          ed += wgts[i];
-        }
-      }
-      ws.ed[static_cast<std::size_t>(u)] = ed;
-      ws.id[static_cast<std::size_t>(u)] = id;
-    }
+    // ws.ed / ws.id already describe b.side: built by the scan, then kept
+    // exact by every move and undo of the previous passes.
     std::fill(ws.locked.begin(), ws.locked.end(), char{0});
     ws.queue[0].reset(n, max_gain);
     ws.queue[1].reset(n, max_gain);
@@ -180,12 +198,24 @@ KlStats kl_refine(const Graph& g, Bisection& b, vwt_t target0, const KlOptions& 
     }
 
     // --- Undo the trailing non-improving moves. ---
+    // Each undo updates ed/id exactly as a move does, so the table stays
+    // valid for the next pass.
     for (std::size_t i = ws.moves.size(); i > best_prefix; --i) {
       const vid_t v = ws.moves[i - 1];
       const part_t cur = b.side[static_cast<std::size_t>(v)];
-      b.side[static_cast<std::size_t>(v)] = 1 - cur;
+      const part_t to = 1 - cur;
+      b.side[static_cast<std::size_t>(v)] = to;
       b.part_weight[cur] -= g.vertex_weight(v);
-      b.part_weight[1 - cur] += g.vertex_weight(v);
+      b.part_weight[to] += g.vertex_weight(v);
+      std::swap(ws.ed[static_cast<std::size_t>(v)], ws.id[static_cast<std::size_t>(v)]);
+      auto nbrs = g.neighbors(v);
+      auto wgts = g.edge_weights(v);
+      for (std::size_t k = 0; k < nbrs.size(); ++k) {
+        const std::size_t uu = static_cast<std::size_t>(nbrs[k]);
+        const ewt_t w = b.side[uu] == to ? wgts[k] : -wgts[k];
+        ws.ed[uu] -= w;
+        ws.id[uu] += w;
+      }
     }
     b.cut = best_cut;
     stats.swapped += static_cast<vid_t>(best_prefix);

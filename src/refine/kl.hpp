@@ -26,9 +26,11 @@ namespace mgp {
 
 /// Reusable scratch of one kl_refine call: gain bookkeeping, the per-side
 /// FM bucket queues, the move log for undo, and the random insertion order.
-/// Pass a warm one to kl_refine for an allocation-free inner loop; every
-/// field is fully re-initialised per pass, so a reused workspace behaves
-/// exactly like a fresh one.
+/// Pass a warm one to kl_refine for an allocation-free inner loop.  The
+/// ed/id table is built once per call (kl_scan_gains) and then kept exact
+/// by every move and every undo, so later passes start from it; on return
+/// it describes the final labelling.  Everything else is re-initialised per
+/// pass, so a reused workspace behaves exactly like a fresh one.
 ///
 /// `kway` is the scratch of the pooled greedy leg, which runs the k-way
 /// propose/commit engine at k=2 (refine/kway_refine.*), so one warm
@@ -92,6 +94,23 @@ struct KlStats {
   /// (their gain went stale or the balance headroom was taken).
   vid_t conflict_rejects = 0;
 };
+
+/// What one O(|E|) sweep over a labelling yields besides the ed/id table.
+struct KlGainScan {
+  vid_t boundary = 0;    ///< vertices with at least one cut edge
+  ewt_t max_degree = 0;  ///< max over v of ed[v] + id[v] (weighted degree)
+};
+
+/// Fills ws.ed / ws.id for `side` (the only full scan a kl_refine call
+/// makes) and returns the boundary size and maximum weighted degree.
+KlGainScan kl_scan_gains(const Graph& g, std::span<const part_t> side, KlWorkspace& ws);
+
+/// kl_refine on a table kl_scan_gains(g, b.side, ws) has just built: the
+/// refinement dispatch scans once, decides on the boundary size, then
+/// refines without scanning again.  Byte-identical to kl_refine.
+KlStats kl_refine_scanned(const Graph& g, Bisection& b, vwt_t target0,
+                          const KlOptions& opts, Rng& rng, const KlGainScan& scan,
+                          KlWorkspace& ws, std::vector<obs::KlPassReport>* pass_log);
 
 /// Refines `b` in place.  `target0` is side 0's desired vertex weight.
 /// Deterministic given rng state.

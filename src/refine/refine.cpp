@@ -34,7 +34,7 @@ bool use_parallel_greedy(ThreadPool* pool, vid_t boundary, const KlOptions& opts
 KlStats pooled_greedy_refine(const Graph& g, Bisection& b, vwt_t target0,
                              const KlOptions& opts, ThreadPool& pool,
                              std::vector<obs::KlPassReport>* pass_log,
-                             KlWorkspace* ws) {
+                             KwayRefineWorkspace& ws) {
   vwt_t max_vwgt = 0;
   for (vid_t v = 0; v < g.num_vertices(); ++v) {
     max_vwgt = std::max(max_vwgt, g.vertex_weight(v));
@@ -45,11 +45,9 @@ KlStats pooled_greedy_refine(const Graph& g, Bisection& b, vwt_t target0,
       std::max(b.part_weight[0], target0 + slack),
       std::max(b.part_weight[1], g.total_vertex_weight() - target0 + slack),
   };
-  KwayRefineWorkspace local_ws;
   const ewt_t cut_before = b.cut;
   const KwayRefineResult r =
-      kway_parallel_refine(g, b.side, 2, b.part_weight, ceiling, 0, 1, &pool,
-                           ws ? ws->kway : local_ws);
+      kway_parallel_refine(g, b.side, 2, b.part_weight, ceiling, 0, 1, &pool, ws);
   b.cut -= r.cut_reduction;
 
   if (pass_log) {
@@ -78,50 +76,33 @@ KlStats refine_bisection(const Graph& g, Bisection& b, vwt_t target0,
                          const KlOptions& base_opts,
                          std::vector<obs::KlPassReport>* pass_log, KlWorkspace* ws,
                          ThreadPool* pool) {
+  if (policy == RefinePolicy::kNone) return {};
+  KlWorkspace local_ws;
+  KlWorkspace& kws = ws ? *ws : local_ws;
+  // The one full scan of this level: KL's ed/id table, and from the same
+  // sweep the boundary size the BKLGR and pooled-leg decisions need.
+  const KlGainScan scan = kl_scan_gains(g, b.side, kws);
+
   KlOptions opts = base_opts;
-  switch (policy) {
-    case RefinePolicy::kNone:
-      return {};
-    case RefinePolicy::kGR:
-      opts.boundary_only = false;
-      opts.single_pass = true;
-      break;
-    case RefinePolicy::kKLR:
-      opts.boundary_only = false;
-      opts.single_pass = false;
-      break;
-    case RefinePolicy::kBGR: {
-      if (pool != nullptr &&
-          use_parallel_greedy(pool, count_boundary_vertices(g, b.side), base_opts)) {
-        return pooled_greedy_refine(g, b, target0, base_opts, *pool, pass_log, ws);
-      }
-      opts.boundary_only = true;
-      opts.single_pass = true;
-      break;
-    }
-    case RefinePolicy::kBKLR:
-      opts.boundary_only = true;
-      opts.single_pass = false;
-      break;
-    case RefinePolicy::kBKLGR: {
-      // §3.3: "if the number of vertices in the boundary of the coarse graph
-      // is less than 2% of the number of vertices in the original graph,
-      // refinement is performed using BKLR, otherwise BGR is used."
-      const vid_t boundary = count_boundary_vertices(g, b.side);
-      const bool small_boundary =
-          static_cast<double>(boundary) <
-          base_opts.bklgr_boundary_fraction * static_cast<double>(original_n);
-      // The greedy (large-boundary) leg is exactly where refinement cost
-      // peaks and where the propose/commit scheme applies.
-      if (!small_boundary && use_parallel_greedy(pool, boundary, base_opts)) {
-        return pooled_greedy_refine(g, b, target0, base_opts, *pool, pass_log, ws);
-      }
-      opts.boundary_only = true;
-      opts.single_pass = !small_boundary;
-      break;
-    }
+  opts.boundary_only = policy == RefinePolicy::kBGR || policy == RefinePolicy::kBKLR ||
+                       policy == RefinePolicy::kBKLGR;
+  opts.single_pass = policy == RefinePolicy::kGR || policy == RefinePolicy::kBGR;
+  if (policy == RefinePolicy::kBKLGR) {
+    // §3.3: "if the number of vertices in the boundary of the coarse graph
+    // is less than 2% of the number of vertices in the original graph,
+    // refinement is performed using BKLR, otherwise BGR is used."
+    const bool small_boundary =
+        static_cast<double>(scan.boundary) <
+        base_opts.bklgr_boundary_fraction * static_cast<double>(original_n);
+    opts.single_pass = !small_boundary;
   }
-  return kl_refine(g, b, target0, opts, rng, pass_log, ws);
+  // The greedy boundary leg (BGR, and BKLGR's large-boundary leg) is exactly
+  // where refinement cost peaks and where the propose/commit scheme applies.
+  if (opts.boundary_only && opts.single_pass &&
+      use_parallel_greedy(pool, scan.boundary, base_opts)) {
+    return pooled_greedy_refine(g, b, target0, base_opts, *pool, pass_log, kws.kway);
+  }
+  return kl_refine_scanned(g, b, target0, opts, rng, scan, kws, pass_log);
 }
 
 }  // namespace mgp
