@@ -114,8 +114,12 @@ Bisection ggp_bisect(const Graph& g, vwt_t target0, int trials, Rng& rng,
   return best;
 }
 
-void gggp_grow_into(const Graph& g, vwt_t target0, Rng& rng, GrowScratch& ws,
-                    Bisection& out) {
+namespace {
+
+/// gggp_grow_into with the queue's key bound supplied: every trial of one
+/// gggp_bisect_into call shares a single O(|E|) max_weighted_degree scan.
+void gggp_grow(const Graph& g, vwt_t target0, ewt_t max_gain, Rng& rng,
+               GrowScratch& ws, Bisection& out) {
   const vid_t n = g.num_vertices();
   out.side.assign(static_cast<std::size_t>(n), 1);
   if (n == 0) {
@@ -126,7 +130,7 @@ void gggp_grow_into(const Graph& g, vwt_t target0, Rng& rng, GrowScratch& ws,
   // Gain of absorbing v into side 0: (weight of edges to side 0) - (weight
   // of edges to side 1).  Only frontier vertices live in the queue.
   BucketQueue& pq = ws.pq;
-  pq.reset(n, std::max<ewt_t>(1, g.max_weighted_degree()));
+  pq.reset(n, max_gain);
 
   vwt_t grown = 0;
   auto absorb = [&](vid_t u) {
@@ -163,6 +167,13 @@ void gggp_grow_into(const Graph& g, vwt_t target0, Rng& rng, GrowScratch& ws,
   refresh_bisection(g, out);
 }
 
+}  // namespace
+
+void gggp_grow_into(const Graph& g, vwt_t target0, Rng& rng, GrowScratch& ws,
+                    Bisection& out) {
+  gggp_grow(g, target0, std::max<ewt_t>(1, g.max_weighted_degree()), rng, ws, out);
+}
+
 Bisection gggp_grow_once(const Graph& g, vwt_t target0, Rng& rng) {
   GrowScratch ws;
   Bisection out;
@@ -173,10 +184,10 @@ Bisection gggp_grow_once(const Graph& g, vwt_t target0, Rng& rng) {
 void gggp_bisect_into(const Graph& g, vwt_t target0, int trials, Rng& rng,
                       GrowScratch& ws, Bisection& best,
                       std::vector<ewt_t>* trial_cuts) {
+  const ewt_t max_gain = std::max<ewt_t>(1, g.max_weighted_degree());
   best_of_trials(g, target0, trials, rng, ws, best, trial_cuts,
-                 [](const Graph& gg, vwt_t t0, Rng& r, GrowScratch& w, Bisection& out) {
-                   gggp_grow_into(gg, t0, r, w, out);
-                 });
+                 [max_gain](const Graph& gg, vwt_t t0, Rng& r, GrowScratch& w,
+                            Bisection& out) { gggp_grow(gg, t0, max_gain, r, w, out); });
 }
 
 Bisection gggp_bisect(const Graph& g, vwt_t target0, int trials, Rng& rng,
