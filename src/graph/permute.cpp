@@ -1,9 +1,26 @@
 #include "graph/permute.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
 namespace mgp {
+namespace {
+
+/// resize() without std::vector's doubling, which would leave a recycled
+/// buffer holding up to twice its need.  Growth keeps 1/16 slack instead:
+/// recycled buffers see many subgraphs of nearly equal size, and growing to
+/// exactly `m` would reallocate at every new maximum.
+template <typename T>
+void resize_recycled(std::vector<T>& v, std::size_t m) {
+  if (m > v.capacity()) {
+    v.clear();
+    v.reserve(m + m / 16);
+  }
+  v.resize(m);
+}
+
+}  // namespace
 
 Subgraph extract_subgraph(const Graph& g, std::span<const vid_t> vertices) {
   const vid_t n = g.num_vertices();
@@ -64,6 +81,9 @@ void extract_where_into(const Graph& g, std::span<const part_t> labels, part_t w
                         std::vector<vid_t>& local_to_global, Graph& out) {
   const vid_t n = g.num_vertices();
   local_to_global.clear();
+  // Reserve the exact size up front: one growth at most, not a doubling chain.
+  local_to_global.reserve(static_cast<std::size_t>(
+      std::count(labels.begin(), labels.begin() + n, which)));
   scratch.assign(static_cast<std::size_t>(n), kInvalidVid);
   for (vid_t v = 0; v < n; ++v) {
     if (labels[static_cast<std::size_t>(v)] == which) {
@@ -76,7 +96,7 @@ void extract_where_into(const Graph& g, std::span<const part_t> labels, part_t w
   const std::size_t sn = local_to_global.size();
   Graph::Storage st = out.take_storage();
   st.xadj.assign(sn + 1, 0);
-  st.vwgt.resize(sn);
+  resize_recycled(st.vwgt, sn);
   // Pass 1: count surviving arcs (mirrors extract_subgraph).
   for (std::size_t i = 0; i < sn; ++i) {
     vid_t u = local_to_global[i];
@@ -87,8 +107,8 @@ void extract_where_into(const Graph& g, std::span<const part_t> labels, part_t w
     }
     st.xadj[i + 1] = st.xadj[i] + cnt;
   }
-  st.adjncy.resize(static_cast<std::size_t>(st.xadj[sn]));
-  st.adjwgt.resize(static_cast<std::size_t>(st.xadj[sn]));
+  resize_recycled(st.adjncy, static_cast<std::size_t>(st.xadj[sn]));
+  resize_recycled(st.adjwgt, static_cast<std::size_t>(st.xadj[sn]));
   // Pass 2: fill.
   for (std::size_t i = 0; i < sn; ++i) {
     vid_t u = local_to_global[i];

@@ -2,30 +2,40 @@
 
 #include <sstream>
 
-#include "order/vertex_cover.hpp"
-
 namespace mgp {
 namespace {
 
-Separator finalize(const Graph& g, std::vector<part_t> label) {
-  Separator s;
-  s.label = std::move(label);
+/// Counts the separator labelled in s.label.
+void finalize(const Graph& g, Separator& s) {
+  s.sep_size = 0;
+  s.sep_weight = 0;
   for (vid_t v = 0; v < g.num_vertices(); ++v) {
     if (s.label[static_cast<std::size_t>(v)] == kSepS) {
       ++s.sep_size;
       s.sep_weight += g.vertex_weight(v);
     }
   }
-  return s;
 }
 
 }  // namespace
 
 Separator vertex_separator_from_bisection(const Graph& g, const Bisection& b) {
+  SeparatorScratch s;
+  Separator out;
+  vertex_separator_from_bisection_into(g, b, s, out);
+  return out;
+}
+
+void vertex_separator_from_bisection_into(const Graph& g, const Bisection& b,
+                                          SeparatorScratch& s, Separator& out) {
   const vid_t n = g.num_vertices();
   // Collect boundary vertices per side and give them bipartite-local ids.
-  std::vector<vid_t> local(static_cast<std::size_t>(n), kInvalidVid);
-  std::vector<vid_t> left_ids, right_ids;
+  std::vector<vid_t>& local = s.local;
+  std::vector<vid_t>& left_ids = s.left_ids;
+  std::vector<vid_t>& right_ids = s.right_ids;
+  local.assign(static_cast<std::size_t>(n), kInvalidVid);
+  left_ids.clear();
+  right_ids.clear();
   for (vid_t u = 0; u < n; ++u) {
     const part_t su = b.side[static_cast<std::size_t>(u)];
     for (vid_t v : g.neighbors(u)) {
@@ -43,7 +53,7 @@ Separator vertex_separator_from_bisection(const Graph& g, const Bisection& b) {
   }
 
   // Bipartite CSR over the cut edges, from side 0.
-  BipartiteGraph bg;
+  BipartiteGraph& bg = s.bg;
   bg.nl = static_cast<vid_t>(left_ids.size());
   bg.nr = static_cast<vid_t>(right_ids.size());
   bg.xadj.assign(static_cast<std::size_t>(bg.nl) + 1, 0);
@@ -66,24 +76,36 @@ Separator vertex_separator_from_bisection(const Graph& g, const Bisection& b) {
     }
   }
 
-  BipartiteMatching m = hopcroft_karp(bg);
-  VertexCover cover = minimum_vertex_cover(bg, m);
+  hopcroft_karp_into(bg, s.search, s.matching);
+  minimum_vertex_cover_into(bg, s.matching, s.search, s.cover);
 
-  std::vector<part_t> label(static_cast<std::size_t>(n));
+  out.label.resize(static_cast<std::size_t>(n));
   for (vid_t v = 0; v < n; ++v) {
-    label[static_cast<std::size_t>(v)] =
+    out.label[static_cast<std::size_t>(v)] =
         b.side[static_cast<std::size_t>(v)] == 0 ? kSepA : kSepB;
   }
-  for (vid_t lu : cover.left) label[static_cast<std::size_t>(left_ids[static_cast<std::size_t>(lu)])] = kSepS;
-  for (vid_t rv : cover.right) label[static_cast<std::size_t>(right_ids[static_cast<std::size_t>(rv)])] = kSepS;
-  return finalize(g, std::move(label));
+  for (vid_t lu : s.cover.left) {
+    out.label[static_cast<std::size_t>(left_ids[static_cast<std::size_t>(lu)])] = kSepS;
+  }
+  for (vid_t rv : s.cover.right) {
+    out.label[static_cast<std::size_t>(right_ids[static_cast<std::size_t>(rv)])] = kSepS;
+  }
+  finalize(g, out);
 }
 
 Separator boundary_separator_from_bisection(const Graph& g, const Bisection& b) {
+  Separator out;
+  boundary_separator_from_bisection_into(g, b, out);
+  return out;
+}
+
+void boundary_separator_from_bisection_into(const Graph& g, const Bisection& b,
+                                            Separator& out) {
   const vid_t n = g.num_vertices();
   // Take the boundary of the lighter side, so the bigger side stays whole.
   const part_t small_side = b.part_weight[0] <= b.part_weight[1] ? 0 : 1;
-  std::vector<part_t> label(static_cast<std::size_t>(n));
+  std::vector<part_t>& label = out.label;
+  label.resize(static_cast<std::size_t>(n));
   for (vid_t u = 0; u < n; ++u) {
     const part_t su = b.side[static_cast<std::size_t>(u)];
     label[static_cast<std::size_t>(u)] = su == 0 ? kSepA : kSepB;
@@ -95,7 +117,7 @@ Separator boundary_separator_from_bisection(const Graph& g, const Bisection& b) 
       }
     }
   }
-  return finalize(g, std::move(label));
+  finalize(g, out);
 }
 
 std::string check_separator(const Graph& g, const Separator& s) {

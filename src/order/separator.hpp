@@ -10,6 +10,7 @@
 
 #include "initpart/bisection_state.hpp"
 #include "graph/csr.hpp"
+#include "order/vertex_cover.hpp"
 
 namespace mgp {
 
@@ -23,13 +24,31 @@ struct Separator {
   vwt_t sep_weight = 0;
 };
 
+/// Reusable scratch of vertex_separator_from_bisection_into: the boundary
+/// vertices' bipartite ids, the cut-edge bipartite graph, its matching and
+/// cover.  A warm one makes the call allocation-free.
+struct SeparatorScratch {
+  std::vector<vid_t> local;  ///< vertex -> bipartite id (boundary vertices)
+  std::vector<vid_t> left_ids, right_ids;
+  BipartiteGraph bg;
+  BipartiteMatching matching;
+  BipartiteScratch search;
+  VertexCover cover;
+};
+
 /// Minimum-vertex-cover separator from a bisection.  Guarantees no edge
 /// joins an A-labelled to a B-labelled vertex.
 Separator vertex_separator_from_bisection(const Graph& g, const Bisection& b);
+/// As vertex_separator_from_bisection, into `out` (fully overwritten).
+void vertex_separator_from_bisection_into(const Graph& g, const Bisection& b,
+                                          SeparatorScratch& s, Separator& out);
 
 /// Naive alternative (ablation baseline): take the entire boundary of the
 /// smaller side as the separator.
 Separator boundary_separator_from_bisection(const Graph& g, const Bisection& b);
+/// As boundary_separator_from_bisection, into `out` (fully overwritten).
+void boundary_separator_from_bisection_into(const Graph& g, const Bisection& b,
+                                            Separator& out);
 
 /// Empty string when `s` is a valid separator of g (labels in range, no
 /// A-B edge), else a description of the first violation.

@@ -11,11 +11,8 @@ constexpr vid_t kInf = std::numeric_limits<vid_t>::max();
 struct HkState {
   const BipartiteGraph& g;
   BipartiteMatching& m;
-  std::vector<vid_t> dist;   // BFS layer of each left vertex (+ sentinel)
-  std::vector<vid_t> queue;
-
-  explicit HkState(const BipartiteGraph& g_, BipartiteMatching& m_)
-      : g(g_), m(m_), dist(static_cast<std::size_t>(g_.nl), kInf) {}
+  std::vector<vid_t>& dist;  // BFS layer of each left vertex (+ sentinel)
+  std::vector<vid_t>& queue;
 
   /// Layers free left vertices; true when an augmenting path exists.
   bool bfs() {
@@ -68,10 +65,19 @@ struct HkState {
 }  // namespace
 
 BipartiteMatching hopcroft_karp(const BipartiteGraph& g) {
+  BipartiteScratch s;
   BipartiteMatching m;
+  hopcroft_karp_into(g, s, m);
+  return m;
+}
+
+void hopcroft_karp_into(const BipartiteGraph& g, BipartiteScratch& s,
+                        BipartiteMatching& m) {
   m.match_l.assign(static_cast<std::size_t>(g.nl), kInvalidVid);
   m.match_r.assign(static_cast<std::size_t>(g.nr), kInvalidVid);
-  HkState st(g, m);
+  m.size = 0;
+  s.dist.assign(static_cast<std::size_t>(g.nl), kInf);
+  HkState st{g, m, s.dist, s.queue};
   while (st.bfs()) {
     for (vid_t u = 0; u < g.nl; ++u) {
       if (m.match_l[static_cast<std::size_t>(u)] == kInvalidVid && st.dfs(u)) {
@@ -79,16 +85,26 @@ BipartiteMatching hopcroft_karp(const BipartiteGraph& g) {
       }
     }
   }
-  return m;
 }
 
 VertexCover minimum_vertex_cover(const BipartiteGraph& g, const BipartiteMatching& m) {
+  BipartiteScratch s;
+  VertexCover cover;
+  minimum_vertex_cover_into(g, m, s, cover);
+  return cover;
+}
+
+void minimum_vertex_cover_into(const BipartiteGraph& g, const BipartiteMatching& m,
+                               BipartiteScratch& s, VertexCover& cover) {
   // König: Z = vertices reachable from free left vertices by alternating
   // paths (non-matching edges left->right, matching edges right->left).
   // Cover = (L \ Z_L) ∪ (R ∩ Z_R).
-  std::vector<char> visit_l(static_cast<std::size_t>(g.nl), 0);
-  std::vector<char> visit_r(static_cast<std::size_t>(g.nr), 0);
-  std::vector<vid_t> queue;
+  std::vector<char>& visit_l = s.visit_l;
+  std::vector<char>& visit_r = s.visit_r;
+  std::vector<vid_t>& queue = s.queue;
+  visit_l.assign(static_cast<std::size_t>(g.nl), 0);
+  visit_r.assign(static_cast<std::size_t>(g.nr), 0);
+  queue.clear();
   for (vid_t u = 0; u < g.nl; ++u) {
     if (m.match_l[static_cast<std::size_t>(u)] == kInvalidVid) {
       visit_l[static_cast<std::size_t>(u)] = 1;
@@ -111,14 +127,14 @@ VertexCover minimum_vertex_cover(const BipartiteGraph& g, const BipartiteMatchin
       }
     }
   }
-  VertexCover cover;
+  cover.left.clear();
+  cover.right.clear();
   for (vid_t u = 0; u < g.nl; ++u) {
     if (!visit_l[static_cast<std::size_t>(u)]) cover.left.push_back(u);
   }
   for (vid_t r = 0; r < g.nr; ++r) {
     if (visit_r[static_cast<std::size_t>(r)]) cover.right.push_back(r);
   }
-  return cover;
 }
 
 }  // namespace mgp

@@ -31,16 +31,31 @@ struct BipartiteMatching {
   vid_t size = 0;
 };
 
-/// Hopcroft–Karp maximum matching, O(E sqrt(V)).
-BipartiteMatching hopcroft_karp(const BipartiteGraph& g);
-
 struct VertexCover {
   std::vector<vid_t> left;   ///< left-side cover vertices
   std::vector<vid_t> right;  ///< right-side cover vertices
 };
 
+/// Reusable scratch of the two searches below (BFS layers, queue, visit
+/// marks); a warm one makes the _into forms allocation-free.
+struct BipartiteScratch {
+  std::vector<vid_t> dist;
+  std::vector<vid_t> queue;
+  std::vector<char> visit_l;
+  std::vector<char> visit_r;
+};
+
+/// Hopcroft–Karp maximum matching, O(E sqrt(V)).
+BipartiteMatching hopcroft_karp(const BipartiteGraph& g);
+/// As hopcroft_karp, into `m` (fully overwritten) with scratch from `s`.
+void hopcroft_karp_into(const BipartiteGraph& g, BipartiteScratch& s,
+                        BipartiteMatching& m);
+
 /// König construction: a minimum vertex cover from a maximum matching.
 /// |left| + |right| == matching size.
 VertexCover minimum_vertex_cover(const BipartiteGraph& g, const BipartiteMatching& m);
+/// As minimum_vertex_cover, into `cover` (fully overwritten).
+void minimum_vertex_cover_into(const BipartiteGraph& g, const BipartiteMatching& m,
+                               BipartiteScratch& s, VertexCover& cover);
 
 }  // namespace mgp
