@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 
@@ -191,6 +195,66 @@ TEST(KlTest, DeterministicGivenSeed) {
   kl_refine(g, b2, g.total_vertex_weight() / 2, opts, r2);
   EXPECT_EQ(b1.side, b2.side);
   EXPECT_EQ(b1.cut, b2.cut);
+}
+
+/// The 11 generator families of the coarsening property wall.
+std::vector<std::pair<std::string, Graph>> generator_families() {
+  return {{"grid2d", grid2d(12, 9)},
+          {"stencil9", stencil9(10, 10)},
+          {"fem2d_tri", fem2d_tri(12, 12, 3)},
+          {"lshape2d", lshape2d(140, 5)},
+          {"grid3d", grid3d(6, 5, 4)},
+          {"grid3d_27", grid3d_27(5, 5, 3)},
+          {"fem3d_tet", fem3d_tet(5, 5, 4, 7)},
+          {"power_grid", power_grid(240, 5)},
+          {"finan", finan(6, 8, 11)},
+          {"circuit", circuit(220, 7)},
+          {"random_geometric", random_geometric(240, 5.0, 9)}};
+}
+
+/// g with edge weights 1..5, so gains are not plain neighbour counts.
+Graph with_edge_weights(const Graph& g) {
+  GraphBuilder gb(g.num_vertices());
+  for (vid_t u = 0; u < g.num_vertices(); ++u) {
+    for (vid_t v : g.neighbors(u)) {
+      if (u < v) gb.add_edge(u, v, 1 + (u * 7 + v * 3) % 5);
+    }
+  }
+  return std::move(gb).build();
+}
+
+TEST(KlTest, GainTableMatchesFinalLabelling) {
+  // kl_refine builds ed/id once and keeps them exact through every move
+  // and every undo, so after a multi-pass call the workspace's table must
+  // equal a fresh recompute for the labelling the call returns.
+  int undone_calls = 0;
+  for (const auto& [name, base] : generator_families()) {
+    for (bool weighted : {false, true}) {
+      const Graph g = weighted ? with_edge_weights(base) : base;
+      for (bool boundary : {false, true}) {  // KLR, BKLR
+        SCOPED_TRACE(name + (weighted ? " weighted" : "") +
+                     (boundary ? " BKLR" : " KLR"));
+        Bisection b = interleaved(g);
+        KlOptions opts;
+        opts.boundary_only = boundary;
+        opts.non_improving_window = 10;  // short windows: many undone moves
+        KlWorkspace ws;
+        Rng rng(17);
+        const KlStats s =
+            kl_refine(g, b, g.total_vertex_weight() / 2, opts, rng, nullptr, &ws);
+        undone_calls += (s.passes > 1 && s.moves_attempted > s.swapped) ? 1 : 0;
+
+        KlWorkspace fresh;
+        const KlGainScan scan = kl_scan_gains(g, b.side, fresh);
+        EXPECT_EQ(ws.ed, fresh.ed);
+        EXPECT_EQ(ws.id, fresh.id);
+        EXPECT_EQ(scan.boundary, count_boundary_vertices(g, b.side));
+        EXPECT_EQ(scan.max_degree, g.max_weighted_degree());
+      }
+    }
+  }
+  // The property is only tested where later passes reused an undone table.
+  EXPECT_GE(undone_calls, 30);
 }
 
 class KlWindowTest : public ::testing::TestWithParam<int> {};
