@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "coarsen/contract.hpp"
@@ -21,6 +23,8 @@
 #include "core/multilevel.hpp"
 #include "graph/generators.hpp"
 #include "initpart/graph_grow.hpp"
+#include "order/mmd.hpp"
+#include "order/nested_dissection.hpp"
 #include "refine/refine.hpp"
 #include "support/alloc_guard.hpp"
 #include "support/thread_pool.hpp"
@@ -306,6 +310,56 @@ TEST(AllocRegressionTest, MultilevelBisectSteadyStateIsBounded) {
       << "multilevel_bisect steady state should allocate O(1), got "
       << guard.allocations();
   EXPECT_EQ(r.bisection.side.size(), static_cast<std::size_t>(g.num_vertices()));
+}
+
+TEST(AllocRegressionTest, MlndOrderCallIsBounded) {
+  // mlnd_order keeps its scratch for the whole ordering: one frame per
+  // recursion depth, one BisectWorkspace for every bisection below the
+  // root, separator and MMD scratch.  Its hundreds of bisections,
+  // separators and leaves then reuse those buffers, so an ordering
+  // allocates per depth, not per subgraph (it made ~260,000 allocations
+  // when every subgraph allocated its own).  The first call warms the
+  // process-wide state; the second is the one counted.
+  const Graph g = fem2d_tri(200, 200, 3);
+  const MultilevelConfig cfg;
+  const NdOptions nd;
+  auto run = [&]() {
+    Rng rng(7);
+    return mlnd_order(g, cfg, nd, rng);
+  };
+  const std::vector<vid_t> first = run();
+
+  AllocGuard guard;
+  const std::vector<vid_t> second = run();
+  EXPECT_LT(guard.allocations(), 1000u)
+      << "mlnd_order allocated " << guard.allocations() << " times";
+  EXPECT_EQ(first, second);
+}
+
+TEST(AllocRegressionTest, MmdOrderWarmScratchIsAllocationFree) {
+  // A workspace warmed by a larger graph (more vertices and more arcs)
+  // orders smaller ones without touching the heap, whatever their shape,
+  // and gives the order a fresh call gives.
+  const Graph big = fem2d_tri(40, 40, 5);
+  MmdWorkspace ws;
+  std::vector<vid_t> out(static_cast<std::size_t>(big.num_vertices()));
+  mmd_order_into(big, ws, out);
+  EXPECT_EQ(out, mmd_order(big));
+
+  for (const Graph& g : {grid3d_27(6, 6, 6), circuit(600, 3), fem2d_tri(12, 30, 2),
+                         complete_graph(40), star_graph(300)}) {
+    ASSERT_LT(g.num_vertices(), big.num_vertices());
+    ASSERT_LT(g.num_arcs(), big.num_arcs());
+    const std::vector<vid_t> fresh = mmd_order(g);
+    std::span<vid_t> slice(out.data(), static_cast<std::size_t>(g.num_vertices()));
+
+    AllocGuard guard;
+    mmd_order_into(g, ws, slice);
+    EXPECT_EQ(guard.allocations(), 0u)
+        << "MMD allocated on warm scratch (" << guard.bytes() << " bytes), n = "
+        << g.num_vertices();
+    EXPECT_TRUE(std::equal(slice.begin(), slice.end(), fresh.begin(), fresh.end()));
+  }
 }
 
 }  // namespace
