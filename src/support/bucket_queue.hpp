@@ -28,7 +28,8 @@ class BucketQueue {
   BucketQueue() = default;
 
   /// Prepares the queue for vertices 0..n-1 with keys in [-max_gain, max_gain].
-  /// O(n + max_gain) the first time, O(size of previous use) afterwards.
+  /// O(n + max_gain) on every call: both arrays are re-initialised in full,
+  /// only their memory is reused.
   void reset(vid_t n, gain_t max_gain);
 
   /// True if v is currently in the queue.
