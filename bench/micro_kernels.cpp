@@ -4,12 +4,15 @@
 //     gain structure),
 //   * the four matching schemes (all O(|E|)),
 //   * graph contraction,
+//   * a whole MLND ordering (allocation count per ordering),
 //   * Laplacian SpMV (the inner loop of the spectral baselines).
 //
 // The *Workspace variants benchmark the arena/workspace forms of the same
 // kernels and report a `steady_allocs` counter: heap allocations in one
 // post-warm-up run, counted by the linked counting allocator
-// (tests/support/alloc_guard).  The workspace forms must report 0.
+// (tests/support/alloc_guard).  The workspace forms must report 0;
+// BM_MlndOrderWorkspace, whose scratch lives for one ordering, reports the
+// allocations of a whole ordering instead.
 #include <benchmark/benchmark.h>
 
 #include <queue>
@@ -20,6 +23,7 @@
 #include "graph/generators.hpp"
 #include "initpart/bisection_state.hpp"
 #include "initpart/graph_grow.hpp"
+#include "order/nested_dissection.hpp"
 #include "obs/trace.hpp"
 #include "refine/refine.hpp"
 #include "spectral/laplacian.hpp"
@@ -285,6 +289,32 @@ void BM_GggpWorkspace(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.num_arcs());
 }
 BENCHMARK(BM_GggpWorkspace);
+
+void BM_MlndOrderWorkspace(benchmark::State& state) {
+  // One MLND ordering (§4.3) of the 40,000-vertex mesh the nd_order
+  // workload orders.  mlnd_order keeps its scratch for the whole call:
+  // per-depth subgraph frames, one BisectWorkspace for every bisection
+  // below the root, separator and MMD scratch.  steady_allocs therefore
+  // counts allocations per ordering, not per subgraph: about 710, against
+  // about 260,000 when every subgraph allocated its own buffers.
+  static const Graph g = fem2d_tri(200, 200, 3);
+  const MultilevelConfig cfg;
+  const NdOptions nd;
+  auto run = [&]() {
+    Rng rng(7);
+    return mlnd_order(g, cfg, nd, rng);
+  };
+  run();  // warm the process-wide state
+  mgp::testing::AllocGuard guard;
+  run();
+  state.counters["steady_allocs"] = static_cast<double>(guard.allocations());
+  for (auto _ : state) {
+    const std::vector<vid_t> perm = run();
+    benchmark::DoNotOptimize(perm.data());
+  }
+  state.SetItemsProcessed(state.iterations() * g.num_arcs());
+}
+BENCHMARK(BM_MlndOrderWorkspace)->Unit(benchmark::kMillisecond);
 
 void BM_ObsOverheadGuard(benchmark::State& state) {
   // Guard for the observability kill switches (DESIGN.md "Observability"):
