@@ -21,6 +21,8 @@ struct Bisection {
   ewt_t cut = 0;
 
   bool empty() const { return side.empty(); }
+  /// Heap bytes reserved (capacity, not size).
+  std::size_t memory_bytes() const { return side.capacity() * sizeof(part_t); }
 };
 
 /// Edge-cut of an arbitrary labelling (each cut edge's weight counted once).

@@ -1,9 +1,9 @@
 #include "order/nested_dissection.hpp"
 
 #include <cassert>
-#include <memory>
 
 #include "core/multilevel.hpp"
+#include "core/split_recursion.hpp"
 #include "graph/permute.hpp"
 #include "order/mmd.hpp"
 #include "order/separator.hpp"
@@ -12,100 +12,76 @@
 namespace mgp {
 namespace {
 
-/// State of one recursion depth.  frames[d] holds the subgraph being
-/// ordered at depth d (depth 0 orders the caller's graph, so only its
-/// identity map is used), its map to original vertex ids, and its separator
-/// labels, which must survive the recursion into side A until side B is
-/// extracted.  Every subgraph at depth d reuses the same frame.
-struct NdFrame {
-  Graph graph;
-  std::vector<vid_t> to_global;
-  Separator sep;
-};
-
-/// Every buffer one ordering reuses across its subgraphs.
-struct NdScratch {
-  /// unique_ptr keeps each frame's address stable while the vector grows.
-  std::vector<std::unique_ptr<NdFrame>> frames;
-  Bisection bisection;
-  SeparatorScratch separator;
-  MmdWorkspace mmd;
-  std::vector<vid_t> extract_map;  ///< extract_where_into's global→local table
-};
-
-/// Orders `g` (subgraph at `depth`, with original ids `to_global`) into
-/// `out`, its slice of the final permutation, such that recursion level by
-/// recursion level the separator comes last.  `bisect(sub, target0, rng,
-/// out)` writes a bisection of `sub` into `out`.
+/// The nested-dissection step: orders a leaf with MMD, or splits a
+/// subproblem by a vertex separator, numbers the separator last in the
+/// subproblem's slice of the ordering and gives side A the front of the rest
+/// and side B the back.  `bisect(sub, target0, rng, out)` writes a bisection
+/// of `sub` into `out`.  Every draw comes from the caller's one Rng in
+/// depth-first order, so the step runs without a pool; its scratch is
+/// shared by every subproblem.
 template <typename BisectInto>
-void nd_recurse(const Graph& g, std::span<const vid_t> to_global, std::size_t depth,
-                BisectInto& bisect, const NdOptions& opts, Rng& rng, NdScratch& s,
-                std::span<vid_t> out) {
-  const vid_t n = g.num_vertices();
-  assert(out.size() == static_cast<std::size_t>(n));
-  auto order_leaf = [&] {
-    mmd_order_into(g, s.mmd, out);
-    for (vid_t& v : out) v = to_global[static_cast<std::size_t>(v)];
-  };
+struct NdStep {
+  using Node = Separator;
+  using Task = std::span<vid_t>;  ///< the subproblem's slice of new_to_old
 
-  if (n <= opts.leaf_size) {
-    order_leaf();
-    return;
-  }
+  BisectInto& bisect;
+  const NdOptions& opts;
+  Rng& rng;
+  Bisection bisection{};
+  SeparatorScratch separator{};
+  MmdWorkspace mmd{};
 
-  bisect(g, g.total_vertex_weight() / 2, rng, s.bisection);
-  Separator& sep = s.frames[depth]->sep;
-  if (opts.boundary_separator) {
-    boundary_separator_from_bisection_into(g, s.bisection, sep);
-  } else {
-    vertex_separator_from_bisection_into(g, s.bisection, s.separator, sep);
-  }
-  if (opts.refine_separator) refine_separator(g, sep, opts.sep_refine, rng);
+  std::span<const part_t> split(const Graph& g, std::span<const vid_t> ids,
+                                std::span<vid_t> out, Separator& sep,
+                                std::span<vid_t> (&child)[2]) {
+    const vid_t n = g.num_vertices();
+    assert(out.size() == static_cast<std::size_t>(n));
+    auto order_leaf = [&] {
+      mmd_order_into(g, mmd, out);
+      for (vid_t& v : out) v = ids[static_cast<std::size_t>(v)];
+      return std::span<const part_t>{};
+    };
+    if (n <= opts.leaf_size) return order_leaf();
 
-  // Degenerate bisection (everything on one side, empty separator) would
-  // recurse forever; fall back to MMD for this block.
-  vid_t n_a = 0;
-  for (part_t l : sep.label) n_a += (l == kSepA) ? 1 : 0;
-  const vid_t n_s = sep.sep_size;
-  const vid_t n_b = n - n_a - n_s;
-  if ((n_a == 0 || n_b == 0) && n_s == 0) {
-    order_leaf();
-    return;
-  }
-
-  // Separator vertices are numbered last within this block.
-  std::size_t pos = out.size();
-  for (vid_t v = n; v-- > 0;) {
-    if (sep.label[static_cast<std::size_t>(v)] == kSepS) {
-      out[--pos] = to_global[static_cast<std::size_t>(v)];
+    bisect(g, g.total_vertex_weight() / 2, rng, bisection);
+    if (opts.boundary_separator) {
+      boundary_separator_from_bisection_into(g, bisection, sep);
+    } else {
+      vertex_separator_from_bisection_into(g, bisection, separator, sep);
     }
-  }
-  assert(pos == out.size() - static_cast<std::size_t>(n_s));
+    if (opts.refine_separator) refine_separator(g, sep, opts.sep_refine, rng);
 
-  // Recurse on A then B, occupying [0, n_a) and [n_a, pos) of the slice.
-  if (s.frames.size() <= depth + 1) s.frames.push_back(std::make_unique<NdFrame>());
-  NdFrame& child = *s.frames[depth + 1];
-  for (part_t side : {kSepA, kSepB}) {
-    extract_where_into(g, sep.label, side, s.extract_map, child.to_global, child.graph);
-    for (vid_t& v : child.to_global) v = to_global[static_cast<std::size_t>(v)];
-    const std::size_t lo = side == kSepA ? 0 : static_cast<std::size_t>(n_a);
-    nd_recurse(child.graph, child.to_global, depth + 1, bisect, opts, rng, s,
-               out.subspan(lo, child.to_global.size()));
+    // Degenerate bisection (everything on one side, empty separator) would
+    // recurse forever; fall back to MMD for this block.
+    vid_t n_a = 0;
+    for (part_t l : sep.label) n_a += (l == kSepA) ? 1 : 0;
+    const vid_t n_s = sep.sep_size;
+    const vid_t n_b = n - n_a - n_s;
+    if ((n_a == 0 || n_b == 0) && n_s == 0) return order_leaf();
+
+    // Separator vertices are numbered last within this block; A and B
+    // occupy [0, n_a) and [n_a, n_a + n_b) of the slice.
+    std::size_t pos = out.size();
+    for (vid_t v = n; v-- > 0;) {
+      if (sep.label[static_cast<std::size_t>(v)] == kSepS) {
+        out[--pos] = ids[static_cast<std::size_t>(v)];
+      }
+    }
+    assert(pos == out.size() - static_cast<std::size_t>(n_s));
+    child[kSepA] = out.first(static_cast<std::size_t>(n_a));
+    child[kSepB] = out.subspan(static_cast<std::size_t>(n_a), static_cast<std::size_t>(n_b));
+    return sep.label;
   }
-}
+};
 
 /// Nested dissection of g: the one recursion behind every public ordering.
 template <typename BisectInto>
 std::vector<vid_t> dissect(const Graph& g, BisectInto bisect, const NdOptions& opts,
                            Rng& rng) {
-  const vid_t n = g.num_vertices();
-  std::vector<vid_t> order(static_cast<std::size_t>(n), kInvalidVid);
-  NdScratch s;
-  s.frames.push_back(std::make_unique<NdFrame>());
-  std::vector<vid_t>& identity = s.frames[0]->to_global;
-  identity.resize(static_cast<std::size_t>(n));
-  for (vid_t v = 0; v < n; ++v) identity[static_cast<std::size_t>(v)] = v;
-  nd_recurse(g, identity, 0, bisect, opts, rng, s, order);
+  std::vector<vid_t> order(static_cast<std::size_t>(g.num_vertices()), kInvalidVid);
+  NdStep<BisectInto> step{bisect, opts, rng};
+  SplitStack<Separator> stack;
+  split_recursion(g, std::span<vid_t>(order), step, stack);
   assert(is_permutation(order));
   return order;
 }
