@@ -68,14 +68,6 @@ Subgraph extract_subgraph(const Graph& g, std::span<const vid_t> vertices) {
   return out;
 }
 
-Subgraph extract_where(const Graph& g, std::span<const part_t> labels, part_t which) {
-  std::vector<vid_t> sel;
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    if (labels[static_cast<std::size_t>(v)] == which) sel.push_back(v);
-  }
-  return extract_subgraph(g, sel);
-}
-
 void extract_where_into(const Graph& g, std::span<const part_t> labels, part_t which,
                         std::vector<vid_t>& scratch,
                         std::vector<vid_t>& local_to_global, Graph& out) {

@@ -24,15 +24,13 @@ struct Subgraph {
 /// weights; vertex weights carry over.  O(|V| + |E|) of the parent.
 Subgraph extract_subgraph(const Graph& g, std::span<const vid_t> vertices);
 
-/// Extracts the subgraph induced by {v : labels[v] == which}.
-Subgraph extract_where(const Graph& g, std::span<const part_t> labels, part_t which);
-
-/// As extract_where, but into caller-owned storage: `out`'s CSR arrays are
-/// recycled (via Graph::take_storage), the local→global map is rebuilt in
+/// Extracts the subgraph induced by {v : labels[v] == which} into
+/// caller-owned storage: `out`'s CSR arrays are recycled (via
+/// Graph::take_storage), the local→global map is rebuilt in
 /// `local_to_global`, and `scratch` holds the global→local table (sized to
 /// the parent's |V|).  No heap allocation once every buffer's capacity has
 /// warmed to the subproblem's size.  Produces a graph byte-identical to
-/// extract_where's.
+/// extract_subgraph's over the same vertices.
 void extract_where_into(const Graph& g, std::span<const part_t> labels, part_t which,
                         std::vector<vid_t>& scratch,
                         std::vector<vid_t>& local_to_global, Graph& out);

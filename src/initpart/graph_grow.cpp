@@ -90,13 +90,6 @@ void ggp_grow_into(const Graph& g, vwt_t target0, Rng& rng, GrowScratch& ws,
   refresh_bisection(g, out);
 }
 
-Bisection ggp_grow_once(const Graph& g, vwt_t target0, Rng& rng) {
-  GrowScratch ws;
-  Bisection out;
-  ggp_grow_into(g, target0, rng, ws, out);
-  return out;
-}
-
 void ggp_bisect_into(const Graph& g, vwt_t target0, int trials, Rng& rng,
                      GrowScratch& ws, Bisection& best,
                      std::vector<ewt_t>* trial_cuts) {
@@ -104,14 +97,6 @@ void ggp_bisect_into(const Graph& g, vwt_t target0, int trials, Rng& rng,
                  [](const Graph& gg, vwt_t t0, Rng& r, GrowScratch& w, Bisection& out) {
                    ggp_grow_into(gg, t0, r, w, out);
                  });
-}
-
-Bisection ggp_bisect(const Graph& g, vwt_t target0, int trials, Rng& rng,
-                     std::vector<ewt_t>* trial_cuts) {
-  GrowScratch ws;
-  Bisection best;
-  ggp_bisect_into(g, target0, trials, rng, ws, best, trial_cuts);
-  return best;
 }
 
 namespace {
@@ -172,13 +157,6 @@ void gggp_grow(const Graph& g, vwt_t target0, ewt_t max_gain, Rng& rng,
 void gggp_grow_into(const Graph& g, vwt_t target0, Rng& rng, GrowScratch& ws,
                     Bisection& out) {
   gggp_grow(g, target0, std::max<ewt_t>(1, g.max_weighted_degree()), rng, ws, out);
-}
-
-Bisection gggp_grow_once(const Graph& g, vwt_t target0, Rng& rng) {
-  GrowScratch ws;
-  Bisection out;
-  gggp_grow_into(g, target0, rng, ws, out);
-  return out;
 }
 
 void gggp_bisect_into(const Graph& g, vwt_t target0, int trials, Rng& rng,

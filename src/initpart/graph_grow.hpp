@@ -33,33 +33,27 @@ struct GrowScratch {
   }
 };
 
-/// One GGP bisection: grows side 0 until its weight reaches `target0`.
-/// Disconnected graphs are handled by re-seeding in an untouched component.
-Bisection ggp_grow_once(const Graph& g, vwt_t target0, Rng& rng);
-
-/// Best of `trials` GGP bisections (smallest cut).  When `trial_cuts` is
+/// Best of `trials` GGGP bisections (smallest cut).  When `trial_cuts` is
 /// non-null, every trial's cut is appended in trial order (observability;
 /// never changes the selection).
-Bisection ggp_bisect(const Graph& g, vwt_t target0, int trials, Rng& rng,
-                     std::vector<ewt_t>* trial_cuts = nullptr);
-
-/// One GGGP bisection (greedy growth).
-Bisection gggp_grow_once(const Graph& g, vwt_t target0, Rng& rng);
-
-/// Best of `trials` GGGP bisections (smallest cut).  `trial_cuts` as above.
 Bisection gggp_bisect(const Graph& g, vwt_t target0, int trials, Rng& rng,
                       std::vector<ewt_t>* trial_cuts = nullptr);
 
 /// Allocation-free forms: scratch comes from `ws` and the result lands in
-/// `out`/`best`, whose buffers are recycled across calls.  Identical RNG
-/// draws and byte-identical results to the forms above (which wrap these).
+/// `out`/`best`, whose buffers are recycled across calls.
+///
+/// One GGP bisection: grows side 0 until its weight reaches `target0`.
+/// Disconnected graphs are handled by re-seeding in an untouched component.
 void ggp_grow_into(const Graph& g, vwt_t target0, Rng& rng, GrowScratch& ws,
                    Bisection& out);
+/// Best of `trials` GGP bisections (smallest cut); `trial_cuts` as above.
 void ggp_bisect_into(const Graph& g, vwt_t target0, int trials, Rng& rng,
                      GrowScratch& ws, Bisection& best,
                      std::vector<ewt_t>* trial_cuts = nullptr);
+/// One GGGP bisection (greedy growth).
 void gggp_grow_into(const Graph& g, vwt_t target0, Rng& rng, GrowScratch& ws,
                     Bisection& out);
+/// As gggp_bisect, with identical RNG draws and a byte-identical result.
 void gggp_bisect_into(const Graph& g, vwt_t target0, int trials, Rng& rng,
                       GrowScratch& ws, Bisection& best,
                       std::vector<ewt_t>* trial_cuts = nullptr);

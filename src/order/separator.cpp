@@ -19,13 +19,6 @@ void finalize(const Graph& g, Separator& s) {
 
 }  // namespace
 
-Separator vertex_separator_from_bisection(const Graph& g, const Bisection& b) {
-  SeparatorScratch s;
-  Separator out;
-  vertex_separator_from_bisection_into(g, b, s, out);
-  return out;
-}
-
 void vertex_separator_from_bisection_into(const Graph& g, const Bisection& b,
                                           SeparatorScratch& s, Separator& out) {
   const vid_t n = g.num_vertices();
@@ -91,12 +84,6 @@ void vertex_separator_from_bisection_into(const Graph& g, const Bisection& b,
     out.label[static_cast<std::size_t>(right_ids[static_cast<std::size_t>(rv)])] = kSepS;
   }
   finalize(g, out);
-}
-
-Separator boundary_separator_from_bisection(const Graph& g, const Bisection& b) {
-  Separator out;
-  boundary_separator_from_bisection_into(g, b, out);
-  return out;
 }
 
 void boundary_separator_from_bisection_into(const Graph& g, const Bisection& b,

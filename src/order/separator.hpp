@@ -36,17 +36,14 @@ struct SeparatorScratch {
   VertexCover cover;
 };
 
-/// Minimum-vertex-cover separator from a bisection.  Guarantees no edge
-/// joins an A-labelled to a B-labelled vertex.
-Separator vertex_separator_from_bisection(const Graph& g, const Bisection& b);
-/// As vertex_separator_from_bisection, into `out` (fully overwritten).
+/// Minimum-vertex-cover separator from a bisection, into `out` (fully
+/// overwritten).  Guarantees no edge joins an A-labelled to a B-labelled
+/// vertex.
 void vertex_separator_from_bisection_into(const Graph& g, const Bisection& b,
                                           SeparatorScratch& s, Separator& out);
 
 /// Naive alternative (ablation baseline): take the entire boundary of the
-/// smaller side as the separator.
-Separator boundary_separator_from_bisection(const Graph& g, const Bisection& b);
-/// As boundary_separator_from_bisection, into `out` (fully overwritten).
+/// smaller side as the separator, into `out` (fully overwritten).
 void boundary_separator_from_bisection_into(const Graph& g, const Bisection& b,
                                             Separator& out);
 

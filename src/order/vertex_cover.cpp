@@ -64,13 +64,6 @@ struct HkState {
 
 }  // namespace
 
-BipartiteMatching hopcroft_karp(const BipartiteGraph& g) {
-  BipartiteScratch s;
-  BipartiteMatching m;
-  hopcroft_karp_into(g, s, m);
-  return m;
-}
-
 void hopcroft_karp_into(const BipartiteGraph& g, BipartiteScratch& s,
                         BipartiteMatching& m) {
   m.match_l.assign(static_cast<std::size_t>(g.nl), kInvalidVid);
@@ -85,13 +78,6 @@ void hopcroft_karp_into(const BipartiteGraph& g, BipartiteScratch& s,
       }
     }
   }
-}
-
-VertexCover minimum_vertex_cover(const BipartiteGraph& g, const BipartiteMatching& m) {
-  BipartiteScratch s;
-  VertexCover cover;
-  minimum_vertex_cover_into(g, m, s, cover);
-  return cover;
 }
 
 void minimum_vertex_cover_into(const BipartiteGraph& g, const BipartiteMatching& m,

@@ -86,9 +86,23 @@ TEST(PermuteTest, ExtractSubgraphKeepsWeights) {
   EXPECT_EQ(s.graph.vertex_weight(0), 9);
 }
 
+/// extract_where_into with one scratch table reused by every call.
+class ExtractWhere {
+ public:
+  Subgraph operator()(const Graph& g, std::span<const part_t> labels, part_t which) {
+    Subgraph out;
+    extract_where_into(g, labels, which, scratch_, out.local_to_global, out.graph);
+    return out;
+  }
+
+ private:
+  std::vector<vid_t> scratch_;
+};
+
 TEST(PermuteTest, ExtractWhereSplitsByLabel) {
   Graph g = path_graph(6);
   std::vector<part_t> labels = {0, 0, 0, 1, 1, 1};
+  ExtractWhere extract_where;
   Subgraph a = extract_where(g, labels, 0);
   Subgraph b = extract_where(g, labels, 1);
   EXPECT_EQ(a.graph.num_vertices(), 3);
@@ -109,6 +123,7 @@ TEST(PermuteTest, SubgraphEdgeCountMatchesInternalEdges) {
   Graph g = grid2d(5, 5);
   std::vector<part_t> labels(25, 0);
   for (vid_t v = 0; v < 10; ++v) labels[static_cast<std::size_t>(v)] = 1;
+  ExtractWhere extract_where;
   Subgraph s = extract_where(g, labels, 1);
   ewt_t crossing = compute_cut(g, labels);
   EXPECT_EQ(s.graph.num_edges() + extract_where(g, labels, 0).graph.num_edges() +

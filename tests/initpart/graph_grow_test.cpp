@@ -8,13 +8,22 @@
 namespace mgp {
 namespace {
 
+/// One GGP or GGGP trial through its workspace form.
+Bisection grow_once(void (*grow_into)(const Graph&, vwt_t, Rng&, GrowScratch&, Bisection&),
+                    const Graph& g, vwt_t target0, Rng& rng, GrowScratch& ws) {
+  Bisection out;
+  grow_into(g, target0, rng, ws, out);
+  return out;
+}
+
 class GrowTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GrowTest, GgpReachesTargetWeight) {
   Graph g = grid2d(12, 12);
   Rng rng(GetParam());
   const vwt_t target0 = g.total_vertex_weight() / 2;
-  Bisection b = ggp_grow_once(g, target0, rng);
+  GrowScratch ws;
+  Bisection b = grow_once(ggp_grow_into, g, target0, rng, ws);
   EXPECT_EQ(check_bisection(g, b), "");
   EXPECT_GE(b.part_weight[0], target0);
   // Overshoot bounded by one BFS frontier's worth; certainly < target + n/4.
@@ -25,7 +34,8 @@ TEST_P(GrowTest, GggpReachesTargetWeight) {
   Graph g = grid2d(12, 12);
   Rng rng(GetParam());
   const vwt_t target0 = g.total_vertex_weight() / 2;
-  Bisection b = gggp_grow_once(g, target0, rng);
+  GrowScratch ws;
+  Bisection b = grow_once(gggp_grow_into, g, target0, rng, ws);
   EXPECT_EQ(check_bisection(g, b), "");
   EXPECT_GE(b.part_weight[0], target0);
   EXPECT_LE(b.part_weight[0], target0 + 1);  // greedy adds one vertex at a time
@@ -36,7 +46,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GrowTest, ::testing::Values(1, 2, 3, 4, 5));
 TEST(GrowTest, GgpGrownRegionIsConnectedOnConnectedGraph) {
   Graph g = fem2d_tri(10, 10, 3);
   Rng rng(7);
-  Bisection b = ggp_grow_once(g, g.total_vertex_weight() / 2, rng);
+  GrowScratch ws;
+  Bisection b = grow_once(ggp_grow_into, g, g.total_vertex_weight() / 2, rng, ws);
   // BFS growth on a connected graph yields a connected side 0: check that
   // every side-0 vertex (except one seed) has a side-0 neighbour.
   vid_t side0 = 0, with_nbr = 0;
@@ -57,7 +68,8 @@ TEST(GrowTest, UnbalancedTargetRespected) {
   Graph g = grid2d(10, 10);
   Rng rng(5);
   const vwt_t target0 = 25;  // 1/4 of the graph
-  Bisection b = gggp_grow_once(g, target0, rng);
+  GrowScratch ws;
+  Bisection b = grow_once(gggp_grow_into, g, target0, rng, ws);
   EXPECT_GE(b.part_weight[0], 25);
   EXPECT_LE(b.part_weight[0], 26);
 }
@@ -66,7 +78,8 @@ TEST(GrowTest, BestOfTrialsNotWorseThanSingle) {
   Graph g = fem2d_tri(14, 14, 11);
   const vwt_t target0 = g.total_vertex_weight() / 2;
   Rng r1(3), r2(3);
-  Bisection single = gggp_grow_once(g, target0, r1);
+  GrowScratch ws;
+  Bisection single = grow_once(gggp_grow_into, g, target0, r1, ws);
   Bisection multi = gggp_bisect(g, target0, 5, r2);
   EXPECT_LE(multi.cut, single.cut);
 }
@@ -77,9 +90,12 @@ TEST(GrowTest, GggpBeatsGgpOnAverage) {
   Graph g = fem2d_tri(16, 16, 13);
   const vwt_t target0 = g.total_vertex_weight() / 2;
   ewt_t ggp_total = 0, gggp_total = 0;
+  GrowScratch ws;
+  Bisection ggp;
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     Rng r1(seed), r2(seed);
-    ggp_total += ggp_bisect(g, target0, 10, r1).cut;
+    ggp_bisect_into(g, target0, 10, r1, ws, ggp);
+    ggp_total += ggp.cut;
     gggp_total += gggp_bisect(g, target0, 5, r2).cut;
   }
   EXPECT_LE(gggp_total, ggp_total);
@@ -94,10 +110,11 @@ TEST(GrowTest, HandlesDisconnectedGraph) {
     for (vid_t j = i + 1; j < 8; ++j) b.add_edge(i, j);
   Graph g = std::move(b).build();
   Rng rng(9);
-  Bisection bis = ggp_grow_once(g, 4, rng);
+  GrowScratch ws;
+  Bisection bis = grow_once(ggp_grow_into, g, 4, rng, ws);
   EXPECT_EQ(bis.part_weight[0], 4);
   Rng rng2(9);
-  Bisection bis2 = gggp_grow_once(g, 4, rng2);
+  Bisection bis2 = grow_once(gggp_grow_into, g, 4, rng2, ws);
   EXPECT_EQ(bis2.part_weight[0], 4);
 }
 
@@ -115,7 +132,8 @@ TEST(GrowTest, PathGraphOptimalCut) {
 TEST(GrowTest, SingleVertexGraph) {
   Graph g = empty_graph(1);
   Rng rng(1);
-  Bisection b = ggp_grow_once(g, 0, rng);
+  GrowScratch ws;
+  Bisection b = grow_once(ggp_grow_into, g, 0, rng, ws);
   EXPECT_EQ(b.side.size(), 1u);
 }
 

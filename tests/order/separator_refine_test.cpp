@@ -55,7 +55,9 @@ TEST(SeparatorRefineTest, NeverIncreasesWeight) {
   Rng rng(2);
   MultilevelConfig cfg;
   Bisection b = multilevel_bisect(g, g.total_vertex_weight() / 2, cfg, rng).bisection;
-  Separator s = vertex_separator_from_bisection(g, b);
+  SeparatorScratch scratch;
+  Separator s;
+  vertex_separator_from_bisection_into(g, b, scratch, s);
   const vwt_t before = s.sep_weight;
   SepRefineOptions opts;
   SepRefineStats stats = refine_separator(g, s, opts, rng);
@@ -71,7 +73,9 @@ TEST(SeparatorRefineTest, MinimumCoverSeparatorOftenAlreadyOptimal) {
   std::vector<part_t> side(100);
   for (vid_t v = 0; v < 100; ++v) side[static_cast<std::size_t>(v)] = (v % 10) < 5 ? 0 : 1;
   Bisection b = make_bisection(g, std::move(side));
-  Separator s = vertex_separator_from_bisection(g, b);
+  SeparatorScratch scratch;
+  Separator s;
+  vertex_separator_from_bisection_into(g, b, scratch, s);
   const vid_t before = s.sep_size;
   Rng rng(3);
   SepRefineOptions opts;

@@ -21,10 +21,30 @@ BipartiteGraph from_edges(vid_t nl, vid_t nr,
   return g;
 }
 
+/// Matchings and covers through the workspace forms, every call of a test
+/// reusing one scratch.
+class BipartiteTest : public ::testing::Test {
+ protected:
+  BipartiteMatching matching(const BipartiteGraph& g) {
+    BipartiteMatching m;
+    hopcroft_karp_into(g, scratch_, m);
+    return m;
+  }
+  VertexCover cover(const BipartiteGraph& g, const BipartiteMatching& m) {
+    VertexCover c;
+    minimum_vertex_cover_into(g, m, scratch_, c);
+    return c;
+  }
+  void expect_valid_minimum_cover(const BipartiteGraph& g);
+
+ private:
+  BipartiteScratch scratch_;
+};
+
 /// Checks that the cover touches every edge and is no larger than the matching.
-void expect_valid_minimum_cover(const BipartiteGraph& g) {
-  BipartiteMatching m = hopcroft_karp(g);
-  VertexCover c = minimum_vertex_cover(g, m);
+void BipartiteTest::expect_valid_minimum_cover(const BipartiteGraph& g) {
+  BipartiteMatching m = matching(g);
+  VertexCover c = cover(g, m);
   EXPECT_EQ(static_cast<vid_t>(c.left.size() + c.right.size()), m.size);
   std::vector<char> in_l(static_cast<std::size_t>(g.nl), 0);
   std::vector<char> in_r(static_cast<std::size_t>(g.nr), 0);
@@ -40,10 +60,13 @@ void expect_valid_minimum_cover(const BipartiteGraph& g) {
   }
 }
 
-TEST(HopcroftKarpTest, PerfectMatchingOnK33) {
+using HopcroftKarpTest = BipartiteTest;
+using VertexCoverTest = BipartiteTest;
+
+TEST_F(HopcroftKarpTest, PerfectMatchingOnK33) {
   auto g = from_edges(3, 3, {{0, 0}, {0, 1}, {0, 2}, {1, 0}, {1, 1}, {1, 2},
                              {2, 0}, {2, 1}, {2, 2}});
-  BipartiteMatching m = hopcroft_karp(g);
+  BipartiteMatching m = matching(g);
   EXPECT_EQ(m.size, 3);
   for (vid_t l = 0; l < 3; ++l) {
     vid_t r = m.match_l[static_cast<std::size_t>(l)];
@@ -52,51 +75,51 @@ TEST(HopcroftKarpTest, PerfectMatchingOnK33) {
   }
 }
 
-TEST(HopcroftKarpTest, StarNeedsOneEdge) {
+TEST_F(HopcroftKarpTest, StarNeedsOneEdge) {
   // One left vertex connected to all rights: matching size 1.
   auto g = from_edges(1, 5, {{0, 0}, {0, 1}, {0, 2}, {0, 3}, {0, 4}});
-  EXPECT_EQ(hopcroft_karp(g).size, 1);
+  EXPECT_EQ(matching(g).size, 1);
 }
 
-TEST(HopcroftKarpTest, AugmentingPathNeeded) {
+TEST_F(HopcroftKarpTest, AugmentingPathNeeded) {
   // Classic case requiring augmentation: l0-{r0}, l1-{r0,r1}.
   auto g = from_edges(2, 2, {{0, 0}, {1, 0}, {1, 1}});
-  EXPECT_EQ(hopcroft_karp(g).size, 2);
+  EXPECT_EQ(matching(g).size, 2);
 }
 
-TEST(HopcroftKarpTest, EmptyGraph) {
+TEST_F(HopcroftKarpTest, EmptyGraph) {
   auto g = from_edges(3, 3, {});
-  EXPECT_EQ(hopcroft_karp(g).size, 0);
+  EXPECT_EQ(matching(g).size, 0);
 }
 
-TEST(HopcroftKarpTest, LongAlternatingChain) {
+TEST_F(HopcroftKarpTest, LongAlternatingChain) {
   // Path l0-r0-l1-r1-l2-r2: perfect matching exists.
   auto g = from_edges(3, 3, {{0, 0}, {1, 0}, {1, 1}, {2, 1}, {2, 2}});
-  EXPECT_EQ(hopcroft_karp(g).size, 3);
+  EXPECT_EQ(matching(g).size, 3);
 }
 
-TEST(VertexCoverTest, CoversK33) {
+TEST_F(VertexCoverTest, CoversK33) {
   expect_valid_minimum_cover(from_edges(
       3, 3, {{0, 0}, {0, 1}, {0, 2}, {1, 0}, {1, 1}, {1, 2}, {2, 0}, {2, 1}, {2, 2}}));
 }
 
-TEST(VertexCoverTest, StarCoverIsTheCenter) {
+TEST_F(VertexCoverTest, StarCoverIsTheCenter) {
   auto g = from_edges(1, 5, {{0, 0}, {0, 1}, {0, 2}, {0, 3}, {0, 4}});
-  BipartiteMatching m = hopcroft_karp(g);
-  VertexCover c = minimum_vertex_cover(g, m);
+  BipartiteMatching m = matching(g);
+  VertexCover c = cover(g, m);
   EXPECT_EQ(c.left.size() + c.right.size(), 1u);
   ASSERT_EQ(c.left.size(), 1u);
   EXPECT_EQ(c.left[0], 0);
 }
 
-TEST(VertexCoverTest, IsolatedVerticesExcluded) {
+TEST_F(VertexCoverTest, IsolatedVerticesExcluded) {
   auto g = from_edges(3, 3, {{1, 1}});
-  BipartiteMatching m = hopcroft_karp(g);
-  VertexCover c = minimum_vertex_cover(g, m);
+  BipartiteMatching m = matching(g);
+  VertexCover c = cover(g, m);
   EXPECT_EQ(c.left.size() + c.right.size(), 1u);
 }
 
-TEST(VertexCoverTest, RandomGraphsSatisfyKoenig) {
+TEST_F(VertexCoverTest, RandomGraphsSatisfyKoenig) {
   Rng rng(42);
   for (int trial = 0; trial < 30; ++trial) {
     const vid_t nl = 2 + rng.next_vid(20);
