@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "golden/golden_corpus.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/permute.hpp"
@@ -153,6 +154,30 @@ TEST(NestedDissectionTest, DisconnectedGraphHandled) {
   opts.leaf_size = 8;
   std::vector<vid_t> perm = mlnd_order(g, cfg, opts, rng);
   EXPECT_TRUE(is_permutation(perm));
+}
+
+TEST(NestedDissectionTest, MlndOrderEqualsNestedDissectionOverMultilevelBisect) {
+  // mlnd_order is nested_dissection with a Bisector that calls
+  // multilevel_bisect_into (its workspaces change where scratch lives, not
+  // what is computed): the rebuild must give the same ordering on every
+  // golden MLND graph.
+  const MultilevelConfig cfg;
+  const NdOptions opts;
+  const Bisector bisect = [&cfg](const Graph& sub, vwt_t target0, Rng& r) {
+    Bisection b;
+    multilevel_bisect_into(sub, target0, cfg, r, b);
+    return b;
+  };
+  int graphs = 0;
+  for (const golden::GoldenEntry& e : golden::corpus()) {
+    if (!e.nd) continue;
+    ++graphs;
+    const Graph g = e.build();
+    Rng r1(e.seed), r2(e.seed);
+    EXPECT_EQ(nested_dissection(g, bisect, opts, r2), mlnd_order(g, cfg, opts, r1))
+        << e.name;
+  }
+  EXPECT_EQ(graphs, 3);
 }
 
 TEST(NestedDissectionTest, DeterministicGivenSeed) {
