@@ -31,7 +31,10 @@ baseline holds on CI runners):
     ratio.  "speedup_vs_seq" compares the pooled pipeline with the
     sequential one in the same run, so it fails when the pool loses the
     lead its baseline recorded, which "speedup_vs_1t" (the pool against
-    itself) cannot see.
+    itself) cannot see.  A ratio gate is refused (reported as a failure)
+    on a row whose "threads" exceeds the baseline's "host.nproc", or when
+    the baseline has no host block: a speedup recorded with more threads
+    than cores measures oversubscription, not the code.
 
 Absolute wall-clock fields (real_time, cpu_time, *_seconds) are reported
 but NOT gated by default: they track the machine, not the code.  Pass
@@ -61,8 +64,9 @@ TIME_METRICS = ("real_time", "cpu_time", "coarsen_seconds", "kway_seconds",
 
 
 def load_entries(path):
-    """Returns (format_name, {key: {metric: value}}) for either format."""
+    """Returns (format_name, {key: {metric: value}}, host nproc or None)."""
     data = json.loads(Path(path).read_text())
+    nproc = data.get("host", {}).get("nproc")
     entries = {}
     if "benchmarks" in data:
         for b in data["benchmarks"]:
@@ -80,7 +84,7 @@ def load_entries(path):
             for name, value in b.get("counters", {}).items():
                 metrics[name] = value
             entries[b["name"]] = metrics
-        return "google-benchmark", entries
+        return "google-benchmark", entries, nproc
     if "rows" in data:
         for row in data["rows"]:
             # bench_parallel sweeps thread counts, figL_incremental sweeps
@@ -98,11 +102,13 @@ def load_entries(path):
             entries[key] = {k: v for k, v in row.items() if k != axis}
         if "sequential" in data:
             entries["sequential"] = dict(data["sequential"])
-        return data.get("bench", "rows"), entries
+        return data.get("bench", "rows"), entries, nproc
     raise ValueError(f"{path}: neither 'benchmarks' nor 'rows' present")
 
 
-def check_entry(key, cur, base, tol, cut_tol, gate_times, errors, infos):
+def check_entry(key, cur, base, tol, cut_tol, gate_times, nproc, errors,
+                infos):
+    threads = int(key.split("=", 1)[1]) if key.startswith("threads=") else 0
     for metric in sorted(set(cur) | set(base)):
         if metric not in base:
             continue  # new metric: nothing to compare against
@@ -129,7 +135,11 @@ def check_entry(key, cur, base, tol, cut_tol, gate_times, errors, infos):
                     f"{key}.{metric}: {c} vs baseline {b} "
                     f"(more than {ALLOC_FACTOR:g}x)")
         elif metric in RATIO_METRICS:
-            if c < b * (1 - tol):
+            if threads and not (nproc and threads <= nproc):
+                errors.append(
+                    f"{key}.{metric}: ratio gate refused: the row runs "
+                    f"{threads} threads, the baseline's host.nproc is {nproc}")
+            elif c < b * (1 - tol):
                 errors.append(
                     f"{key}.{metric}: {c:.3f} vs baseline {b:.3f} "
                     f"(-{(1 - c / b):.0%} > {tol:.0%})")
@@ -162,8 +172,8 @@ def main(argv):
         return 2
 
     try:
-        cur_fmt, current = load_entries(paths[0])
-        base_fmt, baseline = load_entries(paths[1])
+        cur_fmt, current, _ = load_entries(paths[0])
+        base_fmt, baseline, nproc = load_entries(paths[1])
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -178,7 +188,7 @@ def main(argv):
             errors.append(f"{key}: present in baseline, missing from current run")
             continue
         check_entry(key, current[key], baseline[key], tol, cut_tol,
-                    gate_times, errors, infos)
+                    gate_times, nproc, errors, infos)
 
     for line in infos:
         print(f"  info {line}")
