@@ -54,12 +54,12 @@ int main() {
               "ours", "time", "MSB", "time");
   for (auto& e : entries) {
     Timer t;
-    GeometricKwayResult coord =
+    KwayResult coord =
         geometric_partition(e.eg.graph, e.eg.coords, k, GeometricMethod::kCoordinate);
     const double t_coord = t.seconds();
 
     t.reset();
-    GeometricKwayResult inert =
+    KwayResult inert =
         geometric_partition(e.eg.graph, e.eg.coords, k, GeometricMethod::kInertial);
     const double t_inert = t.seconds();
 

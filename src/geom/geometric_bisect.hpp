@@ -14,9 +14,9 @@
 // multilevel methods on cut quality.
 #pragma once
 
+#include "core/kway.hpp"
 #include "geom/geometry.hpp"
 #include "initpart/bisection_state.hpp"
-#include "support/rng.hpp"
 
 namespace mgp {
 
@@ -26,16 +26,10 @@ enum class GeometricMethod { kCoordinate, kInertial };
 Bisection coordinate_bisect(const Graph& g, const Coordinates& coords, vwt_t target0);
 Bisection inertial_bisect(const Graph& g, const Coordinates& coords, vwt_t target0);
 
-struct GeometricKwayResult {
-  std::vector<part_t> part;
-  part_t k = 0;
-  ewt_t edge_cut = 0;
-};
-
-/// k-way geometric partitioning by recursive bisection, carrying the
-/// embedding into every subproblem.
-GeometricKwayResult geometric_partition(const Graph& g, const Coordinates& coords,
-                                        part_t k, GeometricMethod method);
+/// k-way geometric partitioning by recursive bisection, each subproblem
+/// bisected on its vertices' coordinates.
+KwayResult geometric_partition(const Graph& g, const Coordinates& coords, part_t k,
+                               GeometricMethod method);
 
 /// Principal axis (unit vector, length == dims) of a weighted point cloud —
 /// the dominant eigenvector of the inertia matrix.  Exposed for tests.

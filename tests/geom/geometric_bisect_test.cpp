@@ -87,7 +87,7 @@ class GeometricKwayTest
 TEST_P(GeometricKwayTest, PartitionIsValidAndBalanced) {
   auto [method, k] = GetParam();
   EmbeddedGraph eg = embedded_fem2d_tri(24, 24, 7);
-  GeometricKwayResult r = geometric_partition(eg.graph, eg.coords, k, method);
+  KwayResult r = geometric_partition(eg.graph, eg.coords, k, method);
   EXPECT_EQ(check_partition(eg.graph, r.part, k), "");
   PartitionQuality q = evaluate_partition(eg.graph, r.part, k);
   EXPECT_LT(q.imbalance, 1.2);
@@ -112,7 +112,7 @@ TEST(GeometricKwayTest, MultilevelBeatsGeometricOnIrregularGraph) {
   // The gap shows on genuinely irregular point clouds (on perfect lattices
   // an axis-aligned cut is already optimal, and geometric methods tie).
   EmbeddedGraph eg = embedded_random_geometric(2500, 8.0, 11);
-  GeometricKwayResult geo =
+  KwayResult geo =
       geometric_partition(eg.graph, eg.coords, 8, GeometricMethod::kInertial);
   Rng rng(1);
   MultilevelConfig cfg;
