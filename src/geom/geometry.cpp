@@ -111,17 +111,9 @@ EmbeddedGraph embedded_random_geometric(vid_t n, double avg_degree,
     }
   }
   Graph g = std::move(b).build();
-  Components cc = connected_components(g);
-  if (cc.count <= 1) return {std::move(g), std::move(pts)};
-  std::vector<vid_t> sizes(static_cast<std::size_t>(cc.count), 0);
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    ++sizes[static_cast<std::size_t>(cc.comp[static_cast<std::size_t>(v)])];
-  }
-  vid_t big = static_cast<vid_t>(
-      std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
-  std::vector<vid_t> keep;
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    if (cc.comp[static_cast<std::size_t>(v)] == big) keep.push_back(v);
+  const std::vector<vid_t> keep = largest_component(g);
+  if (keep.size() == static_cast<std::size_t>(g.num_vertices())) {
+    return {std::move(g), std::move(pts)};
   }
   Subgraph sub = extract_subgraph(g, keep);
   Coordinates kept = subset_coordinates(pts, keep);

@@ -1,5 +1,7 @@
 #include "graph/components.hpp"
 
+#include <algorithm>
+
 namespace mgp {
 
 Components connected_components(const Graph& g) {
@@ -30,6 +32,19 @@ Components connected_components(const Graph& g) {
 bool is_connected(const Graph& g) {
   if (g.num_vertices() == 0) return true;
   return connected_components(g).count == 1;
+}
+
+std::vector<vid_t> largest_component(const Graph& g) {
+  const Components cc = connected_components(g);
+  std::vector<vid_t> sizes(static_cast<std::size_t>(cc.count), 0);
+  for (vid_t c : cc.comp) ++sizes[static_cast<std::size_t>(c)];
+  const vid_t big = static_cast<vid_t>(
+      std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
+  std::vector<vid_t> keep;
+  for (vid_t v = 0; v < g.num_vertices(); ++v) {
+    if (cc.comp[static_cast<std::size_t>(v)] == big) keep.push_back(v);
+  }
+  return keep;
 }
 
 }  // namespace mgp

@@ -25,4 +25,9 @@ Components connected_components(const Graph& g);
 /// True iff the graph is connected (or empty).
 bool is_connected(const Graph& g);
 
+/// The vertices of the largest connected component, ascending (the
+/// lowest-labelled component wins a tie).  Every vertex when g is connected,
+/// none when it is empty; generators pass the list to extract_subgraph.
+std::vector<vid_t> largest_component(const Graph& g);
+
 }  // namespace mgp

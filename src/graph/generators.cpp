@@ -410,14 +410,8 @@ Graph random_geometric(vid_t n, double avg_degree, std::uint64_t seed) {
   }
   Graph g = std::move(b).build();
   // Return the largest component so downstream algorithms see a connected graph.
-  Components cc = connected_components(g);
-  if (cc.count <= 1) return g;
-  std::vector<vid_t> sizes(static_cast<std::size_t>(cc.count), 0);
-  for (vid_t v = 0; v < g.num_vertices(); ++v) ++sizes[static_cast<std::size_t>(cc.comp[static_cast<std::size_t>(v)])];
-  vid_t big = static_cast<vid_t>(std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
-  std::vector<vid_t> keep;
-  for (vid_t v = 0; v < g.num_vertices(); ++v)
-    if (cc.comp[static_cast<std::size_t>(v)] == big) keep.push_back(v);
+  const std::vector<vid_t> keep = largest_component(g);
+  if (keep.size() == static_cast<std::size_t>(g.num_vertices())) return g;
   return extract_subgraph(g, keep).graph;
 }
 

@@ -54,6 +54,25 @@ TEST(ComponentsTest, LabelsAreDense) {
   }
 }
 
+TEST(ComponentsTest, LargestComponentKeepsTheBiggestAscending) {
+  GraphBuilder b(7);
+  b.add_edge(0, 1);  // components: {0,1}, {2,4,6}, {3}, {5}
+  b.add_edge(6, 2);
+  b.add_edge(4, 6);
+  Graph g = std::move(b).build();
+  EXPECT_EQ(largest_component(g), (std::vector<vid_t>{2, 4, 6}));
+  EXPECT_EQ(largest_component(path_graph(4)), (std::vector<vid_t>{0, 1, 2, 3}));
+  EXPECT_TRUE(largest_component(empty_graph(0)).empty());
+}
+
+TEST(ComponentsTest, LargestComponentTieGoesToTheLowestLabel) {
+  GraphBuilder b(4);
+  b.add_edge(2, 3);  // components {0,1} and {2,3}, labelled in that order
+  b.add_edge(0, 1);
+  Graph g = std::move(b).build();
+  EXPECT_EQ(largest_component(g), (std::vector<vid_t>{0, 1}));
+}
+
 TEST(ComponentsTest, GeneratedMeshesAreConnected) {
   EXPECT_TRUE(is_connected(grid2d(17, 9)));
   EXPECT_TRUE(is_connected(grid3d(5, 6, 7)));
