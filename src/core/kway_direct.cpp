@@ -203,6 +203,7 @@ ewt_t kway_partition_direct_into(const Graph& g, part_t k,
           cfg.max_refine_passes, pool, dws.refine);
       if (ob) {
         ob->metrics.add(ob->pipeline.kway_rounds, rr.rounds);
+        ob->metrics.add(ob->pipeline.kway_gathers, rr.gathers);
         ob->metrics.add(ob->pipeline.kway_conflict_rejects, rr.conflict_rejects);
       }
     }

@@ -165,6 +165,7 @@ RepartitionResult repartition_after_delta(
       pool, ws.direct.refine, {ws.active});
   if (ob != nullptr) {
     ob->metrics.add(ob->pipeline.kway_rounds, rr.rounds);
+    ob->metrics.add(ob->pipeline.kway_gathers, rr.gathers);
     ob->metrics.add(ob->pipeline.kway_conflict_rejects, rr.conflict_rejects);
   }
 

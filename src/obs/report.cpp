@@ -213,6 +213,7 @@ Obs::PipelineMetrics::PipelineMetrics(MetricsRegistry& reg)
       refine_conflict_rejects(reg.counter("refine.conflict_rejects")),
       kway_direct_levels(reg.counter("kway.direct.levels")),
       kway_rounds(reg.counter("refine.kway_rounds")),
+      kway_gathers(reg.counter("refine.kway_gathers")),
       kway_conflict_rejects(reg.counter("refine.kway_conflict_rejects")),
       shrink_pct(reg.histogram("coarsen.shrink_pct",
                                {50, 55, 60, 65, 70, 75, 80, 85, 90, 95})),

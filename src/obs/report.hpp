@@ -149,6 +149,7 @@ struct Obs {
     MetricsRegistry::Id refine_conflict_rejects;  ///< counter: stale proposals rejected
     MetricsRegistry::Id kway_direct_levels;       ///< counter: direct-kway ladder levels
     MetricsRegistry::Id kway_rounds;              ///< counter: k-way refine rounds
+    MetricsRegistry::Id kway_gathers;             ///< counter: k-way connectivity gathers
     MetricsRegistry::Id kway_conflict_rejects;    ///< counter: k-way stale rejects
     MetricsRegistry::Id shrink_pct;        ///< histogram: coarse/fine * 100 per level
     MetricsRegistry::Id coarsen_strategy;  ///< max gauge: CoarsenStrategy last used

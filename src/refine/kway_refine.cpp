@@ -1,6 +1,7 @@
 #include "refine/kway_refine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <limits>
 
@@ -59,6 +60,21 @@ void clear_conn(ewt_t* conn, const part_t* touched, int num_touched) {
   for (int t = 0; t < num_touched; ++t) conn[static_cast<std::size_t>(touched[t])] = 0;
 }
 
+/// True iff a gathered table offers v no target of gain >= 0: no part other
+/// than `from` is joined to v by at least as much weight as `from` is.  Such
+/// a vertex cannot be proposed whatever the part weights, because negative
+/// gains are never admitted, and it stays that way until v or a neighbour
+/// changes label.
+bool no_target(const ewt_t* conn, const part_t* touched, int num_touched,
+               part_t from) {
+  const ewt_t internal = conn[static_cast<std::size_t>(from)];
+  for (int t = 0; t < num_touched; ++t) {
+    const part_t p = touched[t];
+    if (p != from && conn[static_cast<std::size_t>(p)] >= internal) return false;
+  }
+  return true;
+}
+
 std::size_t vec_bytes(const auto& v) {
   return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
 }
@@ -68,7 +84,8 @@ std::size_t vec_bytes(const auto& v) {
 std::size_t KwayRefineWorkspace::bytes_reserved() const {
   return vec_bytes(frozen_pwgts) + vec_bytes(conn) + vec_bytes(touched) +
          vec_bytes(cand) + vec_bytes(cand_to) + vec_bytes(cand_count) +
-         vec_bytes(locked) + vec_bytes(ed) + vec_bytes(id) + vec_bytes(bal);
+         vec_bytes(locked) + vec_bytes(stuck) + vec_bytes(ed) + vec_bytes(id) +
+         vec_bytes(bal);
 }
 
 namespace {
@@ -109,6 +126,9 @@ KwayRefineResult kway_refine_impl(const Graph& g, std::span<part_t> part,
   ws.cand_to.resize(static_cast<std::size_t>(step) * kProposeChunks);
   ws.cand_count.resize(kProposeChunks);
   ws.locked.resize(static_cast<std::size_t>(n));
+  // Stuck flags describe the labelling they were gathered from, so a call
+  // never trusts flags left by an earlier one.
+  ws.stuck.assign(static_cast<std::size_t>(n), char{0});
   ws.ed.resize(static_cast<std::size_t>(n));
   ws.id.resize(static_cast<std::size_t>(n));
   // A warm workspace may arrive from a larger graph.  Chunks that are empty
@@ -169,7 +189,10 @@ KwayRefineResult kway_refine_impl(const Graph& g, std::span<part_t> part,
       // --- Propose: each chunk scans its fixed vertex range against the
       // labelling and part weights frozen at round start, writing its
       // candidates into a disjoint slot — race-free, and the proposal set
-      // is independent of scheduling.
+      // is independent of scheduling.  A chunk also reads and writes only
+      // its own vertices' stuck flags and its own gather counters.
+      std::array<std::int64_t, kProposeChunks> chunk_gathers{};
+      std::array<std::int64_t, kProposeChunks> chunk_arcs{};
       {
         obs::Span propose_span("refine.kway.propose");
         for_chunks(n, pool, [&](int c, vid_t begin, vid_t end) {
@@ -178,9 +201,10 @@ KwayRefineResult kway_refine_impl(const Graph& g, std::span<part_t> part,
           vid_t* cand = ws.cand.data() + static_cast<std::size_t>(c) * step;
           part_t* cand_to = ws.cand_to.data() + static_cast<std::size_t>(c) * step;
           vid_t cnt = 0;
+          std::int64_t gathers = 0, arcs = 0;
           for (vid_t u = begin; u < end; ++u) {
             const std::size_t uu = static_cast<std::size_t>(u);
-            if (ws.locked[uu]) continue;
+            if (ws.locked[uu] || ws.stuck[uu]) continue;
             if (active != nullptr && active[uu] == 0) continue;
             // Necessary conditions for any admissible move, checked in O(1)
             // before the O(deg) connectivity scan: an external edge at
@@ -199,6 +223,13 @@ KwayRefineResult kway_refine_impl(const Graph& g, std::span<part_t> part,
               continue;
             }
             const int num_touched = gather_conn(g, part, u, conn, touched);
+            ++gathers;
+            arcs += g.degree(u);
+            if (no_target(conn, touched, num_touched, from)) {
+              ws.stuck[uu] = 1;
+              clear_conn(conn, touched, num_touched);
+              continue;
+            }
             const ewt_t internal = conn[static_cast<std::size_t>(from)];
             part_t best = from;
             ewt_t best_gain = 0;
@@ -238,12 +269,16 @@ KwayRefineResult kway_refine_impl(const Graph& g, std::span<part_t> part,
             }
           }
           ws.cand_count[static_cast<std::size_t>(c)] = cnt;
+          chunk_gathers[static_cast<std::size_t>(c)] = gathers;
+          chunk_arcs[static_cast<std::size_t>(c)] = arcs;
         });
       }
 
       vid_t proposals = 0;
       for (vid_t c : ws.cand_count) proposals += c;
       res.proposals += proposals;
+      for (std::int64_t c : chunk_gathers) res.gathers += c;
+      for (std::int64_t c : chunk_arcs) res.gathered_arcs += c;
 
       // --- Commit: one deterministic ascending-vertex pass.  Earlier
       // commits may have absorbed a proposal's gain or taken its balance
@@ -269,6 +304,8 @@ KwayRefineResult kway_refine_impl(const Graph& g, std::span<part_t> part,
             // commit locks), so `from` still matches the propose sweep.
             const part_t from = part[vv];
             const int num_touched = gather_conn(g, part, v, conn, touched);
+            ++res.gathers;
+            res.gathered_arcs += g.degree(v);
             const ewt_t to_conn = conn[static_cast<std::size_t>(to)];
             const ewt_t gain = to_conn - conn[static_cast<std::size_t>(from)];
             clear_conn(conn, touched, num_touched);
@@ -295,9 +332,14 @@ KwayRefineResult kway_refine_impl(const Graph& g, std::span<part_t> part,
             ws.id[vv] = to_conn;
             ws.ed[vv] = degree - to_conn;
             // The move turns v's edges into `from` external and its edges
-            // into `to` internal; edges to any third part stay external.
+            // into `to` internal; edges to any third part stay external.  It
+            // also changes what every neighbour could gain, so none of them
+            // stays stuck.  (v itself is not: only a gather that finds no
+            // target flags a vertex, and v's found one.)
+            assert(ws.stuck[vv] == 0);
             for (std::size_t j = 0; j < nbrs.size(); ++j) {
               const std::size_t uu = static_cast<std::size_t>(nbrs[j]);
+              ws.stuck[uu] = 0;
               if (part[uu] == from) {
                 ws.id[uu] -= wgts[j];
                 ws.ed[uu] += wgts[j];

@@ -19,6 +19,12 @@
 //                (locking them; a vertex moves at most once per pass);
 //   until a round commits nothing.
 //
+// A vertex whose gather finds no other part joined to it by at least its
+// internal weight cannot gain from any move, whatever the part weights; it is
+// flagged *stuck* and skipped by later sweeps until a commit moves it or a
+// neighbour (labels change only there), so a sweep re-gathers only what a
+// commit may have changed and the proposals are those of a full sweep.
+//
 // Candidate selection is per-vertex over frozen state, so the proposal set
 // is independent of chunk scheduling; fixed contiguous chunks read back in
 // chunk order make the commit order ascending-by-vertex-id; the commit pass
@@ -30,6 +36,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -50,6 +57,8 @@ struct KwayRefineWorkspace {
   std::vector<part_t> cand_to;      ///< step*chunks: proposal targets
   std::vector<vid_t> cand_count;    ///< chunks
   std::vector<char> locked;         ///< n: move-at-most-once-per-pass locks
+  std::vector<char> stuck;          ///< n: no gain >= 0 target until v or a
+                                    ///< neighbour moves (reset every call)
   std::vector<ewt_t> ed;            ///< n: edge weight to other parts
   std::vector<ewt_t> id;            ///< n: edge weight to the own part
   std::vector<std::pair<ewt_t, vid_t>> bal;  ///< balance candidates (gain, v)
@@ -65,6 +74,8 @@ struct KwayRefineResult {
   vid_t moves = 0;            ///< commits applied
   vid_t conflict_rejects = 0; ///< proposals rejected at commit re-validation
   ewt_t cut_reduction = 0;    ///< total gain of committed moves
+  std::int64_t gathers = 0;        ///< connectivity gathers (propose + commit)
+  std::int64_t gathered_arcs = 0;  ///< arcs those gathers scanned
 };
 
 /// Parallel k-way refinement of `part` in place.  `pwgts` (size k) must hold
