@@ -2,7 +2,9 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -14,6 +16,14 @@ namespace {
 
 std::string errno_message(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
+}
+
+/// Frames go out whole (write_frame sends each with one sendmsg), so Nagle
+/// only delays them: with it on, a request waited for the peer's delayed ACK
+/// (~40 ms on loopback) whenever an earlier segment was still unacknowledged.
+void set_nodelay(int fd) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 }  // namespace
@@ -61,6 +71,7 @@ Fd listen_tcp(std::uint16_t port, std::string& err) {
   }
   int one = 1;
   ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  set_nodelay(fd.get());  // accepted sockets inherit it
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -128,6 +139,7 @@ Fd connect_tcp(const std::string& host, std::uint16_t port, std::string& err) {
     err = errno_message("connect");
     return Fd();
   }
+  set_nodelay(fd.get());
   return fd;
 }
 
@@ -190,8 +202,32 @@ bool write_frame(int fd, MsgType type, std::span<const std::uint8_t> payload) {
   h.payload_len = static_cast<std::uint32_t>(payload.size());
   std::uint8_t head[kFrameHeaderBytes];
   encode_frame_header(h, head);
-  if (!send_all(fd, head, sizeof(head))) return false;
-  return payload.empty() || send_all(fd, payload.data(), payload.size());
+  // Header and payload leave in one sendmsg, so a frame is one segment (or
+  // one record on a SOCK_SEQPACKET socket); a partial send resumes where it
+  // stopped.
+  iovec iov[2] = {{head, sizeof(head)},
+                  {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = payload.empty() ? 1 : 2;
+  while (msg.msg_iovlen > 0) {
+    ssize_t sent = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (sent < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    while (msg.msg_iovlen > 0 &&
+           static_cast<std::size_t>(sent) >= msg.msg_iov->iov_len) {
+      sent -= static_cast<ssize_t>(msg.msg_iov->iov_len);
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<std::uint8_t*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= static_cast<std::size_t>(sent);
+    }
+  }
+  return true;
 }
 
 }  // namespace mgp::server
