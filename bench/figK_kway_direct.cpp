@@ -16,6 +16,9 @@
 //   * steady_allocs — heap allocations of a *warm* kway_partition_direct_into
 //     call (the binary links the counting allocator; the zero-allocation
 //     guarantee is gated exactly);
+//   * gathers — connectivity gathers the k-way refiner made over the whole
+//     call (the `refine.kway_gathers` counter): deterministic, so CI gates
+//     it as a count that must not rise above the baseline;
 //   * rb_seconds / direct_seconds — informational wall times: direct should
 //     grow sublinearly in k while recursive bisection pays O(log k) ladders.
 #include <cstdio>
@@ -25,6 +28,7 @@
 
 #include "common.hpp"
 #include "core/kway_direct.hpp"
+#include "obs/report.hpp"
 #include "support/alloc_guard.hpp"
 #include "support/timer.hpp"
 #include "support/workspace.hpp"
@@ -41,6 +45,7 @@ struct KRow {
   double t_direct;
   double t_rb;
   std::uint64_t steady_allocs;
+  std::int64_t gathers;
 };
 
 void write_kway_json(const std::string& path, const Graph& g, vid_t gen_n,
@@ -57,23 +62,25 @@ void write_kway_json(const std::string& path, const Graph& g, vid_t gen_n,
                "  \"num_vertices\": %d,\n"
                "  \"num_edges\": %lld,\n"
                "  \"seed\": %llu,\n"
+               "  \"host\": %s,\n"
                "  \"counting_allocator\": %s,\n"
                "  \"rows\": [\n",
                gen_n, g.num_vertices(), static_cast<long long>(g.num_edges()),
-               static_cast<unsigned long long>(seed),
+               static_cast<unsigned long long>(seed), host_json().c_str(),
                mgp::testing::counting_allocator_active() ? "true" : "false");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const KRow& r = rows[i];
     std::fprintf(f,
                  "    {\"k\": %d, \"cut\": %lld, \"cut_rb\": %lld, "
-                 "\"cut_vs_rb\": %.4f, \"steady_allocs\": %llu, "
+                 "\"cut_vs_rb\": %.4f, \"steady_allocs\": %llu, \"gathers\": %lld, "
                  "\"direct_seconds\": %.6f, \"rb_seconds\": %.6f}%s\n",
                  static_cast<int>(r.k), static_cast<long long>(r.cut_direct),
                  static_cast<long long>(r.cut_rb),
                  r.cut_rb > 0 ? static_cast<double>(r.cut_direct) /
                                     static_cast<double>(r.cut_rb)
                               : 1.0,
-                 static_cast<unsigned long long>(r.steady_allocs), r.t_direct,
+                 static_cast<unsigned long long>(r.steady_allocs),
+                 static_cast<long long>(r.gathers), r.t_direct,
                  r.t_rb, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -132,8 +139,8 @@ int main() {
   std::printf("\nk sweep: circuit(%d)  |V|=%d  |E|=%lld  seed=%llu\n",
               gen_n, g.num_vertices(), static_cast<long long>(g.num_edges()),
               static_cast<unsigned long long>(seed));
-  std::printf("%s %9s %9s %9s %9s %9s %8s\n", pad("k", 4).c_str(), "cutRB",
-              "cutKW", "ratio", "tRB", "tKW", "allocs");
+  std::printf("%s %9s %9s %9s %9s %9s %8s %9s\n", pad("k", 4).c_str(), "cutRB",
+              "cutKW", "ratio", "tRB", "tKW", "allocs", "gathers");
 
   std::vector<KRow> rows;
   KwayDirectWorkspace dws;
@@ -161,14 +168,25 @@ int main() {
     const double t_kw = t.seconds();
     const std::uint64_t allocs = guard.allocations();
 
-    rows.push_back({k, cut, rb.edge_cut, t_kw, t_rb, allocs});
-    std::printf("%s %9lld %9lld %9.4f %9.4f %9.4f %8llu\n",
+    // Counted on a separate run: attaching a metrics sink is not the
+    // guarded steady state.
+    obs::Obs ob;
+    KwayDirectConfig counted = dcfg;
+    counted.base.obs = &ob;
+    Rng r3(seed);
+    kway_partition_direct_into(g, k, counted, r3, dws, &bws, part);
+    const std::int64_t gathers =
+        ob.metrics.snapshot().counter_value("refine.kway_gathers");
+
+    rows.push_back({k, cut, rb.edge_cut, t_kw, t_rb, allocs, gathers});
+    std::printf("%s %9lld %9lld %9.4f %9.4f %9.4f %8llu %9lld\n",
                 pad(std::to_string(k), 4).c_str(),
                 static_cast<long long>(rb.edge_cut), static_cast<long long>(cut),
                 rb.edge_cut > 0 ? static_cast<double>(cut) /
                                       static_cast<double>(rb.edge_cut)
                                 : 1.0,
-                t_rb, t_kw, static_cast<unsigned long long>(allocs));
+                t_rb, t_kw, static_cast<unsigned long long>(allocs),
+                static_cast<long long>(gathers));
   }
 
   std::string out = "BENCH_kway_direct.json";

@@ -26,6 +26,9 @@ baseline holds on CI runners):
     counts track the standard library's small-buffer thresholds (which vary
     across toolchains) while still catching a lost workspace-reuse path,
     which inflates counts by orders of magnitude;
+  * work counts — "gathers" (the k-way refiner's connectivity gathers) —
+    must not exceed the baseline: the count is a pure function of the
+    pinned input and the code, so any rise is more work, not noise;
   * ratio metrics — "speedup_vs_1t", "speedup_vs_seq",
     "speedup_vs_scratch" — no more than --tolerance below the baseline's
     ratio.  "speedup_vs_seq" compares the pooled pipeline with the
@@ -56,6 +59,7 @@ from pathlib import Path
 CUT_METRICS = ("cut", "final_cut", "cut_vs_seq", "cut_rb", "cut_vs_rb",
                "cut_scratch", "cut_vs_scratch")
 COUNTER_METRICS = ("steady_allocs", "allocations")
+WORK_METRICS = ("gathers",)
 ALLOC_FACTOR = 3.0  # bound for nonzero allocation-count baselines
 RATIO_METRICS = ("speedup_vs_1t", "speedup_vs_seq", "speedup_vs_scratch")
 TIME_METRICS = ("real_time", "cpu_time", "coarsen_seconds", "kway_seconds",
@@ -77,7 +81,7 @@ def load_entries(path):
                 if m in b:
                     metrics[m] = b[m]
             for name, value in b.items():
-                if name in CUT_METRICS + COUNTER_METRICS + RATIO_METRICS:
+                if name in CUT_METRICS + COUNTER_METRICS + WORK_METRICS + RATIO_METRICS:
                     metrics[name] = value
             # google-benchmark puts user counters at the top level of each
             # entry in recent versions and under "counters" in older ones.
@@ -134,6 +138,11 @@ def check_entry(key, cur, base, tol, cut_tol, gate_times, nproc, errors,
                 errors.append(
                     f"{key}.{metric}: {c} vs baseline {b} "
                     f"(more than {ALLOC_FACTOR:g}x)")
+        elif metric in WORK_METRICS:
+            if c > b:
+                errors.append(
+                    f"{key}.{metric}: {c} vs baseline {b} (a work count "
+                    f"may not rise)")
         elif metric in RATIO_METRICS:
             if threads and not (nproc and threads <= nproc):
                 errors.append(
