@@ -32,10 +32,10 @@ struct Row {
 
 Row run(const Graph& g, const MultilevelConfig& cfg, std::uint64_t seed) {
   Rng rng(seed);
-  PhaseTimers timers;
+  PhaseSeconds timers;
   Timer t;
-  KwayResult r = kway_partition(g, 32, cfg, rng, &timers);
-  return Row{r.edge_cut, timers.get(PhaseTimers::kRefine), t.seconds()};
+  KwayResult r = timed_kway_partition(g, 32, cfg, rng, timers);
+  return Row{r.edge_cut, timers.rtime, t.seconds()};
 }
 
 }  // namespace

@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
     Rng rng(seed);
     mgp::testing::AllocGuard alloc_guard;
     Timer t;
-    KwayResult r = kway_partition(g, k, cfg, rng, nullptr, &pool);
+    KwayResult r = kway_partition(g, k, cfg, rng, &pool);
     const double kway_s = t.seconds();
     const std::uint64_t allocs = alloc_guard.allocations();
     const std::uint64_t alloc_bytes = alloc_guard.bytes();

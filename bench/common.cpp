@@ -122,6 +122,34 @@ std::string fmt_cut_time_cell(long long cut, double seconds) {
 
 namespace {
 
+PhaseSeconds phase_seconds(const obs::Obs& ob) {
+  const auto s = [&ob](obs::Phase p) {
+    return static_cast<double>(
+               ob.metrics.current(ob.pipeline.phase_ns[static_cast<int>(p)])) /
+           1e9;
+  };
+  return {s(obs::Phase::kCoarsen), s(obs::Phase::kInitPart), s(obs::Phase::kRefine),
+          s(obs::Phase::kProject)};
+}
+
+}  // namespace
+
+KwayResult timed_kway_partition(const Graph& g, part_t k, MultilevelConfig cfg,
+                                Rng& rng, PhaseSeconds& phases) {
+  // Built once, outside every measured call; the counters are read as deltas.
+  static obs::Obs bench_obs;
+  bench_obs.collect_report = false;
+  if (cfg.obs == nullptr) cfg.obs = &bench_obs;
+  const PhaseSeconds before = phase_seconds(*cfg.obs);
+  KwayResult r = kway_partition(g, k, cfg, rng);
+  const PhaseSeconds after = phase_seconds(*cfg.obs);
+  phases = {after.ctime - before.ctime, after.itime - before.itime,
+            after.rtime - before.rtime, after.ptime - before.ptime};
+  return r;
+}
+
+namespace {
+
 /// Pops the value following `flag` out of argv, or empty when absent.
 std::string consume_flag(int& argc, char** argv, const char* flag) {
   for (int i = 1; i + 1 < argc; ++i) {

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/kway.hpp"
 #include "graph/generators.hpp"
 #include "obs/report.hpp"
 
@@ -55,6 +56,19 @@ std::string fmt_ratio(double r, int width);
 /// The " | <cut> <seconds>" cell shared by the per-scheme sweep tables
 /// (Table 4, Table A): an 8-wide edge-cut and an 8-wide phase time.
 std::string fmt_cut_time_cell(long long cut, double seconds);
+
+/// The paper's phase times of one call, in seconds.
+struct PhaseSeconds {
+  double ctime = 0, itime = 0, rtime = 0, ptime = 0;
+  double utime() const { return itime + rtime + ptime; }
+};
+
+/// kway_partition(g, k, cfg, rng), with the call's phase times written to
+/// `phases`.  They are the growth of the phase.* counters of cfg.obs (an
+/// ObsSession's) over the call or, when cfg has none, of one process-wide
+/// obs::Obs that collects no report.  Not for concurrent calls.
+KwayResult timed_kway_partition(const Graph& g, part_t k, MultilevelConfig cfg,
+                                Rng& rng, PhaseSeconds& phases);
 
 /// Command-line observability for a bench binary: parses `--trace <file>` /
 /// `--report <file>` out of argv (consuming both tokens), owns the obs::Obs

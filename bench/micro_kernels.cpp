@@ -24,6 +24,7 @@
 #include "initpart/bisection_state.hpp"
 #include "initpart/graph_grow.hpp"
 #include "order/nested_dissection.hpp"
+#include "obs/phase.hpp"
 #include "obs/trace.hpp"
 #include "refine/refine.hpp"
 #include "spectral/laplacian.hpp"
@@ -323,8 +324,9 @@ void BM_ObsOverheadGuard(benchmark::State& state) {
   // construction (this binary is also built in that configuration by the
   // sanitizers workflow); here we price the compiled-in-but-runtime-
   // disabled path — one relaxed atomic load and a branch per span — and
-  // fail the run if (spans per kernel run) x (cost per disabled span)
-  // exceeds 1% of the kernel's own time.
+  // fail the run if (spans per kernel run) x (cost per disabled span), plus
+  // the disabled phase scope (no Obs, tracing off) that wraps each level's
+  // kernel in the pipeline, exceeds 1% of the kernel's own time.
   const Graph& g = bench_graph();
 
   // How many spans one kernel run emits, counted from an actual trace.
@@ -350,6 +352,14 @@ void BM_ObsOverheadGuard(benchmark::State& state) {
   }
   const double per_span_s = span_timer.seconds() / kSpanLoop;
 
+  // Price of one disabled phase scope: its span plus a null-Obs check.
+  Timer scope_timer;
+  for (int i = 0; i < kSpanLoop; ++i) {
+    obs::PhaseScope s(nullptr, obs::Phase::kCoarsen, "overhead_probe");
+    s.arg("i", i);
+  }
+  const double per_scope_s = scope_timer.seconds() / kSpanLoop;
+
   // The kernel itself, un-traced (min of 3 to shed scheduling noise).
   double kernel_s = 0;
   for (int rep = 0; rep < 3; ++rep) {
@@ -363,14 +373,16 @@ void BM_ObsOverheadGuard(benchmark::State& state) {
   }
 
   const double overhead_fraction =
-      kernel_s > 0 ? (static_cast<double>(spans_per_run) * per_span_s) / kernel_s
-                   : 0.0;
+      kernel_s > 0
+          ? (static_cast<double>(spans_per_run) * per_span_s + per_scope_s) / kernel_s
+          : 0.0;
   state.counters["spans_per_run"] = static_cast<double>(spans_per_run);
   state.counters["ns_per_disabled_span"] = per_span_s * 1e9;
+  state.counters["ns_per_disabled_phase_scope"] = per_scope_s * 1e9;
   state.counters["overhead_pct"] = 100.0 * overhead_fraction;
   if (overhead_fraction > 0.01) {
     state.SkipWithError("observability overhead guard tripped: disabled spans "
-                        "cost > 1% of the HEM+contract kernel");
+                        "and phase scope cost > 1% of the HEM+contract kernel");
     return;
   }
 

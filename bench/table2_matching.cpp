@@ -12,7 +12,6 @@
 
 #include "common.hpp"
 #include "core/kway.hpp"
-#include "support/timer.hpp"
 
 using namespace mgp;
 using namespace mgp::bench;
@@ -41,10 +40,10 @@ int main() {
   // coarse graph (ITime), the time spent in refinement (RTime), and the
   // time spent in projecting the partition ... (PTime)."  The breakdown is
   // printed in a second block.
-  std::vector<std::array<PhaseTimers, 4>> breakdown;
+  std::vector<std::array<PhaseSeconds, 4>> breakdown;
   for (const auto& ng : suite) {
     std::printf("%s", pad(ng.name, 6).c_str());
-    std::array<PhaseTimers, 4> row;
+    std::array<PhaseSeconds, 4> row;
     int i = 0;
     for (MatchingScheme m : schemes) {
       MultilevelConfig cfg;
@@ -52,10 +51,10 @@ int main() {
       cfg.initpart = InitPartScheme::kGGGP;
       cfg.refine = RefinePolicy::kBKLGR;
       Rng rng(seed_from_env());
-      PhaseTimers timers;
-      KwayResult r = kway_partition(ng.graph, k, cfg, rng, &timers);
+      PhaseSeconds timers;
+      KwayResult r = timed_kway_partition(ng.graph, k, cfg, rng, timers);
       std::printf(" | %8lld %8.3f %8.3f", static_cast<long long>(r.edge_cut),
-                  timers.get(PhaseTimers::kCoarsen), timers.utime());
+                  timers.ctime, timers.utime());
       row[static_cast<std::size_t>(i++)] = timers;
     }
     breakdown.push_back(row);
@@ -70,9 +69,8 @@ int main() {
   std::printf("\n");
   for (std::size_t gi = 0; gi < suite.size(); ++gi) {
     std::printf("%s", pad(suite[gi].name, 6).c_str());
-    for (const PhaseTimers& t : breakdown[gi]) {
-      std::printf(" | %8.3f %8.3f %8.3f", t.get(PhaseTimers::kInitPart),
-                  t.get(PhaseTimers::kRefine), t.get(PhaseTimers::kProject));
+    for (const PhaseSeconds& t : breakdown[gi]) {
+      std::printf(" | %8.3f %8.3f %8.3f", t.itime, t.rtime, t.ptime);
     }
     std::printf("\n");
   }

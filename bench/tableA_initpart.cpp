@@ -10,7 +10,6 @@
 
 #include "common.hpp"
 #include "core/kway.hpp"
-#include "support/timer.hpp"
 
 using namespace mgp;
 using namespace mgp::bench;
@@ -39,10 +38,10 @@ int main(int argc, char** argv) {
       cfg.initpart = s;
       session.attach(cfg);
       Rng rng(seed_from_env());
-      PhaseTimers timers;
-      KwayResult r = kway_partition(ng.graph, k, cfg, rng, &timers);
+      PhaseSeconds timers;
+      KwayResult r = timed_kway_partition(ng.graph, k, cfg, rng, timers);
       std::printf("%s", fmt_cut_time_cell(static_cast<long long>(r.edge_cut),
-                                          timers.get(PhaseTimers::kInitPart))
+                                          timers.itime)
                             .c_str());
     }
     std::printf("\n");

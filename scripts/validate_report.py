@@ -12,6 +12,12 @@ cannot express are checked directly (weight conservation across levels,
 utime_s = itime_s + rtime_s + ptime_s, initial_cut present among the
 candidate cuts, histogram counts summing to count).
 
+A phase the run performed must also have been timed: ctime_s > 0 when the
+metrics count coarsening levels (pipeline.coarsen_levels +
+kway.direct.levels), rtime_s > 0 when they count refinement (kl.passes +
+refine.kway_rounds). A zero there means a pipeline stopped feeding its
+phase counters.
+
 Usage:
     scripts/validate_report.py REPORT.json [SCHEMA.json]
 
@@ -140,6 +146,22 @@ def check_invariants(report, errors):
                 f"$.metrics.histograms.{name}: upper_bounds not sorted")
 
 
+def check_phase_times(report, errors):
+    """Each phase the metrics say ran must carry a non-zero time."""
+    pt = report.get("phase_times", {})
+    counters = report.get("metrics", {}).get("counters", {})
+    work = {
+        "ctime_s": ("pipeline.coarsen_levels", "kway.direct.levels"),
+        "rtime_s": ("kl.passes", "refine.kway_rounds"),
+    }
+    for key, names in work.items():
+        done = sum(counters.get(n, 0) for n in names)
+        if done > 0 and not pt.get(key, 0) > 0:
+            errors.append(
+                f"$.phase_times: {key} is {pt.get(key)} although "
+                f"{' + '.join(names)} = {done}")
+
+
 def main(argv):
     if len(argv) < 2 or len(argv) > 3:
         print(__doc__, file=sys.stderr)
@@ -160,6 +182,7 @@ def main(argv):
     validate(report, schema, "$", errors)
     if not errors:  # invariants assume a structurally valid report
         check_invariants(report, errors)
+        check_phase_times(report, errors)
 
     if errors:
         for e in errors:

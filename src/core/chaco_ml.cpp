@@ -2,14 +2,12 @@
 
 namespace mgp {
 
-BisectResult chaco_ml_bisect(const Graph& g, vwt_t target0, Rng& rng,
-                             PhaseTimers* timers) {
-  return multilevel_bisect(g, target0, MultilevelConfig::chaco_ml(), rng, timers);
+BisectResult chaco_ml_bisect(const Graph& g, vwt_t target0, Rng& rng) {
+  return multilevel_bisect(g, target0, MultilevelConfig::chaco_ml(), rng);
 }
 
-KwayResult chaco_ml_partition(const Graph& g, part_t k, Rng& rng,
-                              PhaseTimers* timers) {
-  return kway_partition(g, k, MultilevelConfig::chaco_ml(), rng, timers);
+KwayResult chaco_ml_partition(const Graph& g, part_t k, Rng& rng) {
+  return kway_partition(g, k, MultilevelConfig::chaco_ml(), rng);
 }
 
 }  // namespace mgp

@@ -14,11 +14,9 @@
 namespace mgp {
 
 /// One Chaco-ML bisection.
-BisectResult chaco_ml_bisect(const Graph& g, vwt_t target0, Rng& rng,
-                             PhaseTimers* timers = nullptr);
+BisectResult chaco_ml_bisect(const Graph& g, vwt_t target0, Rng& rng);
 
 /// k-way Chaco-ML partition by recursive bisection.
-KwayResult chaco_ml_partition(const Graph& g, part_t k, Rng& rng,
-                              PhaseTimers* timers = nullptr);
+KwayResult chaco_ml_partition(const Graph& g, part_t k, Rng& rng);
 
 }  // namespace mgp

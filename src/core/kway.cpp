@@ -4,7 +4,6 @@
 #include <cassert>
 #include <optional>
 
-#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "support/workspace.hpp"
@@ -56,7 +55,7 @@ KwayResult recursive_bisection(const Graph& g, part_t k, const Bisector& bisect,
 }
 
 KwayResult kway_partition(const Graph& g, part_t k, const MultilevelConfig& cfg,
-                          Rng& rng, PhaseTimers* timers, ThreadPool* pool) {
+                          Rng& rng, ThreadPool* pool) {
   std::optional<ThreadPool> owned;
   if (!pool && cfg.resolved_threads() > 1) {
     owned.emplace(cfg.resolved_threads());
@@ -65,16 +64,6 @@ KwayResult kway_partition(const Graph& g, part_t k, const MultilevelConfig& cfg,
   obs::Span span("kway_partition");
   span.arg("k", k);
   span.arg("n", g.num_vertices());
-
-  // Phase-time accounting rides the sharded metrics registry: every
-  // concurrent bisection adds nanoseconds to its own thread's shard
-  // (lock-free), and one merge at the end serves `timers` and the attached
-  // Obs context.  A call-local registry keeps the merge scoped to exactly
-  // this call (cfg.obs->metrics is cumulative across calls).
-  std::optional<obs::MetricsRegistry> local_reg;
-  std::optional<obs::PhaseMetrics> phases;
-  if (timers || cfg.obs) phases.emplace(local_reg.emplace());
-  obs::PhaseMetrics* const pm = phases ? &*phases : nullptr;
 
   // Workspaces are pooled across the recursion: each subproblem checks one
   // out for the duration of its bisection and returns it warm, so after the
@@ -86,10 +75,10 @@ KwayResult kway_partition(const Graph& g, part_t k, const MultilevelConfig& cfg,
   out.k = k;
   out.edge_cut = bisect_recursively(
       g, k,
-      [&cfg, pm, pool, &wpool](const Graph& sub, std::span<const vid_t>, vwt_t target0,
-                               Rng& r, Bisection& b) {
+      [&cfg, pool, &wpool](const Graph& sub, std::span<const vid_t>, vwt_t target0,
+                           Rng& r, Bisection& b) {
         WorkspacePool::Lease lease = wpool.checkout();
-        multilevel_bisect_into(sub, target0, cfg, r, b, nullptr, pool, pm, lease.get());
+        multilevel_bisect_into(sub, target0, cfg, r, b, pool, lease.get());
       },
       rng.next_u64(), stack, pool, out.part);
 
@@ -102,26 +91,12 @@ KwayResult kway_partition(const Graph& g, part_t k, const MultilevelConfig& cfg,
     cfg.obs->metrics.add(cfg.obs->pipeline.arena_workspaces,
                          static_cast<std::int64_t>(ws_stats.created));
   }
-
-  if (phases) {
-    const PhaseTimers merged = phases->view();
-    if (timers) {
-      for (int p = 0; p < PhaseTimers::kNumPhases; ++p) {
-        const auto phase = static_cast<PhaseTimers::Phase>(p);
-        timers->add(phase, merged.get(phase));
-      }
-    }
-    if (cfg.obs) {
-      cfg.obs->report.add_phase_times(merged);
-      obs::PhaseMetrics(cfg.obs->metrics).add(merged);
-    }
-  }
   return out;
 }
 
 KwayResult kway_partition_best_of(const Graph& g, part_t k,
                                   const MultilevelConfig& cfg, int trials,
-                                  Rng& rng, PhaseTimers* timers) {
+                                  Rng& rng) {
   // One pool shared by every trial (constructing per trial would churn
   // threads); null when the config asks for sequential execution.
   std::optional<ThreadPool> owned;
@@ -132,7 +107,7 @@ KwayResult kway_partition_best_of(const Graph& g, part_t k,
   }
   KwayResult best;
   for (int t = 0; t < trials; ++t) {
-    KwayResult r = kway_partition(g, k, cfg, rng, timers, pool);
+    KwayResult r = kway_partition(g, k, cfg, rng, pool);
     if (t == 0 || r.edge_cut < best.edge_cut) best = std::move(r);
   }
   return best;
@@ -148,7 +123,7 @@ ewt_t kway_partition_into(const Graph& g, part_t k, const MultilevelConfig& cfg,
       g, k,
       [&cfg, ws](const Graph& sub, std::span<const vid_t>, vwt_t target0, Rng& r,
                  Bisection& b) {
-        multilevel_bisect_into(sub, target0, cfg, r, b, nullptr, nullptr, nullptr, ws);
+        multilevel_bisect_into(sub, target0, cfg, r, b, nullptr, ws);
       },
       rng.next_u64(), scratch, nullptr, out_part);
 }

@@ -33,7 +33,6 @@
 #include "obs/trace.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
-#include "support/timer.hpp"
 
 namespace mgp {
 
@@ -60,17 +59,16 @@ struct KwayResult {
 KwayResult recursive_bisection(const Graph& g, part_t k, const Bisector& bisect,
                                Rng& rng, ThreadPool* pool = nullptr);
 
-/// k-way partition with the paper's multilevel bisection.  Phase times
-/// accumulate into `timers` (summed over all k-1 bisections) when non-null;
-/// under parallel execution concurrent bisections sum their phase times, so
-/// the totals are CPU seconds rather than wall-clock.
+/// k-way partition with the paper's multilevel bisection.  With cfg.obs
+/// attached, every bisection adds its phase times to the phase.* counters
+/// (obs/phase.hpp); concurrent bisections sum theirs, so under parallel
+/// execution the totals are CPU seconds rather than wall-clock.
 ///
 /// Parallelism: uses `pool` when non-null; otherwise, if
 /// cfg.resolved_threads() > 1, a pool of that size is created for the call.
 /// Pass cfg.threads = 1 (the default) for the fully sequential path.
 KwayResult kway_partition(const Graph& g, part_t k, const MultilevelConfig& cfg,
-                          Rng& rng, PhaseTimers* timers = nullptr,
-                          ThreadPool* pool = nullptr);
+                          Rng& rng, ThreadPool* pool = nullptr);
 
 /// Edge-cut of an arbitrary k-way labelling.
 ewt_t compute_kway_cut(const Graph& g, std::span<const part_t> part);
@@ -111,7 +109,7 @@ ewt_t kway_partition_into(const Graph& g, part_t k, const MultilevelConfig& cfg,
 /// ones especially) buy quality with time; the same lever applies here.
 KwayResult kway_partition_best_of(const Graph& g, part_t k,
                                   const MultilevelConfig& cfg, int trials,
-                                  Rng& rng, PhaseTimers* timers = nullptr);
+                                  Rng& rng);
 
 namespace rb_detail {
 

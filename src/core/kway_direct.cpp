@@ -8,6 +8,7 @@
 #include "coarsen/contract.hpp"
 #include "coarsen/strategy.hpp"
 #include "core/cancel.hpp"
+#include "obs/phase.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "support/workspace.hpp"
@@ -60,11 +61,8 @@ std::size_t KwayDirectWorkspace::bytes_reserved() const {
 ewt_t kway_partition_direct_into(const Graph& g, part_t k,
                                  const KwayDirectConfig& cfg, Rng& rng,
                                  KwayDirectWorkspace& dws, BisectWorkspace* ext_ws,
-                                 std::vector<part_t>& out_part,
-                                 PhaseTimers* timers, ThreadPool* pool) {
+                                 std::vector<part_t>& out_part, ThreadPool* pool) {
   cfg.validate(k);
-  PhaseTimers local_pt;
-  PhaseTimers& pt = timers ? *timers : local_pt;
   const vid_t n = g.num_vertices();
   obs::Span span("kway_partition_direct");
   span.arg("k", k);
@@ -96,7 +94,6 @@ ewt_t kway_partition_direct_into(const Graph& g, part_t k,
   std::size_t num_levels = 0;
   const Graph* cur = &g;
   {
-    ScopedPhase phase(pt, PhaseTimers::kCoarsen);
     const CoarseningStrategy& strategy =
         coarsening_strategy(cfg.base.coarsen.strategy);
     if (ob) {
@@ -106,7 +103,7 @@ ewt_t kway_partition_direct_into(const Graph& g, part_t k,
     std::span<const ewt_t> cewgt;  // empty at level 0
     while (cur->num_vertices() > coarsen_to) {
       throw_if_cancelled(cfg.base.cancel);
-      obs::Span level_span("kway_direct.coarsen");
+      obs::PhaseScope level_span(ob, obs::Phase::kCoarsen, "kway_direct.coarsen");
       level_span.arg("level", static_cast<std::int64_t>(num_levels));
       level_span.arg("n", cur->num_vertices());
       if (dws.levels.size() <= num_levels) {
@@ -152,8 +149,7 @@ ewt_t kway_partition_direct_into(const Graph& g, part_t k,
   //      bisection — the paper's own algorithm, on a tiny input).  Always
   //      the sequential recursion: draw order must not depend on the pool.
   {
-    ScopedPhase phase(pt, PhaseTimers::kInitPart);
-    obs::Span init_span("kway_direct.initpart");
+    obs::PhaseScope init_span(ob, obs::Phase::kInitPart, "kway_direct.initpart");
     init_span.arg("n", coarsest.num_vertices());
     kway_partition_into(coarsest, k, cfg.initial_config(), rng, dws.init_scratch,
                         &ws, out_part);
@@ -176,8 +172,7 @@ ewt_t kway_partition_direct_into(const Graph& g, part_t k,
     throw_if_cancelled(cfg.base.cancel);
     const Graph& level_graph = (li == 0) ? g : dws.levels[li - 1]->coarse;
     {
-      ScopedPhase phase(pt, PhaseTimers::kRefine);
-      obs::Span refine_span("kway_direct.refine");
+      obs::PhaseScope refine_span(ob, obs::Phase::kRefine, "kway_direct.refine");
       refine_span.arg("level", static_cast<std::int64_t>(li));
       refine_span.arg("n", level_graph.num_vertices());
       // Ceiling from *this* level's max vertex weight: a coarse multinode
@@ -208,8 +203,7 @@ ewt_t kway_partition_direct_into(const Graph& g, part_t k,
       }
     }
     if (li == 0) break;
-    ScopedPhase phase(pt, PhaseTimers::kProject);
-    obs::Span proj_span("kway_direct.project");
+    obs::PhaseScope proj_span(ob, obs::Phase::kProject, "kway_direct.project");
     proj_span.arg("level", static_cast<std::int64_t>(li));
     const std::vector<vid_t>& cmap = dws.levels[li - 1]->cmap;
     dws.proj.resize(cmap.size());
@@ -234,7 +228,7 @@ ewt_t kway_partition_direct_into(const Graph& g, part_t k,
 
 KwayResult kway_partition_direct(const Graph& g, part_t k,
                                  const KwayDirectConfig& cfg, Rng& rng,
-                                 PhaseTimers* timers, ThreadPool* pool) {
+                                 ThreadPool* pool) {
   std::unique_ptr<ThreadPool> local_pool;
   if (!pool && cfg.base.resolved_threads() > 1) {
     local_pool = std::make_unique<ThreadPool>(cfg.base.resolved_threads());
@@ -244,8 +238,8 @@ KwayResult kway_partition_direct(const Graph& g, part_t k,
   BisectWorkspace ws;
   KwayResult result;
   result.k = k;
-  result.edge_cut = kway_partition_direct_into(g, k, cfg, rng, dws, &ws,
-                                               result.part, timers, pool);
+  result.edge_cut =
+      kway_partition_direct_into(g, k, cfg, rng, dws, &ws, result.part, pool);
   return result;
 }
 

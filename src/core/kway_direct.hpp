@@ -32,7 +32,6 @@
 #include "core/kway.hpp"
 #include "refine/kway_refine.hpp"
 #include "support/rng.hpp"
-#include "support/timer.hpp"
 
 namespace mgp {
 
@@ -100,12 +99,14 @@ struct KwayDirectWorkspace {
 /// throwing CancelledError.  Draws no randomness beyond the sequential
 /// matcher's stream and the initial partition's single root-seed u64, so
 /// the result is byte-identical across pool sizes (including no pool when
-/// the matching draws are unaffected, i.e. the sequential path).
+/// the matching draws are unaffected, i.e. the sequential path).  With
+/// cfg.base.obs attached, the four phases add their times to the phase.*
+/// counters once each: the initial partition's own bisections record only
+/// their spans (obs/phase.hpp).
 ewt_t kway_partition_direct_into(const Graph& g, part_t k,
                                  const KwayDirectConfig& cfg, Rng& rng,
                                  KwayDirectWorkspace& dws, BisectWorkspace* ws,
                                  std::vector<part_t>& out_part,
-                                 PhaseTimers* timers = nullptr,
                                  ThreadPool* pool = nullptr);
 
 /// One-shot multilevel k-way partitioning.  Byte-identical to
@@ -114,7 +115,6 @@ ewt_t kway_partition_direct_into(const Graph& g, part_t k,
 /// that size is created for the call.
 KwayResult kway_partition_direct(const Graph& g, part_t k,
                                  const KwayDirectConfig& cfg, Rng& rng,
-                                 PhaseTimers* timers = nullptr,
                                  ThreadPool* pool = nullptr);
 
 }  // namespace mgp

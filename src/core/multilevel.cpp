@@ -8,6 +8,7 @@
 #include "core/cancel.hpp"
 #include "initpart/graph_grow.hpp"
 #include "initpart/spectral_init.hpp"
+#include "obs/phase.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "support/workspace.hpp"
@@ -42,12 +43,10 @@ void initial_partition(const Graph& g, vwt_t target0, const MultilevelConfig& cf
 
 BisectResult multilevel_bisect(const Graph& g, vwt_t target0,
                                const MultilevelConfig& cfg, Rng& rng,
-                               PhaseTimers* timers, ThreadPool* pool,
-                               obs::PhaseMetrics* phase_metrics,
-                               BisectWorkspace* ws) {
+                               ThreadPool* pool, BisectWorkspace* ws) {
   BisectResult out;
-  const BisectStats stats = multilevel_bisect_into(g, target0, cfg, rng, out.bisection,
-                                                   timers, pool, phase_metrics, ws);
+  const BisectStats stats =
+      multilevel_bisect_into(g, target0, cfg, rng, out.bisection, pool, ws);
   out.levels = stats.levels;
   out.coarsest_n = stats.coarsest_n;
   out.refine_stats = stats.refine_stats;
@@ -56,14 +55,12 @@ BisectResult multilevel_bisect(const Graph& g, vwt_t target0,
 
 BisectStats multilevel_bisect_into(const Graph& g, vwt_t target0,
                                    const MultilevelConfig& cfg, Rng& rng,
-                                   Bisection& out_b, PhaseTimers* timers,
-                                   ThreadPool* pool, obs::PhaseMetrics* phase_metrics,
+                                   Bisection& out_b, ThreadPool* pool,
                                    BisectWorkspace* ext_ws) {
   obs::Span bisect_span("bisect");
   bisect_span.arg("n", g.num_vertices());
   throw_if_cancelled(cfg.cancel);
 
-  PhaseTimers pt;  // forwarded to timers / phase_metrics on exit
   BisectStats out;
 
   // Workspace-less callers get a call-local one: same code path throughout,
@@ -96,7 +93,6 @@ BisectStats multilevel_bisect_into(const Graph& g, vwt_t target0,
   // recycles); num_levels tracks how many this call actually used.
   std::size_t num_levels = 0;
   {
-    ScopedPhase phase(pt, PhaseTimers::kCoarsen);
     const CoarseningStrategy& strategy = coarsening_strategy(cfg.coarsen.strategy);
     if (ob) {
       ob->metrics.record_max(ob->pipeline.coarsen_strategy,
@@ -106,7 +102,7 @@ BisectStats multilevel_bisect_into(const Graph& g, vwt_t target0,
     std::span<const ewt_t> cewgt;  // empty at level 0
     while (cur->num_vertices() > cfg.coarsen_to) {
       throw_if_cancelled(cfg.cancel);
-      obs::Span level_span("coarsen");
+      obs::PhaseScope level_span(ob, obs::Phase::kCoarsen, "coarsen");
       level_span.arg("level", static_cast<std::int64_t>(num_levels));
       level_span.arg("n", cur->num_vertices());
       if (ws.levels.size() <= num_levels) {
@@ -171,8 +167,7 @@ BisectStats multilevel_bisect_into(const Graph& g, vwt_t target0,
   throw_if_cancelled(cfg.cancel);
   Bisection& b = out_b;
   {
-    ScopedPhase phase(pt, PhaseTimers::kInitPart);
-    obs::Span span("initpart");
+    obs::PhaseScope span(ob, obs::Phase::kInitPart, "initpart");
     span.arg("n", coarsest.num_vertices());
     std::vector<ewt_t> trial_cuts;
     initial_partition(coarsest, target0, cfg, rng,
@@ -195,8 +190,7 @@ BisectStats multilevel_bisect_into(const Graph& g, vwt_t target0,
         (li == 0 ||
          static_cast<int>((num_levels - li)) % cfg.refine_period == 0);
     if (refine_here) {
-      ScopedPhase phase(pt, PhaseTimers::kRefine);
-      obs::Span span("refine");
+      obs::PhaseScope span(ob, obs::Phase::kRefine, "refine");
       span.arg("level", static_cast<std::int64_t>(li));
       span.arg("n", level_graph.num_vertices());
       const ewt_t cut_before = b.cut;
@@ -256,8 +250,7 @@ BisectStats multilevel_bisect_into(const Graph& g, vwt_t target0,
     // Project P_{i+1} to P_i: each fine vertex inherits its multinode's side.
     // The side buffer ping-pongs with ws.proj, so projection reuses the same
     // two buffers all the way down the ladder.
-    ScopedPhase phase(pt, PhaseTimers::kProject);
-    obs::Span span("project");
+    obs::PhaseScope span(ob, obs::Phase::kProject, "project");
     span.arg("level", static_cast<std::int64_t>(li));
     const std::vector<vid_t>& cmap = ws.levels[li - 1]->cmap;
     ws.proj.resize(cmap.size());
@@ -284,14 +277,6 @@ BisectStats multilevel_bisect_into(const Graph& g, vwt_t target0,
     rep.final_balance = bisection_balance(g, b, target0);
     ob->report.add_bisection(std::move(rep));
   }
-
-  if (timers) {
-    for (int p = 0; p < PhaseTimers::kNumPhases; ++p) {
-      timers->add(static_cast<PhaseTimers::Phase>(p),
-                  pt.get(static_cast<PhaseTimers::Phase>(p)));
-    }
-  }
-  if (phase_metrics) phase_metrics->add(pt);
   return out;
 }
 

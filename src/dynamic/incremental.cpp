@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "core/kway.hpp"
+#include "obs/phase.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "support/rng.hpp"
@@ -28,64 +29,27 @@ RepartitionResult run_scratch(const Graph& g, part_t k,
   res.reason = reason;
   Rng rng(seed);
   res.cut = kway_partition_direct_into(g, k, icfg.direct, rng, ws.direct, bws,
-                                       state.part, nullptr, pool);
+                                       state.part, pool);
   state.cut = res.cut;
   state.cut_estimate = static_cast<double>(res.cut);
   return res;
 }
 
-}  // namespace
-
-std::size_t IncrementalWorkspace::bytes_reserved() const {
-  return direct.bytes_reserved() + vec_bytes(pwgts) + vec_bytes(active) +
-         vec_bytes(conn) + vec_bytes(conn_touched);
-}
-
-RepartitionResult repartition_after_delta(
-    const Graph& g, part_t k, const IncrementalConfig& icfg,
-    std::uint64_t seed, LabelState& state, std::uint64_t new_fingerprint,
-    std::span<const vid_t> touched, double churn_ratio,
-    IncrementalWorkspace& ws, BisectWorkspace* bws, ThreadPool* pool) {
-  obs::Obs* ob = icfg.direct.base.obs;
-  const auto finish = [&](RepartitionResult res) {
-    assert(check_kway_answer(g, state.part, k, res.cut).empty());
-    state.fingerprint = new_fingerprint;
-    state.valid = true;
-    if (ob != nullptr) {
-      ob->metrics.add(ob->pipeline.dyn_repartitions);
-      if (res.from_scratch) ob->metrics.add(ob->pipeline.dyn_fallbacks);
-    }
-    return res;
-  };
-  const auto scratch = [&](RepartitionResult::Reason why) {
-    return finish(
-        run_scratch(g, k, icfg, seed, state, why, ws, bws, pool));
-  };
-
-  if (!state.valid || k <= 0) {
-    return scratch(RepartitionResult::Reason::kNoPrevious);
-  }
-  if (churn_ratio > icfg.full_rebuild_ratio) {
-    return scratch(RepartitionResult::Reason::kChurnRatio);
-  }
-
-  obs::Span span("dynamic.repartition");
-  const vid_t n = g.num_vertices();
-  const vid_t old_n = static_cast<vid_t>(state.part.size());
-  if (old_n > n) return scratch(RepartitionResult::Reason::kNoPrevious);
-  span.arg("n", n);
-  span.arg("touched", static_cast<std::int64_t>(touched.size()));
-
+/// Carries the previous labelling over to g (whose first old_n vertices it
+/// labelled) and places the new vertices: the warm path's projection phase.
+/// False when a label is outside [0, k): the state belongs to a different k.
+bool project_labels(const Graph& g, part_t k, vid_t old_n, std::vector<part_t>& part,
+                    IncrementalWorkspace& ws, obs::Obs* ob) {
+  obs::PhaseScope phase(ob, obs::Phase::kProject, "dynamic.project");
   // --- Project the previous labelling and rebuild part weights (one O(n)
-  // rescan; tombstones weigh 0, so keeping their stale label is free).  A
-  // label out of [0, k) means the state belongs to a different k — refuse.
-  std::vector<part_t>& part = state.part;
+  // rescan; tombstones weigh 0, so keeping their stale label is free).
+  const vid_t n = g.num_vertices();
   part.resize(static_cast<std::size_t>(n));
   const std::size_t kk = static_cast<std::size_t>(k);
   ws.pwgts.assign(kk, 0);
   for (vid_t v = 0; v < old_n; ++v) {
     const part_t p = part[static_cast<std::size_t>(v)];
-    if (p < 0 || p >= k) return scratch(RepartitionResult::Reason::kNoPrevious);
+    if (p < 0 || p >= k) return false;
     ws.pwgts[static_cast<std::size_t>(p)] += g.vertex_weight(v);
   }
 
@@ -136,6 +100,55 @@ RepartitionResult repartition_after_delta(
     part[static_cast<std::size_t>(v)] = best;
     ws.pwgts[static_cast<std::size_t>(best)] += g.vertex_weight(v);
   }
+  return true;
+}
+
+}  // namespace
+
+std::size_t IncrementalWorkspace::bytes_reserved() const {
+  return direct.bytes_reserved() + vec_bytes(pwgts) + vec_bytes(active) +
+         vec_bytes(conn) + vec_bytes(conn_touched);
+}
+
+RepartitionResult repartition_after_delta(
+    const Graph& g, part_t k, const IncrementalConfig& icfg,
+    std::uint64_t seed, LabelState& state, std::uint64_t new_fingerprint,
+    std::span<const vid_t> touched, double churn_ratio,
+    IncrementalWorkspace& ws, BisectWorkspace* bws, ThreadPool* pool) {
+  obs::Obs* ob = icfg.direct.base.obs;
+  const auto finish = [&](RepartitionResult res) {
+    assert(check_kway_answer(g, state.part, k, res.cut).empty());
+    state.fingerprint = new_fingerprint;
+    state.valid = true;
+    if (ob != nullptr) {
+      ob->metrics.add(ob->pipeline.dyn_repartitions);
+      if (res.from_scratch) ob->metrics.add(ob->pipeline.dyn_fallbacks);
+    }
+    return res;
+  };
+  const auto scratch = [&](RepartitionResult::Reason why) {
+    return finish(
+        run_scratch(g, k, icfg, seed, state, why, ws, bws, pool));
+  };
+
+  if (!state.valid || k <= 0) {
+    return scratch(RepartitionResult::Reason::kNoPrevious);
+  }
+  if (churn_ratio > icfg.full_rebuild_ratio) {
+    return scratch(RepartitionResult::Reason::kChurnRatio);
+  }
+
+  obs::Span span("dynamic.repartition");
+  const vid_t n = g.num_vertices();
+  const vid_t old_n = static_cast<vid_t>(state.part.size());
+  if (old_n > n) return scratch(RepartitionResult::Reason::kNoPrevious);
+  span.arg("n", n);
+  span.arg("touched", static_cast<std::int64_t>(touched.size()));
+
+  if (!project_labels(g, k, old_n, state.part, ws, ob)) {
+    return scratch(RepartitionResult::Reason::kNoPrevious);
+  }
+  std::vector<part_t>& part = state.part;
 
   // --- Balance envelope: identical to the direct path's finest level, so
   // incremental and from-scratch answers live under the same constraint.
@@ -157,12 +170,16 @@ RepartitionResult repartition_after_delta(
     for (vid_t u : g.neighbors(v)) ws.active[static_cast<std::size_t>(u)] = 1;
   }
 
-  kway_balance(g, part, k, ws.pwgts, max_part_weight, min_part_weight,
-               ws.direct.refine);
-  ws.direct.ceilings.assign(static_cast<std::size_t>(k), max_part_weight);
-  const KwayRefineResult rr = kway_parallel_refine_active(
-      g, part, k, ws.pwgts, ws.direct.ceilings, min_part_weight, icfg.refine_passes,
-      pool, ws.direct.refine, {ws.active});
+  KwayRefineResult rr;
+  {
+    obs::PhaseScope refine(ob, obs::Phase::kRefine, "dynamic.refine");
+    kway_balance(g, part, k, ws.pwgts, max_part_weight, min_part_weight,
+                 ws.direct.refine);
+    ws.direct.ceilings.assign(static_cast<std::size_t>(k), max_part_weight);
+    rr = kway_parallel_refine_active(g, part, k, ws.pwgts, ws.direct.ceilings,
+                                     min_part_weight, icfg.refine_passes, pool,
+                                     ws.direct.refine, {ws.active});
+  }
   if (ob != nullptr) {
     ob->metrics.add(ob->pipeline.kway_rounds, rr.rounds);
     ob->metrics.add(ob->pipeline.kway_gathers, rr.gathers);

@@ -12,14 +12,15 @@
 // Substrates.
 #include "support/types.hpp"       // vid_t / eid_t / weights
 #include "support/rng.hpp"         // deterministic randomness
-#include "support/timer.hpp"       // phase timing (CTime/ITime/RTime/PTime)
+#include "support/timer.hpp"       // wall-clock stopwatch
 #include "support/thread_pool.hpp" // work-helping pool for the parallel pipeline
 #include "support/bucket_queue.hpp"
 
-// Observability: tracing spans, sharded metrics, structured run reports.
-// Attach an obs::Obs via MultilevelConfig::obs; see DESIGN.md §6.
+// Observability: tracing spans, sharded metrics, phase times, structured
+// run reports.  Attach an obs::Obs via MultilevelConfig::obs; see DESIGN.md §6.
 #include "obs/trace.hpp"
 #include "obs/metrics.hpp"
+#include "obs/phase.hpp"           // CTime/ITime/RTime/PTime counters
 #include "obs/report.hpp"
 
 // Graphs.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 
 namespace mgp::obs {
 namespace {
@@ -211,51 +210,5 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   }
   return snap;
 }
-
-// ---- PhaseMetrics ---------------------------------------------------------
-
-namespace {
-constexpr const char* kPhaseMetricNames[PhaseTimers::kNumPhases] = {
-    "phase.coarsen_ns", "phase.initpart_ns", "phase.refine_ns", "phase.project_ns"};
-}  // namespace
-
-PhaseMetrics::PhaseMetrics(MetricsRegistry& reg) : reg_(reg) {
-  for (int p = 0; p < PhaseTimers::kNumPhases; ++p) {
-    ids_[p] = reg.counter(kPhaseMetricNames[p]);
-  }
-}
-
-void PhaseMetrics::add_ns(PhaseTimers::Phase phase, std::int64_t ns) {
-  reg_.add(ids_[phase], ns);
-}
-
-void PhaseMetrics::add(const PhaseTimers& local) {
-  for (int p = 0; p < PhaseTimers::kNumPhases; ++p) {
-    const double s = local.get(static_cast<PhaseTimers::Phase>(p));
-    if (s > 0) reg_.add(ids_[p], static_cast<std::int64_t>(s * 1e9));
-  }
-}
-
-void PhaseMetrics::merge_into(PhaseTimers& out) const {
-  for (int p = 0; p < PhaseTimers::kNumPhases; ++p) {
-    out.add(static_cast<PhaseTimers::Phase>(p),
-            static_cast<double>(reg_.current(ids_[p])) * 1e-9);
-  }
-}
-
-PhaseTimers PhaseMetrics::view() const {
-  PhaseTimers pt;
-  merge_into(pt);
-  return pt;
-}
-
-std::int64_t PhaseMetrics::Scope::now_ns_() {
-  using clock = std::chrono::steady_clock;
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             clock::now().time_since_epoch())
-      .count();
-}
-
-std::int64_t PhaseMetrics::Scope::timer_ns() const { return now_ns_() - start_ns_; }
 
 }  // namespace mgp::obs

@@ -8,9 +8,9 @@
 // snapshot() merges all shards under per-shard mutexes that the hot path
 // never takes.  This is the same per-thread-shard / merge-at-read design
 // modern servers use for request counters, applied to the partitioning
-// pipeline: concurrent bisections of the PR-1 fork/join tree can account
-// their phase times and KL statistics without the per-bisection mutex merge
-// the pre-obs code used (see core/kway.cpp).
+// pipeline: concurrent bisections of the fork/join tree can account their
+// phase times (obs/phase.hpp) and KL statistics without a per-bisection
+// mutex merge.
 //
 // Registration (counter()/max_gauge()/histogram()) is cold-path and
 // idempotent by name; handles are small integer ids.  Capacity is bounded
@@ -31,8 +31,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "support/timer.hpp"
 
 namespace mgp::obs {
 
@@ -130,45 +128,6 @@ class MetricsRegistry {
   std::atomic<int> num_metrics_{0};
   int num_slots_ = 0;  // total slots registered (under mu_)
   std::vector<std::unique_ptr<Shard>> shards_;
-};
-
-/// The paper's phase-time accounting (CTime/ITime/RTime/PTime) on top of
-/// the sharded registry: concurrent bisections add nanoseconds to their own
-/// thread's shard, and view() / merge_into() produce the familiar
-/// PhaseTimers vocabulary at snapshot time.  This replaces the pre-obs
-/// mutex-merge in core/kway.cpp.
-class PhaseMetrics {
- public:
-  explicit PhaseMetrics(MetricsRegistry& reg);
-
-  /// Adds nanoseconds to one phase (calling thread's shard; lock-free).
-  void add_ns(PhaseTimers::Phase phase, std::int64_t ns);
-  /// Adds a per-call PhaseTimers accumulation (seconds -> ns).
-  void add(const PhaseTimers& local);
-  /// Adds the merged phase times into `out` in seconds.
-  void merge_into(PhaseTimers& out) const;
-  /// Merged phase times as the paper-vocabulary accumulator.
-  PhaseTimers view() const;
-
-  /// RAII scope that times into one phase (analogue of ScopedPhase).
-  class Scope {
-   public:
-    Scope(PhaseMetrics& pm, PhaseTimers::Phase phase) : pm_(pm), phase_(phase) {}
-    ~Scope() { pm_.add_ns(phase_, timer_ns()); }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    std::int64_t timer_ns() const;
-    PhaseMetrics& pm_;
-    PhaseTimers::Phase phase_;
-    std::int64_t start_ns_ = now_ns_();
-    static std::int64_t now_ns_();
-  };
-
- private:
-  MetricsRegistry& reg_;
-  MetricsRegistry::Id ids_[PhaseTimers::kNumPhases];
 };
 
 }  // namespace mgp::obs

@@ -14,14 +14,6 @@ void RunReport::add_bisection(BisectionReport&& rep) {
   bisections_.push_back(std::move(rep));
 }
 
-void RunReport::add_phase_times(const PhaseTimers& pt) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (int p = 0; p < PhaseTimers::kNumPhases; ++p) {
-    const auto phase = static_cast<PhaseTimers::Phase>(p);
-    phases_.add(phase, pt.get(phase));
-  }
-}
-
 std::size_t RunReport::num_bisections() const {
   std::lock_guard<std::mutex> lock(mu_);
   return bisections_.size();
@@ -30,11 +22,6 @@ std::size_t RunReport::num_bisections() const {
 std::vector<BisectionReport> RunReport::bisections() const {
   std::lock_guard<std::mutex> lock(mu_);
   return bisections_;
-}
-
-PhaseTimers RunReport::phase_times() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return phases_;
 }
 
 namespace {
@@ -132,11 +119,13 @@ void write_metrics_json(JsonWriter& w, const MetricsSnapshot& snap) {
 void RunReport::write_json(std::ostream& os, const MetricsSnapshot* metrics) const {
   // Copy under the lock, then serialize lock-free.
   std::vector<BisectionReport> bis;
-  PhaseTimers phases;
   {
     std::lock_guard<std::mutex> lock(mu_);
     bis = bisections_;
-    phases = phases_;
+  }
+  double phase_s[kNumPhases] = {};
+  for (int p = 0; metrics && p < kNumPhases; ++p) {
+    phase_s[p] = static_cast<double>(metrics->counter_value(kPhaseCounterNames[p])) / 1e9;
   }
   // Pool scheduling decides completion order; sort by a content key so the
   // same run always serializes the same report.
@@ -156,11 +145,11 @@ void RunReport::write_json(std::ostream& os, const MetricsSnapshot* metrics) con
   w.kv("seed", static_cast<std::uint64_t>(seed));
   w.key("phase_times");
   w.begin_object();
-  w.kv("ctime_s", phases.get(PhaseTimers::kCoarsen));
-  w.kv("itime_s", phases.get(PhaseTimers::kInitPart));
-  w.kv("rtime_s", phases.get(PhaseTimers::kRefine));
-  w.kv("ptime_s", phases.get(PhaseTimers::kProject));
-  w.kv("utime_s", phases.utime());
+  w.kv("ctime_s", phase_s[0]);
+  w.kv("itime_s", phase_s[1]);
+  w.kv("rtime_s", phase_s[2]);
+  w.kv("ptime_s", phase_s[3]);
+  w.kv("utime_s", phase_s[1] + phase_s[2] + phase_s[3]);
   w.end_object();
   if (metrics) {
     w.key("metrics");
@@ -226,6 +215,8 @@ Obs::PipelineMetrics::PipelineMetrics(MetricsRegistry& reg)
       arena_reuse_hits(reg.counter("arena.reuse_hits")),
       arena_workspaces(reg.counter("arena.workspaces")),
       dyn_repartitions(reg.counter("dynamic.repartitions")),
-      dyn_fallbacks(reg.counter("dynamic.fallbacks")) {}
+      dyn_fallbacks(reg.counter("dynamic.fallbacks")),
+      phase_ns{reg.counter(kPhaseCounterNames[0]), reg.counter(kPhaseCounterNames[1]),
+               reg.counter(kPhaseCounterNames[2]), reg.counter(kPhaseCounterNames[3])} {}
 
 }  // namespace mgp::obs

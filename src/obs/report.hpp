@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "support/timer.hpp"
+#include "obs/phase.hpp"
 
 namespace mgp::obs {
 
@@ -84,9 +84,9 @@ struct BisectionReport {
   double final_balance = 0.0;
 };
 
-/// A whole run: metadata + phase times + every bisection.  Thread-safe
-/// appends; bisections are sorted by a content key at serialization time so
-/// the report is stable regardless of pool scheduling.
+/// A whole run: metadata + every bisection.  Thread-safe appends;
+/// bisections are sorted by a content key at serialization time so the
+/// report is stable regardless of pool scheduling.
 class RunReport {
  public:
   static constexpr int kVersion = 1;
@@ -100,16 +100,13 @@ class RunReport {
   /// Appends a finished bisection (thread-safe; once per bisection).
   void add_bisection(BisectionReport&& rep);
 
-  /// Accumulates phase times in the paper's vocabulary (thread-safe).
-  void add_phase_times(const PhaseTimers& pt);
-
   std::size_t num_bisections() const;
   /// Copy of the collected bisections (test/aggregation use).
   std::vector<BisectionReport> bisections() const;
-  PhaseTimers phase_times() const;
 
   /// Serializes the report (schema/run_report.schema.json).  When `metrics`
-  /// is non-null its snapshot is embedded under "metrics".
+  /// is non-null its snapshot is embedded under "metrics" and "phase_times"
+  /// is read from its phase.*_ns counters; without it the times are zero.
   void write_json(std::ostream& os, const MetricsSnapshot* metrics = nullptr) const;
   std::string to_json(const MetricsSnapshot* metrics = nullptr) const;
   bool write_json_file(const std::string& path,
@@ -118,7 +115,6 @@ class RunReport {
  private:
   mutable std::mutex mu_;
   std::vector<BisectionReport> bisections_;
-  PhaseTimers phases_;
 };
 
 /// The observability context threaded through the pipeline via
@@ -163,6 +159,8 @@ struct Obs {
     MetricsRegistry::Id dyn_repartitions;  ///< counter: delta repartitions served
     MetricsRegistry::Id dyn_fallbacks;     ///< counter: deltas that fell back to
                                            ///< from-scratch direct k-way
+    /// Counters: nanoseconds per Phase (kPhaseCounterNames), fed by PhaseScope.
+    MetricsRegistry::Id phase_ns[kNumPhases];
     explicit PipelineMetrics(MetricsRegistry& reg);
   } pipeline;
 

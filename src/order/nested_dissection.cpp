@@ -108,7 +108,7 @@ std::vector<vid_t> mlnd_order(const Graph& g, const MultilevelConfig& cfg,
   return dissect(
       g,
       [&](const Graph& sub, vwt_t target0, Rng& r, Bisection& out) {
-        multilevel_bisect_into(sub, target0, cfg, r, out, nullptr, nullptr, nullptr,
+        multilevel_bisect_into(sub, target0, cfg, r, out, nullptr,
                                &sub == &g ? nullptr : &ws);
       },
       opts, rng);

@@ -1,5 +1,6 @@
 #include "server/protocol.hpp"
 
+#include <bit>
 #include <cstring>
 #include <limits>
 
@@ -19,6 +20,34 @@ void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
 
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+/// Stores `v` little-endian at `p` and returns the next write position.
+template <typename U>
+std::uint8_t* store_le(std::uint8_t* p, U v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  return p + sizeof v;
+}
+
+/// Appends the wire graph region: n and arcs (u64), then xadj (u64), adjncy
+/// (u32), vwgt (u64) and adjwgt (u64).  `out` grows once and the words are
+/// stored through a pointer, not pushed byte by byte.
+void put_graph_region(const Graph& g, std::vector<std::uint8_t>& out) {
+  const auto n = static_cast<std::uint64_t>(g.num_vertices());
+  const auto arcs = static_cast<std::uint64_t>(g.num_arcs());
+  const std::size_t at = out.size();
+  out.resize(at + 16 + 8 * (n + 1) + 4 * arcs + 8 * n + 8 * arcs);
+  std::uint8_t* p = out.data() + at;
+  p = store_le(p, n);
+  p = store_le(p, arcs);
+  for (eid_t x : g.xadj()) p = store_le(p, static_cast<std::uint64_t>(x));
+  for (vid_t v : g.adjncy()) p = store_le(p, static_cast<std::uint32_t>(v));
+  for (vwt_t w : g.vwgt()) p = store_le(p, static_cast<std::uint64_t>(w));
+  for (ewt_t w : g.adjwgt()) p = store_le(p, static_cast<std::uint64_t>(w));
 }
 
 std::uint32_t get_u32(const std::uint8_t* p) {
@@ -254,12 +283,7 @@ void encode_partition_request(const Graph& g, const RequestOptions& opts,
   out.push_back(static_cast<std::uint8_t>(opts.kway_mode));
   put_u32(out, static_cast<std::uint32_t>(opts.coarsen_to));
   put_u64(out, opts.deadline_ms);
-  put_u64(out, n);
-  put_u64(out, arcs);
-  for (eid_t x : g.xadj()) put_u64(out, static_cast<std::uint64_t>(x));
-  for (vid_t v : g.adjncy()) put_u32(out, static_cast<std::uint32_t>(v));
-  for (vwt_t w : g.vwgt()) put_u64(out, static_cast<std::uint64_t>(w));
-  for (ewt_t w : g.adjwgt()) put_u64(out, static_cast<std::uint64_t>(w));
+  put_graph_region(g, out);
 }
 
 void encode_partition_response(std::span<const part_t> part, part_t k, ewt_t edge_cut,
@@ -341,15 +365,7 @@ bool decode_stats_response(std::span<const std::uint8_t> payload, std::string& j
 
 void encode_pin_request(const Graph& g, std::vector<std::uint8_t>& out) {
   out.clear();
-  const auto n = static_cast<std::uint64_t>(g.num_vertices());
-  const auto arcs = static_cast<std::uint64_t>(g.num_arcs());
-  out.reserve(kPinHeadBytes + 8 * (n + 1) + 4 * arcs + 8 * n + 8 * arcs);
-  put_u64(out, n);
-  put_u64(out, arcs);
-  for (eid_t x : g.xadj()) put_u64(out, static_cast<std::uint64_t>(x));
-  for (vid_t v : g.adjncy()) put_u32(out, static_cast<std::uint32_t>(v));
-  for (vwt_t w : g.vwgt()) put_u64(out, static_cast<std::uint64_t>(w));
-  for (ewt_t w : g.adjwgt()) put_u64(out, static_cast<std::uint64_t>(w));
+  put_graph_region(g, out);
 }
 
 Status decode_pin_request(std::span<const std::uint8_t> payload,

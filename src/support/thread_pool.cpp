@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "obs/phase.hpp"
 #include "obs/trace.hpp"
 
 namespace mgp {
@@ -43,6 +44,9 @@ bool ThreadPool::run_one() {
     queue_.pop_front();
   }
   {
+    // A helping thread may sit inside a phase scope; the task's own phases
+    // must still record (obs/phase.hpp).  Idle workers are at depth 0.
+    obs::PhaseTaskDepth depth;
     obs::Span span("pool.task");
     task();
   }

@@ -1,13 +1,8 @@
-// Wall-clock timers and a phase-time accumulator.
-//
-// The paper reports per-phase times (CTime, ITime, RTime, PTime, UTime); the
-// PhaseTimers accumulator mirrors that breakdown so bench binaries can print
-// table rows in the paper's own vocabulary.
+// Wall-clock stopwatch.  The paper's per-phase times (CTime, ITime, RTime,
+// PTime) are kept by obs::PhaseScope (obs/phase.hpp).
 #pragma once
 
 #include <chrono>
-#include <string>
-#include <vector>
 
 namespace mgp {
 
@@ -24,43 +19,6 @@ class Timer {
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// Named accumulating timers, matching the paper's phase breakdown:
-/// coarsen (CTime), initpart (ITime), refine (RTime), project (PTime).
-/// UTime = ITime + RTime + PTime, as defined in Section 4.1.
-class PhaseTimers {
- public:
-  enum Phase { kCoarsen = 0, kInitPart, kRefine, kProject, kNumPhases };
-
-  void add(Phase p, double seconds) { acc_[p] += seconds; }
-  double get(Phase p) const { return acc_[p]; }
-  /// Uncoarsening time as the paper defines it.
-  double utime() const { return acc_[kInitPart] + acc_[kRefine] + acc_[kProject]; }
-  double total() const {
-    double t = 0;
-    for (double a : acc_) t += a;
-    return t;
-  }
-  void clear() { for (double& a : acc_) a = 0; }
-
- private:
-  double acc_[kNumPhases] = {0, 0, 0, 0};
-};
-
-/// RAII guard that adds its lifetime to a PhaseTimers slot.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseTimers& timers, PhaseTimers::Phase phase)
-      : timers_(timers), phase_(phase) {}
-  ~ScopedPhase() { timers_.add(phase_, timer_.seconds()); }
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseTimers& timers_;
-  PhaseTimers::Phase phase_;
-  Timer timer_;
 };
 
 }  // namespace mgp

@@ -160,7 +160,7 @@ TEST(StrategyPropertyTest, PartitionsByteIdenticalAcrossPoolSizes) {
       for (int threads : kPoolSizes) {
         ThreadPool pool(threads);
         Rng rng(1234);
-        KwayResult r = kway_partition(g, 4, cfg, rng, nullptr, &pool);
+        KwayResult r = kway_partition(g, 4, cfg, rng, &pool);
         ASSERT_EQ(check_partition(g, r.part, 4), "")
             << name << " strategy=" << to_string(kind) << " t=" << threads;
         if (threads == kPoolSizes[0]) {
@@ -176,7 +176,7 @@ TEST(StrategyPropertyTest, PartitionsByteIdenticalAcrossPoolSizes) {
         // the no-pool path must match the pooled bytes (kMatching keeps the
         // documented threads==1 sequential-HEM caveat).
         Rng rng(1234);
-        KwayResult r = kway_partition(g, 4, cfg, rng, nullptr, nullptr);
+        KwayResult r = kway_partition(g, 4, cfg, rng, nullptr);
         ASSERT_EQ(r.part, reference)
             << "no-pool partition differs: " << name
             << " strategy=" << to_string(kind);

@@ -7,6 +7,7 @@
 
 #include "graph/generators.hpp"
 #include "metrics/partition_metrics.hpp"
+#include "obs/report.hpp"
 #include "support/thread_pool.hpp"
 #include "support/workspace.hpp"
 
@@ -264,7 +265,7 @@ TEST(KwayDirectTest, IntoMatchesWrapper) {
   ThreadPool pool(2);
   Rng r4(17);
   const ewt_t pooled =
-      kway_partition_direct_into(g, 12, cfg, r4, dws, &bws, part, nullptr, &pool);
+      kway_partition_direct_into(g, 12, cfg, r4, dws, &bws, part, &pool);
   EXPECT_EQ(pooled, pooled_wrapped.edge_cut);
   EXPECT_EQ(part, pooled_wrapped.part);
 }
@@ -281,11 +282,13 @@ TEST(KwayDirectTest, TimersPopulated) {
   Graph g = fem2d_tri(25, 25, 15);
   Rng rng(2);
   KwayDirectConfig cfg;
-  PhaseTimers timers;
-  kway_partition_direct(g, 8, cfg, rng, &timers);
-  EXPECT_GT(timers.get(PhaseTimers::kCoarsen), 0.0);
-  EXPECT_GT(timers.get(PhaseTimers::kInitPart), 0.0);
-  EXPECT_GT(timers.get(PhaseTimers::kRefine), 0.0);
+  obs::Obs ob;
+  cfg.base.obs = &ob;
+  kway_partition_direct(g, 8, cfg, rng);
+  const obs::MetricsSnapshot snap = ob.metrics.snapshot();
+  EXPECT_GT(snap.counter_value("phase.coarsen_ns"), 0);
+  EXPECT_GT(snap.counter_value("phase.initpart_ns"), 0);
+  EXPECT_GT(snap.counter_value("phase.refine_ns"), 0);
 }
 
 }  // namespace

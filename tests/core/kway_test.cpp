@@ -7,6 +7,7 @@
 #include "core/split_recursion.hpp"
 #include "graph/generators.hpp"
 #include "metrics/partition_metrics.hpp"
+#include "obs/report.hpp"
 #include "support/workspace.hpp"
 
 namespace mgp {
@@ -121,10 +122,15 @@ TEST(KwayTest, TimersAccumulateAcrossBisections) {
   Graph g = fem2d_tri(25, 25, 7);
   Rng rng(7);
   MultilevelConfig cfg;
-  PhaseTimers timers;
-  kway_partition(g, 8, cfg, rng, &timers);
-  EXPECT_GT(timers.get(PhaseTimers::kCoarsen), 0.0);
-  EXPECT_GT(timers.utime(), 0.0);
+  obs::Obs ob;
+  cfg.obs = &ob;
+  kway_partition(g, 8, cfg, rng);
+  const obs::MetricsSnapshot snap = ob.metrics.snapshot();
+  EXPECT_GT(snap.counter_value("phase.coarsen_ns"), 0);
+  EXPECT_GT(snap.counter_value("phase.initpart_ns") +
+                snap.counter_value("phase.refine_ns") +
+                snap.counter_value("phase.project_ns"),
+            0);
 }
 
 TEST(KwayTest, DeterministicGivenSeed) {
@@ -200,11 +206,11 @@ TEST(KwayTest, PinnedPartitionForFixedSeed) {
   // differs from the sequential one: proposal HEM replaces sequential HEM).
   ThreadPool pool(4);
   Rng prng(12345);
-  KwayResult pr = kway_partition(g, 4, cfg, prng, nullptr, &pool);
+  KwayResult pr = kway_partition(g, 4, cfg, prng, &pool);
   EXPECT_EQ(check_partition(g, pr.part, 4), "");
   ThreadPool pool1(1);
   Rng prng1(12345);
-  KwayResult pr1 = kway_partition(g, 4, cfg, prng1, nullptr, &pool1);
+  KwayResult pr1 = kway_partition(g, 4, cfg, prng1, &pool1);
   EXPECT_EQ(pr.part, pr1.part);
 }
 
@@ -219,13 +225,13 @@ TEST(KwayTest, KwayPartitionEqualsRecursiveBisectionOnEveryPool) {
   for (int threads : {1, 2, 4, 8}) {
     ThreadPool pool(threads);
     Rng r1(1995);
-    const KwayResult expect = kway_partition(g, 8, cfg, r1, nullptr, &pool);
+    const KwayResult expect = kway_partition(g, 8, cfg, r1, &pool);
 
     WorkspacePool wpool;
     const Bisector bisect = [&](const Graph& sub, vwt_t target0, Rng& r) {
       WorkspacePool::Lease lease = wpool.checkout();
       Bisection b;
-      multilevel_bisect_into(sub, target0, cfg, r, b, nullptr, &pool, nullptr, lease.get());
+      multilevel_bisect_into(sub, target0, cfg, r, b, &pool, lease.get());
       return b;
     };
     Rng r2(1995);

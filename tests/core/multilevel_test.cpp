@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "graph/generators.hpp"
+#include "obs/report.hpp"
 
 namespace mgp {
 namespace {
@@ -52,12 +53,14 @@ TEST(MultilevelTest, TimersArePopulated) {
   Graph g = fem2d_tri(30, 30, 4);
   Rng rng(5);
   MultilevelConfig cfg;
-  PhaseTimers timers;
-  multilevel_bisect(g, g.total_vertex_weight() / 2, cfg, rng, &timers);
-  EXPECT_GT(timers.get(PhaseTimers::kCoarsen), 0.0);
-  EXPECT_GT(timers.get(PhaseTimers::kInitPart), 0.0);
-  EXPECT_GT(timers.get(PhaseTimers::kRefine), 0.0);
-  EXPECT_GT(timers.get(PhaseTimers::kProject), 0.0);
+  obs::Obs ob;
+  cfg.obs = &ob;
+  multilevel_bisect(g, g.total_vertex_weight() / 2, cfg, rng);
+  const obs::MetricsSnapshot snap = ob.metrics.snapshot();
+  EXPECT_GT(snap.counter_value("phase.coarsen_ns"), 0);
+  EXPECT_GT(snap.counter_value("phase.initpart_ns"), 0);
+  EXPECT_GT(snap.counter_value("phase.refine_ns"), 0);
+  EXPECT_GT(snap.counter_value("phase.project_ns"), 0);
 }
 
 TEST(MultilevelTest, DeterministicGivenSeed) {

@@ -298,7 +298,7 @@ TEST(AllocRegressionTest, MultilevelBisectSteadyStateIsBounded) {
 
   auto run = [&]() {
     Rng rng(12345);
-    return multilevel_bisect(g, target0, cfg, rng, nullptr, nullptr, nullptr, &ws);
+    return multilevel_bisect(g, target0, cfg, rng, nullptr, &ws);
   };
 
   run();

@@ -109,59 +109,5 @@ TEST(MetricsRegistryTest, RegistryOutlivedByNoThreadStillSnapshots) {
   EXPECT_EQ(reg.current(id), 3);
 }
 
-TEST(PhaseMetricsTest, AccumulatesAndMergesIntoPhaseTimers) {
-  MetricsRegistry reg;
-  PhaseMetrics pm(reg);
-  pm.add_ns(PhaseTimers::kCoarsen, 1'500'000'000);  // 1.5 s
-  pm.add_ns(PhaseTimers::kRefine, 500'000'000);
-  PhaseTimers pt = pm.view();
-  EXPECT_NEAR(pt.get(PhaseTimers::kCoarsen), 1.5, 1e-9);
-  EXPECT_NEAR(pt.get(PhaseTimers::kRefine), 0.5, 1e-9);
-  EXPECT_NEAR(pt.utime(), 0.5, 1e-9);
-
-  PhaseTimers out;
-  out.add(PhaseTimers::kCoarsen, 1.0);
-  pm.merge_into(out);
-  EXPECT_NEAR(out.get(PhaseTimers::kCoarsen), 2.5, 1e-9);
-}
-
-TEST(PhaseMetricsTest, AddPhaseTimersRoundTrips) {
-  MetricsRegistry reg;
-  PhaseMetrics pm(reg);
-  PhaseTimers in;
-  in.add(PhaseTimers::kInitPart, 0.25);
-  in.add(PhaseTimers::kProject, 0.75);
-  pm.add(in);
-  PhaseTimers out = pm.view();
-  EXPECT_NEAR(out.get(PhaseTimers::kInitPart), 0.25, 1e-6);
-  EXPECT_NEAR(out.get(PhaseTimers::kProject), 0.75, 1e-6);
-}
-
-TEST(PhaseMetricsTest, ConcurrentAddsFromManyThreads) {
-  MetricsRegistry reg;
-  PhaseMetrics pm(reg);
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&]() {
-      for (int i = 0; i < 1000; ++i) pm.add_ns(PhaseTimers::kRefine, 1'000'000);
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_NEAR(pm.view().get(PhaseTimers::kRefine), kThreads * 1.0, 1e-6);
-}
-
-TEST(PhaseMetricsTest, ScopeTimesItsBlock) {
-  MetricsRegistry reg;
-  PhaseMetrics pm(reg);
-  {
-    PhaseMetrics::Scope scope(pm, PhaseTimers::kInitPart);
-    volatile double sink = 0;
-    for (int i = 0; i < 10000; ++i) sink = sink + i;
-  }
-  EXPECT_GT(pm.view().get(PhaseTimers::kInitPart), 0.0);
-  EXPECT_DOUBLE_EQ(pm.view().get(PhaseTimers::kCoarsen), 0.0);
-}
-
 }  // namespace
 }  // namespace mgp::obs

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -63,18 +65,35 @@ TEST(RunReportTest, AppendsAndExposesBisections) {
   EXPECT_EQ(bis[0].levels[0].kl_passes[0].moves_kept, 10);
 }
 
+// The number that follows `"key": ` in `json`; NaN when the key is absent.
+double json_number(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  const std::size_t at = json.find(needle);
+  if (at == std::string::npos) return std::nan("");
+  return std::strtod(json.c_str() + at + needle.size(), nullptr);
+}
+
+MetricsRegistry::Id phase_id(const Obs& ob, Phase p) {
+  return ob.pipeline.phase_ns[static_cast<int>(p)];
+}
+
 TEST(RunReportTest, PhaseTimesAccumulate) {
-  RunReport rep;
-  PhaseTimers a;
-  a.add(PhaseTimers::kCoarsen, 1.0);
-  a.add(PhaseTimers::kRefine, 0.5);
-  PhaseTimers b;
-  b.add(PhaseTimers::kCoarsen, 0.25);
-  rep.add_phase_times(a);
-  rep.add_phase_times(b);
-  const PhaseTimers pt = rep.phase_times();
-  EXPECT_DOUBLE_EQ(pt.get(PhaseTimers::kCoarsen), 1.25);
-  EXPECT_DOUBLE_EQ(pt.get(PhaseTimers::kRefine), 0.5);
+  // phase_times is read from the snapshot's phase.*_ns counters.
+  Obs ob;
+  ob.metrics.add(phase_id(ob, Phase::kCoarsen), 1'000'000'000);
+  ob.metrics.add(phase_id(ob, Phase::kRefine), 500'000'000);
+  ob.metrics.add(phase_id(ob, Phase::kCoarsen), 250'000'000);
+  ob.metrics.add(phase_id(ob, Phase::kInitPart), 125'000'000);
+  const MetricsSnapshot snap = ob.metrics.snapshot();
+  EXPECT_EQ(snap.counter_value("phase.coarsen_ns"), 1'250'000'000);
+  const std::string json = ob.report.to_json(&snap);
+  EXPECT_DOUBLE_EQ(json_number(json, "ctime_s"), 1.25);
+  EXPECT_DOUBLE_EQ(json_number(json, "itime_s"), 0.125);
+  EXPECT_DOUBLE_EQ(json_number(json, "rtime_s"), 0.5);
+  EXPECT_EQ(json_number(json, "ptime_s"), 0.0);
+  EXPECT_DOUBLE_EQ(json_number(json, "utime_s"), 0.625);
+  // Without a snapshot the same report carries zero phase times.
+  EXPECT_EQ(json_number(ob.report.to_json(), "ctime_s"), 0.0);
 }
 
 TEST(RunReportTest, SerializationIsStableAcrossInsertionOrder) {
@@ -109,9 +128,6 @@ TEST(RunReportTest, JsonCarriesMetadataPhaseTimesAndStructure) {
   rep.k = 8;
   rep.threads = 4;
   rep.seed = 123456789;
-  PhaseTimers pt;
-  pt.add(PhaseTimers::kInitPart, 0.125);
-  rep.add_phase_times(pt);
   rep.add_bisection(make_bisection(64, 6));
   const std::string json = rep.to_json();
   EXPECT_NE(json.find("\"version\": 1"), std::string::npos);
@@ -120,12 +136,10 @@ TEST(RunReportTest, JsonCarriesMetadataPhaseTimesAndStructure) {
   EXPECT_NE(json.find("\"k\": 8"), std::string::npos);
   EXPECT_NE(json.find("\"threads\": 4"), std::string::npos);
   EXPECT_NE(json.find("\"seed\": 123456789"), std::string::npos);
-  // Phase times use the paper's vocabulary.
-  EXPECT_NE(json.find("\"ctime_s\""), std::string::npos);
-  EXPECT_NE(json.find("\"itime_s\": 0.125"), std::string::npos);
-  EXPECT_NE(json.find("\"rtime_s\""), std::string::npos);
-  EXPECT_NE(json.find("\"ptime_s\""), std::string::npos);
-  EXPECT_NE(json.find("\"utime_s\": 0.125"), std::string::npos);
+  // Phase times use the paper's vocabulary (zero: no snapshot to read).
+  for (const char* key : {"ctime_s", "itime_s", "rtime_s", "ptime_s", "utime_s"}) {
+    EXPECT_EQ(json_number(json, key), 0.0) << key;
+  }
   // The bisection ladder and KL pass detail survive serialization.
   EXPECT_NE(json.find("\"initpart_candidate_cuts\""), std::string::npos);
   EXPECT_NE(json.find("\"matched_fraction\": 0.5"), std::string::npos);
@@ -169,7 +183,8 @@ TEST(RunReportTest, WriteJsonFileRoundTrips) {
 }
 
 TEST(RunReportTest, ConcurrentAppendsAreSafe) {
-  RunReport rep;
+  Obs ob;
+  RunReport& rep = ob.report;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 50;
   std::vector<std::thread> threads;
@@ -177,17 +192,15 @@ TEST(RunReportTest, ConcurrentAppendsAreSafe) {
     threads.emplace_back([&, t]() {
       for (int i = 0; i < kPerThread; ++i) {
         rep.add_bisection(make_bisection(64 + t, i));
-        PhaseTimers pt;
-        pt.add(PhaseTimers::kProject, 0.001);
-        rep.add_phase_times(pt);
+        ob.metrics.add(phase_id(ob, Phase::kProject), 1'000'000);
       }
     });
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(rep.num_bisections(),
             static_cast<std::size_t>(kThreads) * kPerThread);
-  EXPECT_NEAR(rep.phase_times().get(PhaseTimers::kProject),
-              kThreads * kPerThread * 0.001, 1e-9);
+  EXPECT_EQ(ob.metrics.snapshot().counter_value("phase.project_ns"),
+            static_cast<std::int64_t>(kThreads) * kPerThread * 1'000'000);
 }
 
 TEST(ObsContextTest, PipelineMetricsArePreRegistered) {

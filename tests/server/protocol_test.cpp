@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 
 namespace mgp::server {
@@ -18,6 +19,35 @@ std::vector<std::uint8_t> encode_request(const Graph& g, const RequestOptions& o
   std::vector<std::uint8_t> out;
   encode_partition_request(g, opts, out);
   return out;
+}
+
+/// Byte-at-a-time reference for the wire graph region (n, arcs, xadj,
+/// adjncy, vwgt, adjwgt, all little-endian), the layout every pin
+/// fingerprint and cache key hashes.
+void put_le_ref(std::vector<std::uint8_t>& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+void graph_region_ref(const Graph& g, std::vector<std::uint8_t>& out) {
+  put_le_ref(out, static_cast<std::uint64_t>(g.num_vertices()), 8);
+  put_le_ref(out, static_cast<std::uint64_t>(g.num_arcs()), 8);
+  for (eid_t x : g.xadj()) put_le_ref(out, static_cast<std::uint64_t>(x), 8);
+  for (vid_t v : g.adjncy()) put_le_ref(out, static_cast<std::uint32_t>(v), 4);
+  for (vwt_t w : g.vwgt()) put_le_ref(out, static_cast<std::uint64_t>(w), 8);
+  for (ewt_t w : g.adjwgt()) put_le_ref(out, static_cast<std::uint64_t>(w), 8);
+}
+
+/// Vertex and edge weights past one byte, and vertex 5 isolated.
+Graph weighted_graph_with_isolated_vertex() {
+  GraphBuilder b(7);
+  for (vid_t v = 0; v < 7; ++v) b.set_vertex_weight(v, 1 + 300 * v);
+  b.add_edge(0, 1, 70000);
+  b.add_edge(1, 2, 3);
+  b.add_edge(2, 3, 1LL << 40);
+  b.add_edge(3, 4, 258);
+  b.add_edge(4, 6, 9);
+  b.add_edge(0, 6, 1);
+  return std::move(b).build();
 }
 
 TEST(FrameHeaderTest, RoundTrip) {
@@ -90,6 +120,27 @@ TEST(RequestCodecTest, GraphRoundTrip) {
     ASSERT_EQ(back.adjncy()[i], g.adjncy()[i]);
     ASSERT_EQ(back.adjwgt()[i], g.adjwgt()[i]);
   }
+}
+
+TEST(RequestCodecTest, EncoderMatchesByteAtATimeReference) {
+  const Graph g = weighted_graph_with_isolated_vertex();
+  ASSERT_EQ(g.neighbors(5).size(), 0u);
+  RequestOptions opts;
+  opts.k = 3;
+  opts.seed = 0x0102030405060708ULL;
+  opts.coarsen_to = 513;
+  opts.deadline_ms = 70000;
+  const std::vector<std::uint8_t> payload = encode_request(g, opts);
+  ASSERT_GE(payload.size(), kRequestHeadBytes);
+  std::vector<std::uint8_t> expect;
+  put_le_ref(expect, static_cast<std::uint32_t>(opts.k), 4);
+  put_le_ref(expect, opts.seed, 8);
+  // The scheme, initpart, refine and k-way mode bytes (HeadRoundTrip).
+  expect.insert(expect.end(), payload.begin() + 12, payload.begin() + 16);
+  put_le_ref(expect, static_cast<std::uint32_t>(opts.coarsen_to), 4);
+  put_le_ref(expect, opts.deadline_ms, 8);
+  graph_region_ref(g, expect);
+  EXPECT_EQ(payload, expect);
 }
 
 TEST(RequestCodecTest, ConfigFromHeadMapsSchemes) {
@@ -378,6 +429,15 @@ TEST(PinCodecTest, RoundTripAndFingerprintUnification) {
   opts.k = 4;
   const std::vector<std::uint8_t> req = encode_request(g, opts);
   EXPECT_EQ(fnv1a64(payload), cache_key_of(req).graph_fp);
+}
+
+TEST(PinCodecTest, EncoderMatchesByteAtATimeReference) {
+  const Graph g = weighted_graph_with_isolated_vertex();
+  std::vector<std::uint8_t> expect;
+  graph_region_ref(g, expect);
+  std::vector<std::uint8_t> payload = {0xAA, 0xBB};  // stale bytes are dropped
+  encode_pin_request(g, payload);
+  EXPECT_EQ(payload, expect);
 }
 
 TEST(PinCodecTest, RejectsTruncatedAndMalformed) {

@@ -50,88 +50,5 @@ TEST(TimerTest, ResetDiscardsPriorElapsedTime) {
   EXPECT_LT(t.seconds(), 0.019);
 }
 
-TEST(PhaseTimersTest, StartsAtZero) {
-  PhaseTimers pt;
-  for (int p = 0; p < PhaseTimers::kNumPhases; ++p) {
-    EXPECT_DOUBLE_EQ(pt.get(static_cast<PhaseTimers::Phase>(p)), 0.0);
-  }
-  EXPECT_DOUBLE_EQ(pt.total(), 0.0);
-  EXPECT_DOUBLE_EQ(pt.utime(), 0.0);
-}
-
-TEST(PhaseTimersTest, AccumulatesPerPhase) {
-  PhaseTimers pt;
-  pt.add(PhaseTimers::kCoarsen, 1.0);
-  pt.add(PhaseTimers::kCoarsen, 0.5);
-  pt.add(PhaseTimers::kRefine, 2.0);
-  EXPECT_DOUBLE_EQ(pt.get(PhaseTimers::kCoarsen), 1.5);
-  EXPECT_DOUBLE_EQ(pt.get(PhaseTimers::kRefine), 2.0);
-  EXPECT_DOUBLE_EQ(pt.get(PhaseTimers::kInitPart), 0.0);
-}
-
-TEST(PhaseTimersTest, UtimeIsInitPlusRefinePlusProject) {
-  // Matches the paper's definition: UTime = ITime + RTime + PTime.
-  PhaseTimers pt;
-  pt.add(PhaseTimers::kCoarsen, 10.0);
-  pt.add(PhaseTimers::kInitPart, 1.0);
-  pt.add(PhaseTimers::kRefine, 2.0);
-  pt.add(PhaseTimers::kProject, 3.0);
-  EXPECT_DOUBLE_EQ(pt.utime(), 6.0);
-  EXPECT_DOUBLE_EQ(pt.total(), 16.0);
-}
-
-TEST(PhaseTimersTest, ClearZeroesEverything) {
-  PhaseTimers pt;
-  pt.add(PhaseTimers::kProject, 3.0);
-  pt.clear();
-  EXPECT_DOUBLE_EQ(pt.total(), 0.0);
-}
-
-TEST(PhaseTimersTest, ScopedPhaseAddsElapsed) {
-  PhaseTimers pt;
-  {
-    ScopedPhase sp(pt, PhaseTimers::kInitPart);
-    volatile double sink = 0;
-    for (int i = 0; i < 10000; ++i) sink = sink + i;
-  }
-  EXPECT_GT(pt.get(PhaseTimers::kInitPart), 0.0);
-  EXPECT_DOUBLE_EQ(pt.get(PhaseTimers::kCoarsen), 0.0);
-}
-
-TEST(PhaseTimersTest, ScopedPhasesAccumulateAcrossScopes) {
-  // multilevel_bisect opens one ScopedPhase per level per phase; the slot
-  // must sum them, not overwrite.
-  PhaseTimers pt;
-  for (int level = 0; level < 3; ++level) {
-    ScopedPhase sp(pt, PhaseTimers::kRefine);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GE(pt.get(PhaseTimers::kRefine), 0.014);
-  EXPECT_DOUBLE_EQ(pt.utime(), pt.get(PhaseTimers::kRefine));
-}
-
-TEST(PhaseTimersTest, NestedScopesOnDifferentPhasesBothRecord) {
-  PhaseTimers pt;
-  {
-    ScopedPhase outer(pt, PhaseTimers::kCoarsen);
-    {
-      ScopedPhase inner(pt, PhaseTimers::kInitPart);
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-  }
-  // The outer scope covers the inner one, so it measures at least as long.
-  EXPECT_GT(pt.get(PhaseTimers::kInitPart), 0.0);
-  EXPECT_GE(pt.get(PhaseTimers::kCoarsen), pt.get(PhaseTimers::kInitPart));
-}
-
-TEST(PhaseTimersTest, ClearThenAddStartsFresh) {
-  PhaseTimers pt;
-  pt.add(PhaseTimers::kCoarsen, 4.0);
-  pt.clear();
-  pt.add(PhaseTimers::kCoarsen, 1.0);
-  EXPECT_DOUBLE_EQ(pt.get(PhaseTimers::kCoarsen), 1.0);
-  EXPECT_DOUBLE_EQ(pt.total(), 1.0);
-}
-
 }  // namespace
 }  // namespace mgp
