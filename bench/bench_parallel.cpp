@@ -143,10 +143,6 @@ int main(int argc, char** argv) {
 
   const part_t k = 8;
   MultilevelConfig cfg;  // paper default: HEM + GGGP + BKLGR
-  // Engage the parallel boundary refiner well below its production
-  // threshold: at bench scales the finest boundaries sit in the hundreds,
-  // and this harness exists to measure the parallel machinery.
-  cfg.kl.parallel_boundary_min = 256;
   session.attach(cfg);
   session.describe_run(describe(cfg), k, max_threads, seed);
 

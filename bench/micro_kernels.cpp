@@ -15,6 +15,7 @@
 // allocations of a whole ordering instead.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <queue>
 
 #include "coarsen/contract.hpp"
@@ -26,7 +27,7 @@
 #include "order/nested_dissection.hpp"
 #include "obs/phase.hpp"
 #include "obs/trace.hpp"
-#include "refine/refine.hpp"
+#include "refine/kway_refine.hpp"
 #include "spectral/laplacian.hpp"
 #include "support/alloc_guard.hpp"
 #include "support/arena.hpp"
@@ -127,15 +128,19 @@ void BM_ParallelMatching(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelMatching)->Arg(1)->Arg(2)->Arg(4);
 
-/// BGR through refine_bisection with the pooled leg forced on: the k-way
-/// propose/commit engine at k=2.  Draws no randomness.
-void pooled_bgr(const Graph& g, Bisection& b, vwt_t target0, ThreadPool& pool,
-                KlWorkspace& ws) {
-  KlOptions opts;
-  opts.parallel_boundary_min = 0;
-  Rng rng(0);
-  refine_bisection(g, b, target0, RefinePolicy::kBGR, g.num_vertices(), rng, opts,
-                   nullptr, &ws, &pool);
+/// The k-way propose/commit engine at k=2: one floorless pass under one
+/// ceiling, the heavier entry side or target0 plus one maximum vertex
+/// weight.  Keeps b.cut current; draws no randomness.
+void two_way_refine(const Graph& g, Bisection& b, vwt_t target0, ThreadPool& pool,
+                    KwayRefineWorkspace& ws) {
+  vwt_t max_vwgt = 0;
+  for (vid_t v = 0; v < g.num_vertices(); ++v) {
+    max_vwgt = std::max(max_vwgt, g.vertex_weight(v));
+  }
+  const vwt_t ceiling =
+      std::max({b.part_weight[0], b.part_weight[1], target0 + max_vwgt});
+  b.cut -= kway_parallel_refine(g, b.side, 2, b.part_weight, ceiling, 0, 1, &pool, ws)
+               .cut_reduction;
 }
 
 void BM_ParallelRefine(benchmark::State& state) {
@@ -146,7 +151,7 @@ void BM_ParallelRefine(benchmark::State& state) {
   const vid_t n = g.num_vertices();
   const vwt_t target0 = g.total_vertex_weight() / 2;
   ThreadPool pool(static_cast<int>(state.range(0)));
-  KlWorkspace ws;
+  KwayRefineWorkspace ws;
   Bisection b;
   b.side.assign(static_cast<std::size_t>(n), 0);
   Rng seed_rng(11);
@@ -156,7 +161,7 @@ void BM_ParallelRefine(benchmark::State& state) {
   for (auto _ : state) {
     b.side = start;
     refresh_bisection(g, b);
-    pooled_bgr(g, b, target0, pool, ws);
+    two_way_refine(g, b, target0, pool, ws);
     cut = b.cut;
     benchmark::DoNotOptimize(b.cut);
   }
@@ -173,7 +178,7 @@ void BM_ParallelRefineWorkspace(benchmark::State& state) {
   const vid_t n = g.num_vertices();
   const vwt_t target0 = g.total_vertex_weight() / 2;
   ThreadPool pool(1);
-  KlWorkspace ws;
+  KwayRefineWorkspace ws;
   Bisection b;
   b.side.assign(static_cast<std::size_t>(n), 0);
   Rng seed_rng(11);
@@ -182,7 +187,7 @@ void BM_ParallelRefineWorkspace(benchmark::State& state) {
   auto run = [&]() {
     b.side = start;
     refresh_bisection(g, b);
-    pooled_bgr(g, b, target0, pool, ws);
+    two_way_refine(g, b, target0, pool, ws);
   };
   run();  // warm the buffers
   run();

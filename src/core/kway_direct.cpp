@@ -33,8 +33,8 @@ void KwayDirectConfig::validate(part_t k) const {
   if (coarsen_to_floor < 1) {
     throw std::invalid_argument("kway_direct: coarsen_to_floor must be >= 1");
   }
-  if (!(min_shrink_factor > 0.0) || min_shrink_factor > 1.0) {
-    throw std::invalid_argument("kway_direct: min_shrink_factor must be in (0, 1]");
+  if (!(base.min_shrink_factor > 0.0) || base.min_shrink_factor > 1.0) {
+    throw std::invalid_argument("kway_direct: base.min_shrink_factor must be in (0, 1]");
   }
   if (max_refine_passes < 1) {
     throw std::invalid_argument("kway_direct: max_refine_passes must be >= 1");
@@ -53,7 +53,6 @@ std::size_t KwayDirectWorkspace::bytes_reserved() const {
     if (level) total += level->memory_bytes();
   }
   total += pwgts.capacity() * sizeof(vwt_t);
-  total += ceilings.capacity() * sizeof(vwt_t);
   total += proj.capacity() * sizeof(part_t);
   return total;
 }
@@ -115,7 +114,7 @@ ewt_t kway_partition_direct_into(const Graph& g, part_t k,
       // contract) and the just-computed level is discarded.
       CoarsenLevelStats ls;
       if (!strategy.coarsen_level(*cur, cewgt, cfg.base.matching, cfg.base.coarsen,
-                                  cfg.min_shrink_factor, rng, pool, ws, c, ls)) {
+                                  cfg.base.min_shrink_factor, rng, pool, ws, c, ls)) {
         break;
       }
       const vid_t fine_n = cur->num_vertices();
@@ -192,9 +191,8 @@ ewt_t kway_partition_direct_into(const Graph& g, part_t k,
       // recovers the cut without re-breaking the ceiling.
       kway_balance(level_graph, out_part, k, dws.pwgts, max_part_weight,
                    min_part_weight, dws.refine);
-      dws.ceilings.assign(kk, max_part_weight);
       const KwayRefineResult rr = kway_parallel_refine(
-          level_graph, out_part, k, dws.pwgts, dws.ceilings, min_part_weight,
+          level_graph, out_part, k, dws.pwgts, max_part_weight, min_part_weight,
           cfg.max_refine_passes, pool, dws.refine);
       if (ob) {
         ob->metrics.add(ob->pipeline.kway_rounds, rr.rounds);

@@ -48,7 +48,6 @@ struct KwayDirectConfig {
   /// The coarsest graph keeps at least this many vertices per part.
   vid_t coarse_vertices_per_part = 16;
   vid_t coarsen_to_floor = 100;
-  double min_shrink_factor = 0.95;
   /// Unlock passes of k-way refinement per level (each pass runs
   /// propose/commit rounds to quiescence; stops early on no gain).
   int max_refine_passes = 8;
@@ -82,7 +81,6 @@ struct KwayDirectWorkspace {
   KwayScratch init_scratch;
   KwayRefineWorkspace refine;
   std::vector<vwt_t> pwgts;  ///< k: maintained incrementally, never rescanned
-  std::vector<vwt_t> ceilings;  ///< k: the level's (uniform) part-weight ceiling
   std::vector<part_t> proj;  ///< projection ping-pong buffer
 
   /// Heap bytes currently reserved (capacity, not size).

@@ -195,36 +195,20 @@ BisectStats multilevel_bisect_into(const Graph& g, vwt_t target0,
       span.arg("n", level_graph.num_vertices());
       const ewt_t cut_before = b.cut;
       std::vector<obs::KlPassReport> pass_log;
-      // With a pool the greedy boundary leg auto-selects the deterministic
-      // k-way propose/commit refiner at k=2 (refine/kway_refine.*) once the
-      // boundary passes cfg.kl.parallel_boundary_min; no pool keeps the
-      // exact sequential path.
       KlStats s = refine_bisection(level_graph, b, target0, cfg.refine, original_n,
-                                   rng, cfg.kl, ob ? &pass_log : nullptr, &ws.kl,
-                                   pool);
+                                   rng, cfg.kl, ob ? &pass_log : nullptr, &ws.kl);
       out.refine_stats.passes += s.passes;
       out.refine_stats.swapped += s.swapped;
       out.refine_stats.moves_attempted += s.moves_attempted;
       out.refine_stats.insertions += s.insertions;
       out.refine_stats.cut_reduction += s.cut_reduction;
-      out.refine_stats.parallel_rounds += s.parallel_rounds;
-      out.refine_stats.conflict_rejects += s.conflict_rejects;
       if (ob) {
         ob->metrics.add(ob->pipeline.kl_passes, s.passes);
         ob->metrics.add(ob->pipeline.kl_moves, s.moves_attempted);
         ob->metrics.add(ob->pipeline.kl_swapped, s.swapped);
         ob->metrics.add(ob->pipeline.kl_insertions, s.insertions);
-        if (s.parallel_rounds > 0) {
-          ob->metrics.add(ob->pipeline.refine_parallel_rounds, s.parallel_rounds);
-          ob->metrics.add(ob->pipeline.refine_conflict_rejects, s.conflict_rejects);
-        }
         for (const obs::KlPassReport& p : pass_log) {
-          // The propose/commit leg logs commit-time conflict rejects in
-          // moves_undone; those are already counted by
-          // refine.conflict_rejects above and are not KL undo rollbacks.
-          if (s.parallel_rounds == 0) {
-            ob->metrics.add(ob->pipeline.kl_rollbacks, p.moves_undone);
-          }
+          ob->metrics.add(ob->pipeline.kl_rollbacks, p.moves_undone);
           if (p.early_exit) ob->metrics.add(ob->pipeline.kl_early_exits);
           ob->metrics.record_max(ob->pipeline.queue_peak, p.queue_peak);
         }

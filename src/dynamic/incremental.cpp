@@ -175,8 +175,7 @@ RepartitionResult repartition_after_delta(
     obs::PhaseScope refine(ob, obs::Phase::kRefine, "dynamic.refine");
     kway_balance(g, part, k, ws.pwgts, max_part_weight, min_part_weight,
                  ws.direct.refine);
-    ws.direct.ceilings.assign(static_cast<std::size_t>(k), max_part_weight);
-    rr = kway_parallel_refine_active(g, part, k, ws.pwgts, ws.direct.ceilings,
+    rr = kway_parallel_refine_active(g, part, k, ws.pwgts, max_part_weight,
                                      min_part_weight, icfg.refine_passes, pool,
                                      ws.direct.refine, {ws.active});
   }

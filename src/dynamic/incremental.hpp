@@ -68,7 +68,7 @@ struct LabelState {
 /// Reusable scratch for repartition_after_delta.  Warms to the (n, k)
 /// high-water shape; subsequent calls of no-larger shape allocate nothing.
 struct IncrementalWorkspace {
-  KwayDirectWorkspace direct;  ///< also supplies the refine workspace and ceilings
+  KwayDirectWorkspace direct;  ///< also supplies the refine workspace
   std::vector<vwt_t> pwgts;    ///< k
   std::vector<char> active;    ///< n: refinement frontier mask
   std::vector<ewt_t> conn;     ///< k: new-vertex placement connectivity

@@ -198,8 +198,6 @@ Obs::PipelineMetrics::PipelineMetrics(MetricsRegistry& reg)
       kl_insertions(reg.counter("kl.insertions")),
       kl_early_exits(reg.counter("kl.early_exits")),
       queue_peak(reg.max_gauge("kl.queue_peak")),
-      refine_parallel_rounds(reg.counter("refine.parallel_rounds")),
-      refine_conflict_rejects(reg.counter("refine.conflict_rejects")),
       kway_direct_levels(reg.counter("kway.direct.levels")),
       kway_rounds(reg.counter("refine.kway_rounds")),
       kway_gathers(reg.counter("refine.kway_gathers")),

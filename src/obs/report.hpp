@@ -39,10 +39,7 @@ struct KlPassReport {
   int pass = 0;                      ///< 1-based index within the kl_refine call
   std::int64_t moves_attempted = 0;  ///< moves executed, including later-undone
   std::int64_t moves_kept = 0;       ///< best-prefix moves that survived undo
-  std::int64_t moves_undone = 0;     ///< trailing rollback length (sequential
-                                     ///< KL); commit-time conflict rejects
-                                     ///< for the pooled propose/commit leg,
-                                     ///< which logs one report per call
+  std::int64_t moves_undone = 0;     ///< trailing rollback length
   std::int64_t insertions = 0;       ///< gain-queue insertions this pass
   std::int64_t cut_before = 0;
   std::int64_t cut_after = 0;
@@ -141,8 +138,6 @@ struct Obs {
     MetricsRegistry::Id kl_insertions;     ///< counter: queue insertions
     MetricsRegistry::Id kl_early_exits;    ///< counter: window-terminated passes
     MetricsRegistry::Id queue_peak;        ///< max gauge: bucket-queue occupancy
-    MetricsRegistry::Id refine_parallel_rounds;   ///< counter: propose/commit rounds
-    MetricsRegistry::Id refine_conflict_rejects;  ///< counter: stale proposals rejected
     MetricsRegistry::Id kway_direct_levels;       ///< counter: direct-kway ladder levels
     MetricsRegistry::Id kway_rounds;              ///< counter: k-way refine rounds
     MetricsRegistry::Id kway_gathers;             ///< counter: k-way connectivity gathers

@@ -18,7 +18,6 @@
 
 #include "initpart/bisection_state.hpp"
 #include "obs/report.hpp"
-#include "refine/kway_refine.hpp"
 #include "support/bucket_queue.hpp"
 #include "support/rng.hpp"
 
@@ -31,10 +30,6 @@ namespace mgp {
 /// by every move and every undo, so later passes start from it; on return
 /// it describes the final labelling.  Everything else is re-initialised per
 /// pass, so a reused workspace behaves exactly like a fresh one.
-///
-/// `kway` is the scratch of the pooled greedy leg, which runs the k-way
-/// propose/commit engine at k=2 (refine/kway_refine.*), so one warm
-/// workspace serves both refinement paths allocation-free.
 struct KlWorkspace {
   std::vector<ewt_t> ed;        ///< external degree: edge weight to other side
   std::vector<ewt_t> id;        ///< internal degree: edge weight to own side
@@ -42,12 +37,11 @@ struct KlWorkspace {
   BucketQueue queue[2];         ///< per-side gain queues
   std::vector<vid_t> moves;     ///< move log for undo
   std::vector<vid_t> order;     ///< random insertion order
-  KwayRefineWorkspace kway;     ///< pooled greedy leg (k-way engine at k=2)
 
   std::size_t memory_bytes() const {
     return ed.capacity() * sizeof(ewt_t) + id.capacity() * sizeof(ewt_t) +
            locked.capacity() + moves.capacity() * sizeof(vid_t) +
-           order.capacity() * sizeof(vid_t) + kway.bytes_reserved();
+           order.capacity() * sizeof(vid_t);
   }
 };
 
@@ -67,14 +61,6 @@ struct KlOptions {
   /// BKLGR's switch rule (§3.3): run multi-pass BKLR while the boundary is
   /// smaller than this fraction of the original graph, else single-pass BGR.
   double bklgr_boundary_fraction = 0.02;
-  /// Parallel refinement auto-selection: with a thread pool attached, the
-  /// greedy boundary leg (BGR, and BKLGR's large-boundary leg) switches to
-  /// the k-way propose/commit refiner at k=2 once the boundary has at least
-  /// this many vertices (below it, sequential KL is faster than a fork).
-  /// 0 forces the parallel refiner whenever a pool is attached.  The
-  /// decision depends only on the partition, never on the pool size, so
-  /// partitions stay byte-identical across pool sizes.
-  vid_t parallel_boundary_min = 2048;
 };
 
 struct KlStats {
@@ -87,12 +73,6 @@ struct KlStats {
   vid_t insertions = 0;
   /// Edge-cut improvement achieved.
   ewt_t cut_reduction = 0;
-  /// Parallel refiner only: propose/commit rounds executed (0 on the
-  /// sequential path).
-  int parallel_rounds = 0;
-  /// Parallel refiner only: proposals rejected at commit re-validation
-  /// (their gain went stale or the balance headroom was taken).
-  vid_t conflict_rejects = 0;
 };
 
 /// What one O(|E|) sweep over a labelling yields besides the ed/id table.

@@ -98,14 +98,12 @@ namespace {
 /// labelling — is a pure function of the round history, never of the pool.
 KwayRefineResult kway_refine_impl(const Graph& g, std::span<part_t> part,
                                   part_t k, std::span<vwt_t> pwgts,
-                                  std::span<const vwt_t> max_part_weight,
-                                  vwt_t min_part_weight, int max_passes,
-                                  ThreadPool* pool, KwayRefineWorkspace& ws,
-                                  char* active) {
+                                  vwt_t max_part_weight, vwt_t min_part_weight,
+                                  int max_passes, ThreadPool* pool,
+                                  KwayRefineWorkspace& ws, char* active) {
   KwayRefineResult res;
   const vid_t n = g.num_vertices();
   if (n == 0 || k <= 1) return res;
-  assert(max_part_weight.size() == static_cast<std::size_t>(k));
   obs::Span span("refine.kway");
   span.arg("n", n);
   span.arg("k", k);
@@ -160,30 +158,22 @@ KwayRefineResult kway_refine_impl(const Graph& g, std::span<part_t> part,
     for (int round = 0; round < kMaxRounds; ++round) {
       ++res.rounds;
       std::copy(pwgts.begin(), pwgts.end(), ws.frozen_pwgts.begin());
-      // Filter inputs for the propose sweep: the part with the most room
-      // and the lightest part, plus the best of the other parts, so "room
-      // (lightest) anywhere but u's own part" is O(1) per vertex.
-      const auto room = [&](part_t p) {
-        return max_part_weight[static_cast<std::size_t>(p)] -
-               pwgts[static_cast<std::size_t>(p)];
-      };
-      part_t roomiest = 0, lightest = 0;
+      // Filter input for the propose sweep: the lightest part, plus the
+      // lightest of the others, so "the lightest part but u's own" (which
+      // also has the most room under the one ceiling) is O(1) per vertex.
+      part_t lightest = 0;
       for (part_t p = 1; p < k; ++p) {
-        if (room(p) > room(roomiest)) roomiest = p;
         if (pwgts[static_cast<std::size_t>(p)] <
             pwgts[static_cast<std::size_t>(lightest)]) {
           lightest = p;
         }
       }
-      vwt_t room_else = std::numeric_limits<vwt_t>::min();
       vwt_t light_else = std::numeric_limits<vwt_t>::max();
       for (part_t p = 0; p < k; ++p) {
-        if (p != roomiest) room_else = std::max(room_else, room(p));
         if (p != lightest) {
           light_else = std::min(light_else, pwgts[static_cast<std::size_t>(p)]);
         }
       }
-      const vwt_t max_room = room(roomiest);
       const vwt_t min_light = pwgts[static_cast<std::size_t>(lightest)];
 
       // --- Propose: each chunk scans its fixed vertex range against the
@@ -218,7 +208,7 @@ KwayRefineResult kway_refine_impl(const Graph& g, std::span<part_t> part,
             const vwt_t from_w = ws.frozen_pwgts[static_cast<std::size_t>(from)];
             const vwt_t lightest_other = from == lightest ? light_else : min_light;
             if (from_w - wv < min_part_weight ||
-                wv > (from == roomiest ? room_else : max_room) ||
+                lightest_other + wv > max_part_weight ||
                 (ed == id && lightest_other + wv >= from_w)) {
               continue;
             }
@@ -238,9 +228,7 @@ KwayRefineResult kway_refine_impl(const Graph& g, std::span<part_t> part,
               const part_t p = touched[t];
               if (p == from) continue;
               const vwt_t pw = ws.frozen_pwgts[static_cast<std::size_t>(p)];
-              if (pw + wv > max_part_weight[static_cast<std::size_t>(p)]) {
-                continue;
-              }
+              if (pw + wv > max_part_weight) continue;
               const ewt_t gain = conn[static_cast<std::size_t>(p)] - internal;
               if (gain < 0) continue;
               // Zero-gain moves are admitted only when they strictly
@@ -315,8 +303,7 @@ KwayRefineResult kway_refine_impl(const Graph& g, std::span<part_t> part,
             if (gain < 0 ||
                 (gain == 0 && pwgts[static_cast<std::size_t>(to)] + wv >=
                                   pwgts[static_cast<std::size_t>(from)]) ||
-                pwgts[static_cast<std::size_t>(to)] + wv >
-                    max_part_weight[static_cast<std::size_t>(to)] ||
+                pwgts[static_cast<std::size_t>(to)] + wv > max_part_weight ||
                 pwgts[static_cast<std::size_t>(from)] - wv < min_part_weight) {
               ++res.conflict_rejects;
               continue;
@@ -372,9 +359,8 @@ KwayRefineResult kway_refine_impl(const Graph& g, std::span<part_t> part,
 
 KwayRefineResult kway_parallel_refine(const Graph& g, std::span<part_t> part,
                                       part_t k, std::span<vwt_t> pwgts,
-                                      std::span<const vwt_t> max_part_weight,
-                                      vwt_t min_part_weight, int max_passes,
-                                      ThreadPool* pool,
+                                      vwt_t max_part_weight, vwt_t min_part_weight,
+                                      int max_passes, ThreadPool* pool,
                                       KwayRefineWorkspace& ws) {
   return kway_refine_impl(g, part, k, pwgts, max_part_weight, min_part_weight,
                           max_passes, pool, ws, nullptr);
@@ -382,9 +368,8 @@ KwayRefineResult kway_parallel_refine(const Graph& g, std::span<part_t> part,
 
 KwayRefineResult kway_parallel_refine_active(
     const Graph& g, std::span<part_t> part, part_t k, std::span<vwt_t> pwgts,
-    std::span<const vwt_t> max_part_weight, vwt_t min_part_weight,
-    int max_passes, ThreadPool* pool, KwayRefineWorkspace& ws,
-    std::span<char> active) {
+    vwt_t max_part_weight, vwt_t min_part_weight, int max_passes,
+    ThreadPool* pool, KwayRefineWorkspace& ws, std::span<char> active) {
   const bool sized = active.size() == static_cast<std::size_t>(g.num_vertices());
   return kway_refine_impl(g, part, k, pwgts, max_part_weight, min_part_weight,
                           max_passes, pool, ws, sized ? active.data() : nullptr);

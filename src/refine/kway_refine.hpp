@@ -3,8 +3,8 @@
 // The library's one propose/commit refiner: the k-way local search of
 // Sanders & Schulz ("Engineering Multilevel Graph Partitioning Algorithms")
 // run under the round-synchronous shape of Holtgrewe et al. (PAPERS.md).
-// Direct k-way and incremental repartitioning run it at k, and the pooled
-// greedy boundary leg of two-way refinement runs it at k=2 (refine/refine.*):
+// Direct k-way and incremental repartitioning run it (two-way refinement
+// stays on the sequential KL engine, refine/refine.*):
 //
 //   repeat:  (1) PROPOSE — shard the vertex range into *fixed* chunks (a
 //                pure function of |V|, never of the pool size) and, in
@@ -81,9 +81,8 @@ struct KwayRefineResult {
 /// Parallel k-way refinement of `part` in place.  `pwgts` (size k) must hold
 /// the labelling's current part weights on entry and is maintained
 /// incrementally — never recomputed from scratch.  A move must keep its
-/// target p at or below `max_part_weight[p]` (size k: direct k-way passes k
-/// equal ceilings, the two-way leg each side's own) and its source at or
-/// above `min_part_weight` (pass 0 to disable the floor).  `max_passes` bounds
+/// target at or below `max_part_weight` and its source at or above
+/// `min_part_weight` (pass 0 to disable the floor).  `max_passes` bounds
 /// the outer unlock passes; each pass runs propose/commit rounds to
 /// quiescence, and the call stops early once a whole pass commits nothing.
 ///
@@ -91,9 +90,8 @@ struct KwayRefineResult {
 /// including a null `pool` (inline execution of the same rounds).
 KwayRefineResult kway_parallel_refine(const Graph& g, std::span<part_t> part,
                                       part_t k, std::span<vwt_t> pwgts,
-                                      std::span<const vwt_t> max_part_weight,
-                                      vwt_t min_part_weight, int max_passes,
-                                      ThreadPool* pool,
+                                      vwt_t max_part_weight, vwt_t min_part_weight,
+                                      int max_passes, ThreadPool* pool,
                                       KwayRefineWorkspace& ws);
 
 /// Frontier-restricted variant for incremental repartitioning (DESIGN.md
@@ -107,9 +105,8 @@ KwayRefineResult kway_parallel_refine(const Graph& g, std::span<part_t> part,
 /// for byte (a wrong-sized mask falls back to the unrestricted refiner).
 KwayRefineResult kway_parallel_refine_active(
     const Graph& g, std::span<part_t> part, part_t k, std::span<vwt_t> pwgts,
-    std::span<const vwt_t> max_part_weight, vwt_t min_part_weight,
-    int max_passes, ThreadPool* pool, KwayRefineWorkspace& ws,
-    std::span<char> active);
+    vwt_t max_part_weight, vwt_t min_part_weight, int max_passes,
+    ThreadPool* pool, KwayRefineWorkspace& ws, std::span<char> active);
 
 /// Explicit balance phase: refinement never makes a negative-gain move and
 /// never moves weight out of a part at the floor, so a partition that

@@ -31,26 +31,30 @@ std::string to_string(RefinePolicy p);
 /// Returns the engine stats (zeroed for kNone).
 ///
 /// `pass_log`, when non-null, collects one obs::KlPassReport per KL pass
-/// (see kl_refine), or one per call on the pooled leg; passive, never
-/// perturbs the result.
+/// (see kl_refine); passive, never perturbs the result.
 ///
-/// `ws`, when non-null, supplies both engines' scratch buffers (reused
-/// across calls; byte-identical results either way — see kl_refine).
+/// `ws`, when non-null, supplies the scratch buffers (reused across calls;
+/// byte-identical results either way — see kl_refine).
 ///
-/// `pool`, when non-null, lets the greedy boundary leg (BGR, and BKLGR's
-/// large-boundary leg) run on the deterministic k-way propose/commit
-/// refiner at k=2 once the boundary reaches base_opts.parallel_boundary_min
-/// vertices (refine/kway_refine.*, DESIGN.md §8).  The selection depends only on the
-/// partition, so results are byte-identical across pool sizes — and ANY
-/// attached pool selects it, including a 1-thread pool (which runs the
-/// propose/commit algorithm inline).  Only a null pool keeps the exact
-/// sequential KL/BGR engine; equivalence between the two refiners is not a
-/// contract.  kway_partition attaches a pool only when
-/// cfg.resolved_threads() > 1, so cfg.threads == 1 stays sequential.
+/// Every policy runs the sequential KL engine: bisection gets its
+/// parallelism from the recursive-bisection fork/join, not from here.
 KlStats refine_bisection(const Graph& g, Bisection& b, vwt_t target0,
                          RefinePolicy policy, vid_t original_n, Rng& rng,
                          const KlOptions& base_opts = {},
                          std::vector<obs::KlPassReport>* pass_log = nullptr,
-                         KlWorkspace* ws = nullptr, ThreadPool* pool = nullptr);
+                         KlWorkspace* ws = nullptr);
+
+/// The argument order from before refinement dropped its pool: the pool is
+/// ignored.  Kept only because mgpbench/src/replay.cpp calls it and benchmark
+/// files change in benchmark-only commits; delete it in the next one,
+/// together with that call's last argument.
+inline KlStats refine_bisection(const Graph& g, Bisection& b, vwt_t target0,
+                                RefinePolicy policy, vid_t original_n, Rng& rng,
+                                const KlOptions& base_opts,
+                                std::vector<obs::KlPassReport>* pass_log,
+                                KlWorkspace* ws, ThreadPool* /*pool*/) {
+  return refine_bisection(g, b, target0, policy, original_n, rng, base_opts, pass_log,
+                          ws);
+}
 
 }  // namespace mgp

@@ -50,6 +50,18 @@ void put_graph_region(const Graph& g, std::vector<std::uint8_t>& out) {
   for (ewt_t w : g.adjwgt()) p = store_le(p, static_cast<std::uint64_t>(w));
 }
 
+/// Appends the 28-byte config prefix (ConfigHead's layout) of `opts`.
+void put_config_head(const RequestOptions& opts, std::vector<std::uint8_t>& out) {
+  put_u32(out, static_cast<std::uint32_t>(opts.k));
+  put_u64(out, opts.seed);
+  out.push_back(scheme_byte(opts.coarsen_strategy, opts.matching));
+  out.push_back(static_cast<std::uint8_t>(opts.initpart));
+  out.push_back(static_cast<std::uint8_t>(opts.refine));
+  out.push_back(static_cast<std::uint8_t>(opts.kway_mode));
+  put_u32(out, static_cast<std::uint32_t>(opts.coarsen_to));
+  put_u64(out, opts.deadline_ms);
+}
+
 std::uint32_t get_u32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
          (static_cast<std::uint32_t>(p[2]) << 16) |
@@ -106,13 +118,12 @@ bool decode_frame_header(std::span<const std::uint8_t> bytes, FrameHeader& out) 
   return out.magic == kMagic;
 }
 
-Status decode_request_head(std::span<const std::uint8_t> payload, RequestHead& out,
-                           std::string& err) {
-  if (payload.size() < kRequestHeadBytes) {
-    err = "request payload shorter than the fixed head";
-    return Status::kBadRequest;
-  }
-  const std::uint8_t* p = payload.data();
+namespace {
+
+/// Decodes and validates the 28-byte config prefix at `p` (the caller has
+/// checked the payload holds it): enums in range, k >= 1, coarsen_to and
+/// deadline_ms within bounds.
+Status decode_config_head(const std::uint8_t* p, ConfigHead& out, std::string& err) {
   out.k = get_u32(p);
   out.seed = get_u64(p + 4);
   out.matching = p[12];
@@ -121,8 +132,6 @@ Status decode_request_head(std::span<const std::uint8_t> payload, RequestHead& o
   out.kway_mode = p[15];
   out.coarsen_to = get_u32(p + 16);
   out.deadline_ms = get_u64(p + 20);
-  out.n = get_u64(p + 28);
-  out.arcs = get_u64(p + 36);
 
   if (out.k < 1) {
     err = "k must be >= 1";
@@ -148,10 +157,6 @@ Status decode_request_head(std::span<const std::uint8_t> payload, RequestHead& o
     err = "unknown kway mode";
     return Status::kBadRequest;
   }
-  if (out.n > static_cast<std::uint64_t>(std::numeric_limits<vid_t>::max())) {
-    err = "vertex count exceeds vid_t";
-    return Status::kBadRequest;
-  }
   if (out.coarsen_to < 1 ||
       out.coarsen_to > static_cast<std::uint32_t>(std::numeric_limits<vid_t>::max())) {
     err = "coarsen_to out of range";
@@ -161,23 +166,48 @@ Status decode_request_head(std::span<const std::uint8_t> payload, RequestHead& o
     err = "deadline_ms above the accepted ceiling";
     return Status::kBadRequest;
   }
+  return Status::kOk;
+}
+
+/// Validates the declared graph dimensions of a payload whose CSR arrays
+/// start at byte `head_bytes`: n fits vid_t and the length matches exactly.
+Status check_graph_dims(std::span<const std::uint8_t> payload, std::size_t head_bytes,
+                        std::uint64_t n, std::uint64_t arcs, std::string& err) {
+  if (n > static_cast<std::uint64_t>(std::numeric_limits<vid_t>::max())) {
+    err = "vertex count exceeds vid_t";
+    return Status::kBadRequest;
+  }
   // Bound n and arcs by what the payload could possibly carry *before* any
   // size arithmetic: a vertex costs 16 payload bytes (xadj + vwgt), an arc
   // 12 (adjncy + adjwgt).  Unbounded u64 dimensions would let the expected-
   // length products below wrap mod 2^64 (e.g. arcs = 2^62 makes 12*arcs
   // vanish), sneaking an absurd resize past the exact-length check.
-  const std::uint64_t budget = payload.size() - kRequestHeadBytes;
-  if (out.n > budget / 16 || out.arcs > budget / 12) {
+  const std::uint64_t budget = payload.size() - head_bytes;
+  if (n > budget / 16 || arcs > budget / 12) {
     err = "declared graph dimensions exceed the payload length";
     return Status::kBadRequest;
   }
-  const std::uint64_t expect = kRequestHeadBytes + 8 * (out.n + 1) + 4 * out.arcs +
-                               8 * out.n + 8 * out.arcs;
+  const std::uint64_t expect = head_bytes + 8 * (n + 1) + 4 * arcs + 8 * n + 8 * arcs;
   if (payload.size() != expect) {
     err = "payload length does not match the declared graph dimensions";
     return Status::kBadRequest;
   }
   return Status::kOk;
+}
+
+}  // namespace
+
+Status decode_request_head(std::span<const std::uint8_t> payload, RequestHead& out,
+                           std::string& err) {
+  if (payload.size() < kRequestHeadBytes) {
+    err = "request payload shorter than the fixed head";
+    return Status::kBadRequest;
+  }
+  const Status s = decode_config_head(payload.data(), out, err);
+  if (s != Status::kOk) return s;
+  out.n = get_u64(payload.data() + kGraphRegionOffset);
+  out.arcs = get_u64(payload.data() + kGraphRegionOffset + 8);
+  return check_graph_dims(payload, kRequestHeadBytes, out.n, out.arcs, err);
 }
 
 namespace {
@@ -256,7 +286,7 @@ Status decode_pin_graph(std::span<const std::uint8_t> payload,
                              g, err);
 }
 
-MultilevelConfig config_from_head(const RequestHead& head) {
+MultilevelConfig config_from_head(const ConfigHead& head) {
   MultilevelConfig cfg;
   // The scheme byte selects both the strategy and (for the default
   // strategy) the matching heuristic; the head was validated, so the
@@ -275,14 +305,7 @@ void encode_partition_request(const Graph& g, const RequestOptions& opts,
   const auto n = static_cast<std::uint64_t>(g.num_vertices());
   const auto arcs = static_cast<std::uint64_t>(g.num_arcs());
   out.reserve(kRequestHeadBytes + 8 * (n + 1) + 4 * arcs + 8 * n + 8 * arcs);
-  put_u32(out, static_cast<std::uint32_t>(opts.k));
-  put_u64(out, opts.seed);
-  out.push_back(scheme_byte(opts.coarsen_strategy, opts.matching));
-  out.push_back(static_cast<std::uint8_t>(opts.initpart));
-  out.push_back(static_cast<std::uint8_t>(opts.refine));
-  out.push_back(static_cast<std::uint8_t>(opts.kway_mode));
-  put_u32(out, static_cast<std::uint32_t>(opts.coarsen_to));
-  put_u64(out, opts.deadline_ms);
+  put_config_head(opts, out);
   put_graph_region(g, out);
 }
 
@@ -376,24 +399,7 @@ Status decode_pin_request(std::span<const std::uint8_t> payload,
   }
   out.n = get_u64(payload.data());
   out.arcs = get_u64(payload.data() + 8);
-  if (out.n > static_cast<std::uint64_t>(std::numeric_limits<vid_t>::max())) {
-    err = "vertex count exceeds vid_t";
-    return Status::kBadRequest;
-  }
-  // Same wrap hardening as decode_request_head: bound both dimensions by
-  // the payload before any length products.
-  const std::uint64_t budget = payload.size() - kPinHeadBytes;
-  if (out.n > budget / 16 || out.arcs > budget / 12) {
-    err = "declared graph dimensions exceed the payload length";
-    return Status::kBadRequest;
-  }
-  const std::uint64_t expect =
-      kPinHeadBytes + 8 * (out.n + 1) + 4 * out.arcs + 8 * out.n + 8 * out.arcs;
-  if (payload.size() != expect) {
-    err = "payload length does not match the declared graph dimensions";
-    return Status::kBadRequest;
-  }
-  return Status::kOk;
+  return check_graph_dims(payload, kPinHeadBytes, out.n, out.arcs, err);
 }
 
 void encode_pin_response(std::uint64_t fingerprint, std::uint64_t n,
@@ -424,56 +430,15 @@ Status decode_delta_head(std::span<const std::uint8_t> payload, DeltaHead& out,
     err = "delta payload shorter than the fixed head";
     return Status::kBadRequest;
   }
+  const Status s = decode_config_head(payload.data(), out, err);
+  if (s != Status::kOk) return s;
   const std::uint8_t* p = payload.data();
-  out.k = get_u32(p);
-  out.seed = get_u64(p + 4);
-  out.matching = p[12];
-  out.initpart = p[13];
-  out.refine = p[14];
-  out.kway_mode = p[15];
-  out.coarsen_to = get_u32(p + 16);
-  out.deadline_ms = get_u64(p + 20);
   out.fingerprint = get_u64(p + 28);
   out.n_edge_ins = get_u64(p + 36);
   out.n_edge_del = get_u64(p + 44);
   out.n_vertex_add = get_u64(p + 52);
   out.n_vertex_rem = get_u64(p + 60);
   out.n_weight_upd = get_u64(p + 68);
-
-  if (out.k < 1) {
-    err = "k must be >= 1";
-    return Status::kBadRequest;
-  }
-  if (out.k > static_cast<std::uint32_t>(std::numeric_limits<part_t>::max())) {
-    err = "k out of range";
-    return Status::kBadRequest;
-  }
-  if (out.matching > kSchemeByteMax) {
-    err = "unknown coarsening scheme";
-    return Status::kBadRequest;
-  }
-  if (out.initpart > static_cast<std::uint8_t>(InitPartScheme::kSpectral)) {
-    err = "unknown initial-partitioning scheme";
-    return Status::kBadRequest;
-  }
-  if (out.refine > static_cast<std::uint8_t>(RefinePolicy::kBKLGR)) {
-    err = "unknown refinement policy";
-    return Status::kBadRequest;
-  }
-  if (out.kway_mode > static_cast<std::uint8_t>(KwayMode::kDirect)) {
-    err = "unknown kway mode";
-    return Status::kBadRequest;
-  }
-  if (out.coarsen_to < 1 ||
-      out.coarsen_to >
-          static_cast<std::uint32_t>(std::numeric_limits<vid_t>::max())) {
-    err = "coarsen_to out of range";
-    return Status::kBadRequest;
-  }
-  if (out.deadline_ms > kMaxDeadlineMs) {
-    err = "deadline_ms above the accepted ceiling";
-    return Status::kBadRequest;
-  }
   // Bound every op count by what the payload could carry *before* the
   // exact-length product — the same mod-2^64 wrap hardening as
   // decode_request_head.
@@ -560,14 +525,7 @@ void encode_delta_request(std::uint64_t fingerprint,
   out.reserve(kDeltaHeadBytes + 16 * batch.edge_ins.size() +
               8 * batch.edge_del.size() + 8 * batch.vertex_add.size() +
               4 * batch.vertex_rem.size() + 12 * batch.weight_upd.size());
-  put_u32(out, static_cast<std::uint32_t>(opts.k));
-  put_u64(out, opts.seed);
-  out.push_back(scheme_byte(opts.coarsen_strategy, opts.matching));
-  out.push_back(static_cast<std::uint8_t>(opts.initpart));
-  out.push_back(static_cast<std::uint8_t>(opts.refine));
-  out.push_back(static_cast<std::uint8_t>(opts.kway_mode));
-  put_u32(out, static_cast<std::uint32_t>(opts.coarsen_to));
-  put_u64(out, opts.deadline_ms);
+  put_config_head(opts, out);
   put_u64(out, fingerprint);
   put_u64(out, static_cast<std::uint64_t>(batch.edge_ins.size()));
   put_u64(out, static_cast<std::uint64_t>(batch.edge_del.size()));
@@ -589,19 +547,6 @@ void encode_delta_request(std::uint64_t fingerprint,
     put_u32(out, static_cast<std::uint32_t>(wu.v));
     put_u64(out, static_cast<std::uint64_t>(wu.w));
   }
-}
-
-MultilevelConfig config_from_head(const DeltaHead& head) {
-  MultilevelConfig cfg;
-  // The scheme byte selects both the strategy and (for the default
-  // strategy) the matching heuristic; the head was validated, so the
-  // decode cannot fail here.
-  scheme_from_byte(head.matching, cfg.coarsen.strategy, cfg.matching);
-  cfg.initpart = static_cast<InitPartScheme>(head.initpart);
-  cfg.refine = static_cast<RefinePolicy>(head.refine);
-  cfg.coarsen_to = static_cast<vid_t>(head.coarsen_to);
-  cfg.threads = 1;
-  return cfg;
 }
 
 void encode_delta_response(std::uint64_t fingerprint, bool from_scratch,

@@ -130,8 +130,9 @@ void encode_frame_header(const FrameHeader& h, std::uint8_t* out);
 /// reported as-is for the caller to judge).
 bool decode_frame_header(std::span<const std::uint8_t> bytes, FrameHeader& out);
 
-/// Fixed head of a PartitionRequest (everything before the CSR arrays).
-struct RequestHead {
+/// The 28-byte prefix a PartitionRequest and a DELTA_REPARTITION share:
+/// the config-digest region [0, 20) and the deadline.
+struct ConfigHead {
   std::uint32_t k = 2;
   std::uint64_t seed = 0;
   std::uint8_t matching = 0;
@@ -140,6 +141,10 @@ struct RequestHead {
   std::uint8_t kway_mode = 0;  ///< KwayMode
   std::uint32_t coarsen_to = 100;
   std::uint64_t deadline_ms = 0;
+};
+
+/// Fixed head of a PartitionRequest (everything before the CSR arrays).
+struct RequestHead : ConfigHead {
   std::uint64_t n = 0;
   std::uint64_t arcs = 0;
 };
@@ -157,9 +162,10 @@ Status decode_request_head(std::span<const std::uint8_t> payload, RequestHead& o
 Status decode_request_graph(std::span<const std::uint8_t> payload,
                             const RequestHead& head, Graph& g, std::string& err);
 
-/// Maps a validated head onto the pipeline configuration (threads = 1: the
-/// server parallelizes across requests, not inside one).
-MultilevelConfig config_from_head(const RequestHead& head);
+/// Maps a validated head (a RequestHead or a DeltaHead) onto the pipeline
+/// configuration (threads = 1: the server parallelizes across requests,
+/// not inside one).
+MultilevelConfig config_from_head(const ConfigHead& head);
 
 /// Builds a full PartitionRequest payload (head + CSR arrays) into `out`
 /// (cleared first; capacity reused).
@@ -265,15 +271,7 @@ bool decode_pin_response(std::span<const std::uint8_t> payload,
                          PinResponseView& out);
 
 /// Fixed head of a DELTA_REPARTITION request (layout above).
-struct DeltaHead {
-  std::uint32_t k = 2;
-  std::uint64_t seed = 0;
-  std::uint8_t matching = 0;
-  std::uint8_t initpart = 0;
-  std::uint8_t refine = 0;
-  std::uint8_t kway_mode = 0;
-  std::uint32_t coarsen_to = 100;
-  std::uint64_t deadline_ms = 0;
+struct DeltaHead : ConfigHead {
   std::uint64_t fingerprint = 0;
   std::uint64_t n_edge_ins = 0;
   std::uint64_t n_edge_del = 0;
@@ -299,8 +297,6 @@ void encode_delta_request(std::uint64_t fingerprint,
                           const dynamic::DeltaBatch& batch,
                           const RequestOptions& opts,
                           std::vector<std::uint8_t>& out);
-/// Pipeline configuration for a delta request (threads = 1, as always).
-MultilevelConfig config_from_head(const DeltaHead& head);
 
 /// DeltaResponse payload: u64 post-delta fingerprint, u8 from_scratch,
 /// u8 reason (RepartitionResult::Reason), u16 reserved, then a

@@ -159,48 +159,6 @@ TEST(AllocRegressionTest, BklgrSteadyStateIsAllocationFree) {
       << "BKLGR allocated in steady state (" << guard.bytes() << " bytes)";
 }
 
-TEST(AllocRegressionTest, ParallelBgrSteadyStateIsAllocationFree) {
-  // The pooled greedy leg (refine_bisection's BGR on the k-way engine at
-  // k=2) shares the KlWorkspace zero-allocation guarantee.  A one-worker
-  // pool executes parallel_for_chunks inline (no task futures), so the only
-  // possible allocations are the refiner's own buffers — which must all
-  // live in the warm workspace.
-  const Graph g = grid2d(40, 40);
-  const vid_t n = g.num_vertices();
-  const vwt_t target0 = g.total_vertex_weight() / 2;
-  ThreadPool pool(1);
-  KlWorkspace ws;
-  Bisection b;
-  b.side.assign(static_cast<std::size_t>(n), 0);
-
-  auto relabel = [&]() {
-    for (vid_t v = 0; v < n; ++v) {
-      b.side[static_cast<std::size_t>(v)] = (v / 40 + v % 40) % 2;
-    }
-    refresh_bisection(g, b);
-  };
-
-  KlOptions opts;
-  opts.parallel_boundary_min = 0;
-  int rounds = 0;
-  auto run = [&]() {
-    relabel();
-    Rng rng(1);
-    rounds = refine_bisection(g, b, target0, RefinePolicy::kBGR, n, rng, opts,
-                              nullptr, &ws, &pool)
-                 .parallel_rounds;
-  };
-
-  run();
-  run();
-
-  AllocGuard guard;
-  run();
-  EXPECT_EQ(guard.allocations(), 0u)
-      << "parallel BGR allocated in steady state (" << guard.bytes() << " bytes)";
-  EXPECT_GT(rounds, 0) << "the pooled leg did not run";
-}
-
 TEST(AllocRegressionTest, KwayDirectIntoSteadyStateIsAllocationFree) {
   // The direct k-way entry point is stricter than multilevel_bisect: once
   // the KwayDirectWorkspace and BisectWorkspace have warmed (two runs: the

@@ -26,6 +26,7 @@
 #include "metrics/partition_metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "refine/kl.hpp"
 #include "support/thread_pool.hpp"
 
 namespace mgp {
@@ -88,18 +89,16 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(PipelineDeterminismTest, ParallelRefinerByteIdenticalAcrossPoolSizes) {
-  // Force the propose/commit parallel refiner onto every refined level
-  // (threshold 0: any boundary qualifies whenever a pool is attached) and
-  // assert the whole-pipeline guarantee still holds: partitions are a pure
-  // function of the seed for every pool size, for both greedy-leg policies
-  // and for all matching schemes.
+  // The greedy boundary policies, whose refinement once switched engines
+  // with a pool attached: partitions are a pure function of the seed for
+  // every pool size, for both policies and both matchers that differ in
+  // how a pool is used.
   for (RefinePolicy refine : {RefinePolicy::kBGR, RefinePolicy::kBKLGR}) {
     for (MatchingScheme scheme :
          {MatchingScheme::kRandom, MatchingScheme::kHeavyEdge}) {
       MultilevelConfig cfg;
       cfg.matching = scheme;
       cfg.refine = refine;
-      cfg.kl.parallel_boundary_min = 0;
       for (const auto& [name, g] : family_graphs()) {
         std::vector<part_t> reference;
         for (int threads : kPoolSizes) {
@@ -111,7 +110,7 @@ TEST(PipelineDeterminismTest, ParallelRefinerByteIdenticalAcrossPoolSizes) {
             reference = r.part;
           } else {
             ASSERT_EQ(r.part, reference)
-                << "parallel-refined partition differs: " << name
+                << "partition differs: " << name
                 << " scheme=" << to_string(scheme) << " refine=" << to_string(refine)
                 << " threads=" << threads;
           }
@@ -122,11 +121,10 @@ TEST(PipelineDeterminismTest, ParallelRefinerByteIdenticalAcrossPoolSizes) {
 }
 
 TEST(PipelineDeterminismTest, ParallelRefinerUnaffectedByObsCollection) {
-  // The determinism contract composes: obs collection must not perturb the
-  // parallel refiner's rounds either.
+  // The determinism contract composes: obs collection must not perturb a
+  // pooled run's refinement either.
   Graph g = fem2d_tri(48, 48, 3);
   MultilevelConfig cfg;
-  cfg.kl.parallel_boundary_min = 0;
   std::vector<part_t> reference;
   for (int threads : kPoolSizes) {
     ThreadPool pool(threads);
@@ -141,9 +139,31 @@ TEST(PipelineDeterminismTest, ParallelRefinerUnaffectedByObsCollection) {
     Rng obs_rng(555);
     KwayResult traced = kway_partition(g, 8, with_obs, obs_rng, &pool);
     ASSERT_EQ(traced.part, reference) << "obs run diverged, t=" << threads;
-    // The parallel refiner actually ran and its counters are populated.
-    EXPECT_GT(ob.metrics.snapshot().counter_value("refine.parallel_rounds"), 0)
-        << "t=" << threads;
+  }
+}
+
+TEST(PipelineDeterminismTest, RefinementIgnoresThePool) {
+  // The threads contract: a pool changes a partition only through the
+  // matcher (proposal HEM), so under random matching a null pool and every
+  // pool size give the same labels, for both greedy boundary policies and
+  // on a mesh whose boundary is large (past the 2048 vertices at which
+  // two-way refinement once left KL for a propose/commit engine).
+  const Graph g = grid3d_27(40, 40, 40);
+  MultilevelConfig cfg;
+  cfg.matching = MatchingScheme::kRandom;
+  for (RefinePolicy refine : {RefinePolicy::kBGR, RefinePolicy::kBKLGR}) {
+    cfg.refine = refine;
+    Rng rng(2024);
+    const KwayResult reference = kway_partition(g, 2, cfg, rng);
+    ASSERT_EQ(check_partition(g, reference.part, 2), "") << to_string(refine);
+    ASSERT_GE(count_boundary_vertices(g, reference.part), 2048) << to_string(refine);
+    for (int threads : kPoolSizes) {
+      ThreadPool pool(threads);
+      Rng pool_rng(2024);
+      const KwayResult r = kway_partition(g, 2, cfg, pool_rng, &pool);
+      ASSERT_EQ(r.part, reference.part)
+          << "refine=" << to_string(refine) << " threads=" << threads;
+    }
   }
 }
 

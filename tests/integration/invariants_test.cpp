@@ -191,70 +191,6 @@ TEST(InvariantsTest, RefinersNeverWorsenCutNorViolateBalanceBound) {
   }
 }
 
-TEST(InvariantsTest, ParallelRefinerInvariantsUnderConcurrency) {
-  // The pooled greedy leg (the k-way propose/commit engine at k=2) obeys
-  // the same contract as the KL engine — the cut never worsens and no side
-  // exceeds max(its entry weight, target + slack) — and its accounting
-  // (checked under TSan: propose sweeps run on real pool workers) adds up:
-  // kept + rejected = attempted, the kept total equals the number of
-  // changed labels, and the pass report chains the entry and exit cuts.
-  ThreadPool pool(4);
-  KlOptions opts;
-  opts.parallel_boundary_min = 0;
-  for (const auto& [name, g] : random_graphs(37)) {
-    const vwt_t total = g.total_vertex_weight();
-    vwt_t max_vwgt = 0;
-    for (vid_t v = 0; v < g.num_vertices(); ++v) {
-      max_vwgt = std::max(max_vwgt, g.vertex_weight(v));
-    }
-    const vwt_t slack =
-        static_cast<vwt_t>(opts.weight_slack_factor * static_cast<double>(max_vwgt));
-
-    for (std::uint64_t bseed : {2u, 12u}) {
-      // Even and odd-k style targets: the two sides' ceilings differ.
-      const vwt_t target0 = bseed == 2u ? total / 2 : 2 * total / 3;
-      Rng brng(bseed);
-      std::vector<part_t> side(static_cast<std::size_t>(g.num_vertices()));
-      for (auto& s : side) s = static_cast<part_t>(brng.next_below(2));
-      Bisection b = make_bisection(g, std::move(side));
-      const ewt_t cut_before = b.cut;
-      const vwt_t w_before[2] = {b.part_weight[0], b.part_weight[1]};
-      const std::vector<part_t> side_before = b.side;
-
-      std::vector<obs::KlPassReport> log;
-      Rng rng(bseed);
-      KlStats stats = refine_bisection(g, b, target0, RefinePolicy::kBGR,
-                                       g.num_vertices(), rng, opts, &log, nullptr,
-                                       &pool);
-
-      const std::string tag = name + "/parallelBGR";
-      ASSERT_EQ(check_bisection(g, b), "") << tag;
-      EXPECT_LE(b.cut, cut_before) << tag << ": refiner worsened the cut";
-      EXPECT_EQ(cut_before - b.cut, stats.cut_reduction) << tag;
-      const vwt_t target[2] = {target0, total - target0};
-      for (int s = 0; s < 2; ++s) {
-        EXPECT_LE(b.part_weight[s], std::max(w_before[s], target[s] + slack))
-            << tag << ": balance bound violated on side " << s;
-      }
-
-      vid_t moved = 0;
-      for (std::size_t i = 0; i < side_before.size(); ++i) {
-        moved += side_before[i] != b.side[i] ? 1 : 0;
-      }
-      EXPECT_EQ(moved, stats.swapped) << tag << ": a vertex moved twice";
-      EXPECT_GE(stats.parallel_rounds, 1) << tag;
-      EXPECT_EQ(stats.moves_attempted, stats.swapped + stats.conflict_rejects) << tag;
-
-      ASSERT_EQ(log.size(), 1u) << tag;
-      EXPECT_EQ(log[0].cut_before, cut_before) << tag;
-      EXPECT_EQ(log[0].cut_after, b.cut) << tag;
-      EXPECT_EQ(log[0].moves_kept, stats.swapped) << tag;
-      EXPECT_EQ(log[0].moves_attempted, log[0].moves_kept + log[0].moves_undone)
-          << tag;
-    }
-  }
-}
-
 TEST(InvariantsTest, RefinementMonotoneAfterConvergence) {
   // Running KLR to convergence and then refining again may at best improve
   // further (a different random insertion order can escape a tie); the cut

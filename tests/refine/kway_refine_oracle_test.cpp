@@ -2,7 +2,7 @@
 // the full-sweep refiner produces — the one that re-gathers every vertex
 // passing the O(1) filter in every round — for every pool size and every
 // caller shape (direct k-way, the frontier-restricted incremental variant,
-// the k=2 pooled BGR leg with per-side ceilings), while gathering no more.
+// and a single floorless pass at k=2), while gathering no more.
 // The reference below is a test-local copy of that full-sweep refiner with
 // gather counters added; it runs inline (its rounds do not depend on a pool).
 #include <gtest/gtest.h>
@@ -45,11 +45,12 @@ void clear(ewt_t* conn, const part_t* touched, int num_touched) {
 
 /// The full-sweep refiner: the propose/commit rounds of kway_parallel_refine
 /// without stuck flags, run over the same 16 fixed chunks on one thread.
+/// Its propose filter keeps the per-part "most room" form, which under the
+/// one ceiling must pick exactly what the engine's lightest-part form picks.
 KwayRefineResult full_sweep_refine(const Graph& g, std::span<part_t> part,
                                    part_t k, std::span<vwt_t> pwgts,
-                                   std::span<const vwt_t> max_part_weight,
-                                   vwt_t min_part_weight, int max_passes,
-                                   char* active) {
+                                   vwt_t max_part_weight, vwt_t min_part_weight,
+                                   int max_passes, char* active) {
   KwayRefineResult res;
   const vid_t n = g.num_vertices();
   if (n == 0 || k <= 1) return res;
@@ -79,8 +80,7 @@ KwayRefineResult full_sweep_refine(const Graph& g, std::span<part_t> part,
       ++res.rounds;
       std::copy(pwgts.begin(), pwgts.end(), frozen.begin());
       const auto room = [&](part_t p) {
-        return max_part_weight[static_cast<std::size_t>(p)] -
-               pwgts[static_cast<std::size_t>(p)];
+        return max_part_weight - pwgts[static_cast<std::size_t>(p)];
       };
       part_t roomiest = 0, lightest = 0;
       for (part_t p = 1; p < k; ++p) {
@@ -128,7 +128,7 @@ KwayRefineResult full_sweep_refine(const Graph& g, std::span<part_t> part,
             const part_t p = touched[static_cast<std::size_t>(t)];
             if (p == from) continue;
             const vwt_t pw = frozen[static_cast<std::size_t>(p)];
-            if (pw + wv > max_part_weight[static_cast<std::size_t>(p)]) continue;
+            if (pw + wv > max_part_weight) continue;
             const ewt_t gain = conn[static_cast<std::size_t>(p)] - internal;
             if (gain < 0) continue;
             if (gain == 0 && pw + wv >= from_w) continue;
@@ -160,8 +160,7 @@ KwayRefineResult full_sweep_refine(const Graph& g, std::span<part_t> part,
         if (gain < 0 ||
             (gain == 0 && pwgts[static_cast<std::size_t>(to)] + wv >=
                               pwgts[static_cast<std::size_t>(from)]) ||
-            pwgts[static_cast<std::size_t>(to)] + wv >
-                max_part_weight[static_cast<std::size_t>(to)] ||
+            pwgts[static_cast<std::size_t>(to)] + wv > max_part_weight ||
             pwgts[static_cast<std::size_t>(from)] - wv < min_part_weight) {
           ++res.conflict_rejects;
           continue;
@@ -205,7 +204,7 @@ KwayRefineResult full_sweep_refine(const Graph& g, std::span<part_t> part,
 struct Case {
   std::vector<part_t> part;
   std::vector<vwt_t> pwgts;
-  std::vector<vwt_t> ceilings;
+  vwt_t ceiling = 0;
   vwt_t floor = 0;
   int max_passes = 8;
 };
@@ -230,8 +229,7 @@ Case make_case(const Graph& g, part_t k, std::uint64_t seed) {
     max_vwgt = std::max(max_vwgt, g.vertex_weight(v));
   }
   const vwt_t total = g.total_vertex_weight();
-  c.ceilings.assign(static_cast<std::size_t>(k),
-                    static_cast<vwt_t>(static_cast<double>(total) / k * 1.03) + max_vwgt);
+  c.ceiling = static_cast<vwt_t>(static_cast<double>(total) / k * 1.03) + max_vwgt;
   c.floor = std::max<vwt_t>(1, (total / k) / 2);
   return c;
 }
@@ -274,14 +272,15 @@ TEST(KwayRefineOracleTest, IdenticalToFullSweepOnEveryPoolSize) {
       const Case c = make_case(g, k, 7 + static_cast<std::uint64_t>(k));
       Case want = c;
       const KwayRefineResult ref = full_sweep_refine(
-          g, want.part, k, want.pwgts, want.ceilings, want.floor, want.max_passes, nullptr);
+          g, want.part, k, want.pwgts, want.ceiling, want.floor, want.max_passes,
+          nullptr);
       EXPECT_GT(ref.moves, 0) << name << " k=" << k;
       for (ThreadPool* pool : pools.all()) {
         const std::string tag = tag_of(name, k, pool);
         Case got = c;
         KwayRefineWorkspace ws;
         const KwayRefineResult r = kway_parallel_refine(
-            g, got.part, k, got.pwgts, got.ceilings, got.floor, got.max_passes, pool, ws);
+            g, got.part, k, got.pwgts, got.ceiling, got.floor, got.max_passes, pool, ws);
         EXPECT_EQ(got.part, want.part) << tag;
         EXPECT_EQ(got.pwgts, want.pwgts) << tag;
         expect_same_run(r, ref, tag);
@@ -305,14 +304,14 @@ TEST(KwayRefineOracleTest, ActiveMaskIdenticalToFullSweep) {
     Case want = c;
     std::vector<char> want_mask = mask;
     const KwayRefineResult ref = full_sweep_refine(
-        g, want.part, k, want.pwgts, want.ceilings, want.floor, 4, want_mask.data());
+        g, want.part, k, want.pwgts, want.ceiling, want.floor, 4, want_mask.data());
     for (ThreadPool* pool : pools.all()) {
       const std::string tag = tag_of(name, k, pool);
       Case got = c;
       std::vector<char> got_mask = mask;
       KwayRefineWorkspace ws;
       const KwayRefineResult r = kway_parallel_refine_active(
-          g, got.part, k, got.pwgts, got.ceilings, got.floor, 4, pool, ws, got_mask);
+          g, got.part, k, got.pwgts, got.ceiling, got.floor, 4, pool, ws, got_mask);
       EXPECT_EQ(got.part, want.part) << tag;
       EXPECT_EQ(got.pwgts, want.pwgts) << tag;
       EXPECT_EQ(got_mask, want_mask) << tag;
@@ -321,25 +320,25 @@ TEST(KwayRefineOracleTest, ActiveMaskIdenticalToFullSweep) {
   }
 }
 
-TEST(KwayRefineOracleTest, TwoWayLegWithPerSideCeilingsIdenticalToFullSweep) {
-  // The pooled BGR leg's shape: k=2, one pass, no floor, and each side its
-  // own ceiling (a 45/55 target with a little slack).
+TEST(KwayRefineOracleTest, TwoWaySinglePassIdenticalToFullSweep) {
+  // k=2, one pass, no floor, and one ceiling a little above 55% of the
+  // weight.
   Pools pools;
   for (const auto& [name, g] : oracle_graphs()) {
     Case c = make_case(g, 2, 5);
     const vwt_t total = g.total_vertex_weight();
-    c.ceilings = {total * 45 / 100 + total / 50, total * 55 / 100 + total / 50};
+    c.ceiling = total * 55 / 100 + total / 50;
     c.floor = 0;
     c.max_passes = 1;
     Case want = c;
     const KwayRefineResult ref = full_sweep_refine(
-        g, want.part, 2, want.pwgts, want.ceilings, want.floor, want.max_passes, nullptr);
+        g, want.part, 2, want.pwgts, want.ceiling, want.floor, want.max_passes, nullptr);
     for (ThreadPool* pool : pools.all()) {
       const std::string tag = tag_of(name, 2, pool);
       Case got = c;
       KwayRefineWorkspace ws;
       const KwayRefineResult r = kway_parallel_refine(
-          g, got.part, 2, got.pwgts, got.ceilings, got.floor, got.max_passes, pool, ws);
+          g, got.part, 2, got.pwgts, got.ceiling, got.floor, got.max_passes, pool, ws);
       EXPECT_EQ(got.part, want.part) << tag;
       EXPECT_EQ(got.pwgts, want.pwgts) << tag;
       expect_same_run(r, ref, tag);
@@ -356,7 +355,7 @@ TEST(KwayRefineOracleTest, WarmWorkspaceWithStaleFlagsMatchesFreshOne) {
   ThreadPool pool(4);
   KwayRefineWorkspace warm;
   Case first = make_case(g, k, 21);
-  kway_parallel_refine(g, first.part, k, first.pwgts, first.ceilings, first.floor,
+  kway_parallel_refine(g, first.part, k, first.pwgts, first.ceiling, first.floor,
                        first.max_passes, &pool, warm);
   ASSERT_TRUE(std::count(warm.stuck.begin(), warm.stuck.end(), char{1}) > 0)
       << "the first call must leave flags behind for this case to test anything";
@@ -365,10 +364,11 @@ TEST(KwayRefineOracleTest, WarmWorkspaceWithStaleFlagsMatchesFreshOne) {
   Case want = second;
   KwayRefineWorkspace fresh;
   const KwayRefineResult ref = kway_parallel_refine(
-      g, want.part, k, want.pwgts, want.ceilings, want.floor, want.max_passes, &pool, fresh);
+      g, want.part, k, want.pwgts, want.ceiling, want.floor, want.max_passes, &pool,
+      fresh);
   Case got = second;
   const KwayRefineResult r = kway_parallel_refine(
-      g, got.part, k, got.pwgts, got.ceilings, got.floor, got.max_passes, &pool, warm);
+      g, got.part, k, got.pwgts, got.ceiling, got.floor, got.max_passes, &pool, warm);
   EXPECT_EQ(got.part, want.part);
   EXPECT_EQ(got.pwgts, want.pwgts);
   expect_same_run(r, ref, "warm");
