@@ -25,6 +25,7 @@
 #include "graph/generators.hpp"
 #include "order/nested_dissection.hpp"
 #include "order/symbolic.hpp"
+#include "spectral/msb.hpp"
 
 namespace mgp::golden {
 
@@ -45,6 +46,9 @@ struct GoldenEntry {
   /// MLND ordering row (order/nested_dissection, default NdOptions): `cut`
   /// pins nnz(L) of the ordering and the hash covers the permutation; k is 0.
   bool nd = false;
+  /// MSB row (spectral/msb, default MsbOptions): the paper's RM-coarsened
+  /// multilevel spectral baseline, partitioned by recursive bisection.
+  bool msb = false;
 };
 
 /// Disjoint union of `parts`, vertex ids offset in order: a disconnected
@@ -117,6 +121,9 @@ inline std::vector<GoldenEntry> corpus() {
                   path_graph(90)});
            },
        .nd = true},
+      // The paper's MSB baseline: RM coarsening, Lanczos uncoarsening.
+      {.name = "fem2d_tri_40x40_msb_k8", .k = 8, .seed = 4242,
+       .build = [] { return fem2d_tri(40, 40, 7); }, .msb = true},
   };
 }
 
@@ -170,6 +177,10 @@ inline GoldenResult run_entry(const GoldenEntry& e) {
     const std::vector<vid_t> perm =
         mlnd_order(g, MultilevelConfig{}, NdOptions{}, rng);
     return {symbolic_cholesky(g, perm).nnz_factor, fnv1a64(perm)};
+  }
+  if (e.msb) {
+    const KwayResult r = msb_partition(g, e.k, MsbOptions{}, rng);
+    return {r.edge_cut, fnv1a64(r.part)};
   }
   if (e.direct) {
     KwayDirectConfig cfg;  // defaults on top of the paper pipeline
