@@ -7,7 +7,7 @@
 //   * a whole MLND ordering (allocation count per ordering),
 //   * Laplacian SpMV (the inner loop of the spectral baselines).
 //
-// The *Workspace variants benchmark the arena/workspace forms of the same
+// The *Workspace variants benchmark the workspace forms of the same
 // kernels and report a `steady_allocs` counter: heap allocations in one
 // post-warm-up run, counted by the linked counting allocator
 // (tests/support/alloc_guard).  The workspace forms must report 0;
@@ -30,7 +30,6 @@
 #include "refine/kway_refine.hpp"
 #include "spectral/laplacian.hpp"
 #include "support/alloc_guard.hpp"
-#include "support/arena.hpp"
 #include "support/bucket_queue.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
@@ -237,17 +236,15 @@ void BM_MatchingWorkspace(benchmark::State& state) {
 BENCHMARK(BM_MatchingWorkspace);
 
 void BM_ContractWorkspace(benchmark::State& state) {
-  // contract_into with pooled scratch + arena: the coarse CSR, contraction
-  // map, and hash-lookup tables are all recycled across runs.
+  // contract_into with pooled scratch: the coarse CSR, contraction map,
+  // and scatter tables are all recycled across runs.
   const Graph& g = bench_graph();
   Rng rng(4);
   Matching m = compute_matching(g, MatchingScheme::kHeavyEdge, {}, rng);
   ContractScratch scratch;
-  ScratchArena arena;
   Contraction c;
-  auto run = [&]() { contract_into(g, m, {}, nullptr, scratch, arena, c); };
+  auto run = [&]() { contract_into(g, m, {}, nullptr, scratch, c); };
   run();  // warm the buffers
-  run();  // let the arena coalesce after its first reset
   mgp::testing::AllocGuard guard;
   run();
   state.counters["steady_allocs"] = static_cast<double>(guard.allocations());

@@ -11,27 +11,26 @@ namespace mgp {
 Contraction contract(const Graph& fine, const Matching& match,
                      std::span<const ewt_t> fine_cewgt, ThreadPool* pool) {
   ContractScratch scratch;
-  ScratchArena arena;
   Contraction out;
-  contract_into(fine, match, fine_cewgt, pool, scratch, arena, out);
+  contract_into(fine, match, fine_cewgt, pool, scratch, out);
   return out;
 }
 
 void contract_into(const Graph& fine, const Matching& match,
                    std::span<const ewt_t> fine_cewgt, ThreadPool* pool,
-                   ContractScratch& scratch, ScratchArena& arena, Contraction& out) {
+                   ContractScratch& scratch, Contraction& out) {
   const vid_t n = fine.num_vertices();
   assert(match.match.size() == static_cast<std::size_t>(n));
   obs::Span span("contract");
   span.arg("fine_n", n);
 
-  arena.reset();
   out.cmap.assign(static_cast<std::size_t>(n), kInvalidVid);
 
   // Number coarse vertices: the smaller endpoint of each pair (and every
   // unmatched vertex) claims the next id, in fine-vertex order.  reps[c] is
   // that claiming fine vertex, so coarse rows can be built in any order.
-  std::span<vid_t> reps = arena.alloc<vid_t>(static_cast<std::size_t>(n));
+  std::vector<vid_t>& reps = scratch.reps;
+  reps.resize(static_cast<std::size_t>(n));
   vid_t cn = 0;
   for (vid_t v = 0; v < n; ++v) {
     vid_t p = match.match[static_cast<std::size_t>(v)];
@@ -117,8 +116,9 @@ void contract_into(const Graph& fine, const Matching& match,
   const int chunks = pool ? pool->num_threads() : 1;
   if (chunks <= 1 || cn < 2 * static_cast<vid_t>(chunks)) {
     // Sequential path: one buffer, row-relative offsets are already final.
-    std::span<eid_t> pos = arena.alloc<eid_t>(static_cast<std::size_t>(cn));
-    std::fill(pos.begin(), pos.end(), eid_t{-1});
+    if (scratch.chunks.empty()) scratch.chunks.emplace_back();
+    std::vector<eid_t>& pos = scratch.chunks[0].pos;
+    pos.assign(static_cast<std::size_t>(cn), -1);
     st.adjncy.reserve(static_cast<std::size_t>(fine.num_arcs()));
     st.adjwgt.reserve(static_cast<std::size_t>(fine.num_arcs()));
     st.adjncy.clear();

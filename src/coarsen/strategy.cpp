@@ -4,6 +4,9 @@
 #include <cmath>
 
 #include "coarsen/parallel_matching.hpp"
+#include "core/cancel.hpp"
+#include "core/config.hpp"
+#include "obs/phase.hpp"
 #include "obs/trace.hpp"
 #include "support/workspace.hpp"
 
@@ -100,7 +103,7 @@ class MatchingCoarsening final : public CoarseningStrategy {
     } else {
       compute_matching(fine, matching, fine_cewgt, rng, ws.match, ws.match_order);
     }
-    contract_into(fine, ws.match, fine_cewgt, pool, ws.contract, ws.arena, out);
+    contract_into(fine, ws.match, fine_cewgt, pool, ws.contract, out);
     stats.matched_pairs = ws.match.pairs;
     return accept_level(fine, out, min_shrink_factor);
   }
@@ -224,7 +227,7 @@ class AlgebraicDistanceCoarsening final : public CoarseningStrategy {
       }
     }
 
-    contract_into(fine, m, fine_cewgt, pool, ws.contract, ws.arena, out);
+    contract_into(fine, m, fine_cewgt, pool, ws.contract, out);
     stats.matched_pairs = m.pairs;
     return accept_level(fine, out, min_shrink_factor);
   }
@@ -482,6 +485,59 @@ const CoarseningStrategy& coarsening_strategy(CoarsenStrategy kind) {
     case CoarsenStrategy::kNLevel: return nlevel;
   }
   return matching;
+}
+
+std::size_t coarsen_ladder(const Graph& g, vid_t coarsen_to,
+                           const MultilevelConfig& cfg, Rng& rng, ThreadPool* pool,
+                           BisectWorkspace& ws,
+                           std::vector<std::unique_ptr<Contraction>>& levels,
+                           const char* span_name, LevelCounter level_counter) {
+  const CoarseningStrategy& strategy = coarsening_strategy(cfg.coarsen.strategy);
+  obs::Obs* const ob = cfg.obs;
+  if (ob) {
+    ob->metrics.record_max(ob->pipeline.coarsen_strategy,
+                           static_cast<std::int64_t>(cfg.coarsen.strategy));
+  }
+  std::size_t num_levels = 0;
+  const Graph* cur = &g;
+  std::span<const ewt_t> cewgt;  // empty at level 0
+  while (cur->num_vertices() > coarsen_to) {
+    throw_if_cancelled(cfg.cancel);
+    obs::PhaseScope level_span(ob, obs::Phase::kCoarsen, span_name);
+    level_span.arg("level", static_cast<std::int64_t>(num_levels));
+    level_span.arg("n", cur->num_vertices());
+    if (levels.size() <= num_levels) levels.push_back(std::make_unique<Contraction>());
+    Contraction& c = *levels[num_levels];
+    // The strategy owns match→contract→stop for its level: a false return
+    // means the ladder is done (matching stagnated / nothing left to
+    // contract) and the just-computed level is discarded.
+    CoarsenLevelStats ls;
+    if (!strategy.coarsen_level(*cur, cewgt, cfg.matching, cfg.coarsen,
+                                cfg.min_shrink_factor, rng, pool, ws, c, ls)) {
+      break;
+    }
+    if (ob) {
+      const vid_t fine_n = cur->num_vertices();
+      const vid_t coarse_n = c.coarse.num_vertices();
+      ob->metrics.add(ob->pipeline.*level_counter);
+      ob->metrics.add(ob->pipeline.matched_pairs, ls.matched_pairs);
+      if (ls.ad_sweeps > 0) ob->metrics.add(ob->pipeline.coarsen_ad_iters, ls.ad_sweeps);
+      if (ls.pq_updates > 0) {
+        ob->metrics.add(ob->pipeline.coarsen_nlevel_pq_updates, ls.pq_updates);
+      }
+      if (ls.match_rounds > 0) {
+        ob->metrics.add(ob->pipeline.coarsen_match_rounds, ls.match_rounds);
+        ob->metrics.add(ob->pipeline.coarsen_match_proposals, ls.match_proposals);
+      }
+      ob->metrics.observe(ob->pipeline.shrink_pct,
+                          fine_n > 0 ? 100 * static_cast<std::int64_t>(coarse_n) / fine_n
+                                     : 0);
+    }
+    ++num_levels;
+    cur = &c.coarse;
+    cewgt = c.cewgt;
+  }
+  return num_levels;
 }
 
 }  // namespace mgp

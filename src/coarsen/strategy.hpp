@@ -38,18 +38,22 @@
 // allocation-free.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "coarsen/contract.hpp"
 #include "coarsen/matching.hpp"
+#include "obs/report.hpp"
 #include "support/rng.hpp"
 
 namespace mgp {
 
 struct BisectWorkspace;
+struct MultilevelConfig;
 class ThreadPool;
 
 enum class CoarsenStrategy : std::uint8_t {
@@ -104,7 +108,7 @@ class CoarseningStrategy {
 
   /// Builds one coarse level from `fine` into `out`.  `fine_cewgt` is the
   /// per-vertex interior collapsed edge weight (empty at level 0).  Scratch
-  /// comes from `ws` (matching buffers, contraction scratch, arena, and the
+  /// comes from `ws` (matching buffers, contraction scratch, and the
   /// strategy-specific CoarsenWorkspace); nothing is allocated once the
   /// workspace has warmed to the subproblem's size.
   virtual bool coarsen_level(const Graph& fine, std::span<const ewt_t> fine_cewgt,
@@ -116,6 +120,51 @@ class CoarseningStrategy {
 
 /// The shared stateless singleton implementing `kind`.
 const CoarseningStrategy& coarsening_strategy(CoarsenStrategy kind);
+
+/// The obs counter a ladder adds one to per level it keeps.
+using LevelCounter = obs::MetricsRegistry::Id obs::Obs::PipelineMetrics::*;
+
+/// The coarsening ladder of §3.1, shared by every multilevel scheme
+/// (bisection, direct k-way, MSB): coarsens `g` with the strategy, matching
+/// and stagnation guard `cfg` selects until a level has at most
+/// `coarsen_to` vertices or the strategy stops.  levels[i] receives G_{i+1}
+/// and the map from G_i's vertices into it; slots persist across calls
+/// (their storage is what contraction recycles), and the first N of them,
+/// N the return value, hold this call's levels.  Per level it polls
+/// cfg.cancel, opens an obs::PhaseScope named `span_name` and, with
+/// cfg.obs attached, adds to `level_counter` and the shared coarsening
+/// counters.  Scratch comes from `ws`.  Returns the number of levels built.
+std::size_t coarsen_ladder(const Graph& g, vid_t coarsen_to,
+                           const MultilevelConfig& cfg, Rng& rng, ThreadPool* pool,
+                           BisectWorkspace& ws,
+                           std::vector<std::unique_ptr<Contraction>>& levels,
+                           const char* span_name, LevelCounter level_counter);
+
+/// One projection step of the uncoarsening sweep (§3.1): every vertex of
+/// G_i takes the value of its multinode in G_{i+1}, labels[v] =
+/// coarse_labels[cmap[v]].  The fine values are built in `proj` and swapped
+/// into `labels`, so a sweep reuses the same two buffers all the way down.
+template <typename T>
+void project_level(const std::vector<vid_t>& cmap, std::vector<T>& labels,
+                   std::vector<T>& proj) {
+  proj.resize(cmap.size());
+  for (std::size_t v = 0; v < cmap.size(); ++v) {
+    proj[v] = labels[static_cast<std::size_t>(cmap[v])];
+  }
+  std::swap(labels, proj);
+}
+
+/// Ends a sweep of project_level: the swaps migrate capacity between
+/// `labels` and `proj` with level-count parity, so both are raised to the
+/// larger capacity.  No later call, whatever its shape, then inherits a
+/// too-small buffer and regrows (the zero-allocation steady state relies
+/// on this).
+template <typename T>
+void even_capacities(std::vector<T>& labels, std::vector<T>& proj) {
+  const std::size_t cap = std::max(labels.capacity(), proj.capacity());
+  labels.reserve(cap);
+  proj.reserve(cap);
+}
 
 /// Reusable strategy scratch, one per BisectWorkspace.  Default-constructed
 /// empty; warms to the subproblem's high-water size on first use.

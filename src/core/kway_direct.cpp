@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "coarsen/contract.hpp"
 #include "coarsen/strategy.hpp"
 #include "core/cancel.hpp"
 #include "obs/phase.hpp"
@@ -14,16 +13,6 @@
 #include "support/workspace.hpp"
 
 namespace mgp {
-
-MultilevelConfig KwayDirectConfig::initial_config() const {
-  MultilevelConfig c = base;
-  // The coarsest-graph partition runs the sequential recursion regardless of
-  // the outer thread count: its input is tiny, and keeping the draw order
-  // pool-independent is what makes the whole direct path byte-identical
-  // across pool sizes.
-  c.threads = 1;
-  return c;
-}
 
 void KwayDirectConfig::validate(part_t k) const {
   if (k < 1) throw std::invalid_argument("kway_direct: k must be >= 1");
@@ -77,72 +66,19 @@ ewt_t kway_partition_direct_into(const Graph& g, part_t k,
   // Workspace-less callers get a call-local one: same code path throughout,
   // just without cross-call buffer reuse.
   std::unique_ptr<BisectWorkspace> local_ws;
-  if (!ext_ws) {
-    local_ws = std::make_unique<BisectWorkspace>();
-    ext_ws = local_ws.get();
-  }
-  BisectWorkspace& ws = *ext_ws;
+  BisectWorkspace& ws =
+      ext_ws ? *ext_ws : *(local_ws = std::make_unique<BisectWorkspace>());
   obs::Obs* const ob = cfg.base.obs;
 
   // ---- Coarsening (once, not per bisection). ----
-  // dws.levels[i] holds G_{i+1}; slots persist across calls (their storage
-  // is what contract_into recycles).  The ladder is the workspace's own —
+  // dws.levels[i] holds G_{i+1}.  The ladder is the workspace's own —
   // ws.levels belongs to the initial partition's sub-bisections.
   const vid_t coarsen_to = std::max<vid_t>(
       cfg.coarsen_to_floor, cfg.coarse_vertices_per_part * static_cast<vid_t>(k));
-  std::size_t num_levels = 0;
-  const Graph* cur = &g;
-  {
-    const CoarseningStrategy& strategy =
-        coarsening_strategy(cfg.base.coarsen.strategy);
-    if (ob) {
-      ob->metrics.record_max(ob->pipeline.coarsen_strategy,
-                             static_cast<std::int64_t>(cfg.base.coarsen.strategy));
-    }
-    std::span<const ewt_t> cewgt;  // empty at level 0
-    while (cur->num_vertices() > coarsen_to) {
-      throw_if_cancelled(cfg.base.cancel);
-      obs::PhaseScope level_span(ob, obs::Phase::kCoarsen, "kway_direct.coarsen");
-      level_span.arg("level", static_cast<std::int64_t>(num_levels));
-      level_span.arg("n", cur->num_vertices());
-      if (dws.levels.size() <= num_levels) {
-        dws.levels.push_back(std::make_unique<Contraction>());
-      }
-      Contraction& c = *dws.levels[num_levels];
-      // The strategy owns match→contract→stop for its level: a false return
-      // means the ladder is done (matching stagnated / nothing left to
-      // contract) and the just-computed level is discarded.
-      CoarsenLevelStats ls;
-      if (!strategy.coarsen_level(*cur, cewgt, cfg.base.matching, cfg.base.coarsen,
-                                  cfg.base.min_shrink_factor, rng, pool, ws, c, ls)) {
-        break;
-      }
-      const vid_t fine_n = cur->num_vertices();
-      const vid_t coarse_n = c.coarse.num_vertices();
-      if (ob) {
-        ob->metrics.add(ob->pipeline.kway_direct_levels);
-        ob->metrics.add(ob->pipeline.matched_pairs, ls.matched_pairs);
-        if (ls.ad_sweeps > 0) {
-          ob->metrics.add(ob->pipeline.coarsen_ad_iters, ls.ad_sweeps);
-        }
-        if (ls.pq_updates > 0) {
-          ob->metrics.add(ob->pipeline.coarsen_nlevel_pq_updates, ls.pq_updates);
-        }
-        if (ls.match_rounds > 0) {
-          ob->metrics.add(ob->pipeline.coarsen_match_rounds, ls.match_rounds);
-          ob->metrics.add(ob->pipeline.coarsen_match_proposals, ls.match_proposals);
-        }
-        ob->metrics.observe(ob->pipeline.shrink_pct,
-                            fine_n > 0 ? 100 * static_cast<std::int64_t>(coarse_n) /
-                                             fine_n
-                                       : 0);
-      }
-      ++num_levels;
-      cur = &c.coarse;
-      cewgt = c.cewgt;
-    }
-  }
-  const Graph& coarsest = *cur;
+  const std::size_t num_levels = coarsen_ladder(
+      g, coarsen_to, cfg.base, rng, pool, ws, dws.levels, "kway_direct.coarsen",
+      &obs::Obs::PipelineMetrics::kway_direct_levels);
+  const Graph& coarsest = num_levels == 0 ? g : dws.levels[num_levels - 1]->coarse;
 
   // ---- Initial k-way partition of the coarsest graph (recursive
   //      bisection — the paper's own algorithm, on a tiny input).  Always
@@ -150,21 +86,17 @@ ewt_t kway_partition_direct_into(const Graph& g, part_t k,
   {
     obs::PhaseScope init_span(ob, obs::Phase::kInitPart, "kway_direct.initpart");
     init_span.arg("n", coarsest.num_vertices());
-    kway_partition_into(coarsest, k, cfg.initial_config(), rng, dws.init_scratch,
-                        &ws, out_part);
+    kway_partition_into(coarsest, k, cfg.base, rng, dws.init_scratch, &ws, out_part);
   }
 
   // Part weights of the coarsest labelling; invariant under projection
   // (contraction preserves vertex-weight sums), so they are maintained
   // incrementally by the refiner all the way down — never rescanned.
-  const std::size_t kk = static_cast<std::size_t>(k);
-  dws.pwgts.assign(kk, 0);
+  dws.pwgts.assign(static_cast<std::size_t>(k), 0);
   for (vid_t v = 0; v < coarsest.num_vertices(); ++v) {
     dws.pwgts[static_cast<std::size_t>(out_part[static_cast<std::size_t>(v)])] +=
         coarsest.vertex_weight(v);
   }
-  const vwt_t total = g.total_vertex_weight();
-  const vwt_t min_part_weight = std::max<vwt_t>(1, (total / k) / 2);
 
   // ---- Single uncoarsening sweep with parallel k-way refinement. ----
   for (std::size_t li = num_levels + 1; li-- > 0;) {
@@ -174,54 +106,52 @@ ewt_t kway_partition_direct_into(const Graph& g, part_t k,
       obs::PhaseScope refine_span(ob, obs::Phase::kRefine, "kway_direct.refine");
       refine_span.arg("level", static_cast<std::int64_t>(li));
       refine_span.arg("n", level_graph.num_vertices());
-      // Ceiling from *this* level's max vertex weight: a coarse multinode
-      // can outweigh any fine vertex, so a single entry-level bound would
-      // be either too loose at the bottom or unsatisfiable at the top.
-      vwt_t max_vwgt = 0;
-      for (vid_t v = 0; v < level_graph.num_vertices(); ++v) {
-        max_vwgt = std::max(max_vwgt, level_graph.vertex_weight(v));
-      }
-      const vwt_t max_part_weight =
-          static_cast<vwt_t>((static_cast<double>(total) / k) *
-                             (1.0 + cfg.imbalance)) +
-          max_vwgt;
-      // Balance before refining: refinement is strictly-positive-gain only,
-      // so an overweight part inherited from the lumpy coarsest-level
-      // initial partition must be drained explicitly; the refiner then
-      // recovers the cut without re-breaking the ceiling.
-      kway_balance(level_graph, out_part, k, dws.pwgts, max_part_weight,
-                   min_part_weight, dws.refine);
-      const KwayRefineResult rr = kway_parallel_refine(
-          level_graph, out_part, k, dws.pwgts, max_part_weight, min_part_weight,
-          cfg.max_refine_passes, pool, dws.refine);
-      if (ob) {
-        ob->metrics.add(ob->pipeline.kway_rounds, rr.rounds);
-        ob->metrics.add(ob->pipeline.kway_gathers, rr.gathers);
-        ob->metrics.add(ob->pipeline.kway_conflict_rejects, rr.conflict_rejects);
-      }
+      kway_refine_level(level_graph, k, cfg.imbalance, cfg.max_refine_passes, out_part,
+                        dws.pwgts, pool, dws.refine, ob);
     }
     if (li == 0) break;
     obs::PhaseScope proj_span(ob, obs::Phase::kProject, "kway_direct.project");
     proj_span.arg("level", static_cast<std::int64_t>(li));
-    const std::vector<vid_t>& cmap = dws.levels[li - 1]->cmap;
-    dws.proj.resize(cmap.size());
-    for (std::size_t v = 0; v < cmap.size(); ++v) {
-      dws.proj[v] = out_part[static_cast<std::size_t>(cmap[v])];
-    }
-    std::swap(out_part, dws.proj);
+    project_level(dws.levels[li - 1]->cmap, out_part, dws.proj);
   }
-
-  // The ladder's swaps migrate capacity between the caller's labelling and
-  // dws.proj with level-count parity; equalize the pair on exit so no later
-  // call of a different shape inherits a too-small buffer and is forced to
-  // regrow (the zero-allocation steady state relies on this).
-  const std::size_t part_cap = std::max(out_part.capacity(), dws.proj.capacity());
-  out_part.reserve(part_cap);
-  dws.proj.reserve(part_cap);
+  even_capacities(out_part, dws.proj);
 
   const ewt_t cut = compute_kway_cut(g, out_part);
   assert(check_kway_answer(g, out_part, k, cut).empty());
   return cut;
+}
+
+KwayRefineResult kway_refine_level(const Graph& g, part_t k, double imbalance,
+                                   int max_passes, std::span<part_t> part,
+                                   std::span<vwt_t> pwgts, ThreadPool* pool,
+                                   KwayRefineWorkspace& ws, obs::Obs* ob,
+                                   std::span<char> active) {
+  // Ceiling from *this* level's max vertex weight: a coarse multinode can
+  // outweigh any fine vertex, so a single entry-level bound would be either
+  // too loose at the bottom or unsatisfiable at the top.
+  const vwt_t total = g.total_vertex_weight();
+  vwt_t max_vwgt = 0;
+  for (vid_t v = 0; v < g.num_vertices(); ++v) {
+    max_vwgt = std::max(max_vwgt, g.vertex_weight(v));
+  }
+  const vwt_t max_part_weight =
+      static_cast<vwt_t>((static_cast<double>(total) / k) * (1.0 + imbalance)) +
+      max_vwgt;
+  const vwt_t min_part_weight = std::max<vwt_t>(1, (total / k) / 2);
+  // Balance before refining: refinement is strictly-positive-gain only, so
+  // an overweight part inherited from a lumpy initial partition (or a
+  // delta) must be drained explicitly; the refiner then recovers the cut
+  // without re-breaking the ceiling.
+  kway_balance(g, part, k, pwgts, max_part_weight, min_part_weight, ws);
+  const KwayRefineResult rr =
+      kway_parallel_refine_active(g, part, k, pwgts, max_part_weight, min_part_weight,
+                                  max_passes, pool, ws, active);
+  if (ob) {
+    ob->metrics.add(ob->pipeline.kway_rounds, rr.rounds);
+    ob->metrics.add(ob->pipeline.kway_gathers, rr.gathers);
+    ob->metrics.add(ob->pipeline.kway_conflict_rejects, rr.conflict_rejects);
+  }
+  return rr;
 }
 
 KwayResult kway_partition_direct(const Graph& g, part_t k,

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "coarsen/contract.hpp"
@@ -36,13 +37,10 @@
 namespace mgp {
 
 struct KwayDirectConfig {
-  /// Single source of truth for the pipeline knobs the direct path shares
-  /// with recursive bisection: matching scheme, initial-partition schemes,
-  /// thread count, obs sink, and cancellation token.  The former separate
-  /// `initial` MultilevelConfig duplicated these fields and could silently
-  /// disagree with the outer config; initial_config() now *derives* the
-  /// coarsest-graph recursive-bisection config from `base`, so there is
-  /// nothing left to contradict.
+  /// The pipeline knobs the direct path shares with recursive bisection:
+  /// matching scheme, coarsening strategy, initial-partition schemes, obs
+  /// sink, and cancellation token.  The coarsest-graph initial partition
+  /// runs with exactly this config, through the sequential recursion.
   MultilevelConfig base;
 
   /// The coarsest graph keeps at least this many vertices per part.
@@ -54,12 +52,6 @@ struct KwayDirectConfig {
   /// Allowed part weight: (total/k) * (1 + imbalance) + the level's max
   /// vertex weight (recomputed per level of the uncoarsening sweep).
   double imbalance = 0.03;
-
-  /// Config for the recursive-bisection initial partition of the coarsest
-  /// graph, derived from `base` (sequential: the initial partition always
-  /// runs the one-thread recursion regardless of base.threads, so the draw
-  /// order — and with it the partition — is independent of the pool).
-  MultilevelConfig initial_config() const;
 
   /// Rejects nonsense knob values (and k < 1) with std::invalid_argument.
   /// Called by the drivers on entry.
@@ -91,8 +83,8 @@ struct KwayDirectWorkspace {
 /// caller's (server's) entry point.  Labels are written into `out_part` and
 /// the edge-cut returned.  With warm `dws`, `ws`, and `out_part`, the call
 /// performs zero steady-state heap allocations (asserted by the alloc-guard
-/// regression tests).  `ws` lends the matching/contraction/arena scratch
-/// and serves the initial partition's sub-bisections; pass null for a
+/// regression tests).  `ws` lends the matching/contraction scratch and
+/// serves the initial partition's sub-bisections; pass null for a
 /// call-local one.  Honours cfg.base.cancel at every level boundary by
 /// throwing CancelledError.  Draws no randomness beyond the sequential
 /// matcher's stream and the initial partition's single root-seed u64, so
@@ -106,6 +98,20 @@ ewt_t kway_partition_direct_into(const Graph& g, part_t k,
                                  KwayDirectWorkspace& dws, BisectWorkspace* ws,
                                  std::vector<part_t>& out_part,
                                  ThreadPool* pool = nullptr);
+
+/// One level of k-way refinement, shared by the direct path's uncoarsening
+/// sweep and incremental repartitioning (dynamic/incremental.*).  Bounds
+/// come from `g` itself: a ceiling of total/k * (1 + imbalance) plus the
+/// heaviest vertex, a floor of max(1, total/k/2).  Runs kway_balance, then
+/// kway_parallel_refine_active, restricted to `active` when it has one
+/// entry per vertex and unrestricted otherwise; with `ob` attached, adds
+/// the refiner's rounds, gathers and conflict rejects to the kway_*
+/// counters.  `pwgts` must hold the labelling's part weights.
+KwayRefineResult kway_refine_level(const Graph& g, part_t k, double imbalance,
+                                   int max_passes, std::span<part_t> part,
+                                   std::span<vwt_t> pwgts, ThreadPool* pool,
+                                   KwayRefineWorkspace& ws, obs::Obs* ob,
+                                   std::span<char> active = {});
 
 /// One-shot multilevel k-way partitioning.  Byte-identical to
 /// kway_partition_direct_into with the same (graph, k, cfg, rng state) and

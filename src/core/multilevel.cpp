@@ -3,7 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "coarsen/contract.hpp"
 #include "coarsen/strategy.hpp"
 #include "core/cancel.hpp"
 #include "initpart/graph_grow.hpp"
@@ -66,101 +65,44 @@ BisectStats multilevel_bisect_into(const Graph& g, vwt_t target0,
   // Workspace-less callers get a call-local one: same code path throughout,
   // just without cross-call buffer reuse.
   std::unique_ptr<BisectWorkspace> local_ws;
-  if (!ext_ws) {
-    local_ws = std::make_unique<BisectWorkspace>();
-    ext_ws = local_ws.get();
-  }
-  BisectWorkspace& ws = *ext_ws;
+  BisectWorkspace& ws =
+      ext_ws ? *ext_ws : *(local_ws = std::make_unique<BisectWorkspace>());
 
   obs::Obs* const ob = cfg.obs;
   const bool report = ob && ob->collect_report;
   obs::BisectionReport rep;
-  if (report) {
-    rep.n = g.num_vertices();
-    rep.total_weight = g.total_vertex_weight();
-    rep.target0 = target0;
-    obs::LevelReport finest;
-    finest.level = 0;
-    finest.vertices = g.num_vertices();
-    finest.edges = g.num_edges();
-    finest.total_vertex_weight = g.total_vertex_weight();
-    rep.levels.push_back(finest);
-  }
 
   // ---- Coarsening phase. -------------------------------------------------
   // ws.levels[i] holds G_{i+1} and the map from G_i's vertices into it.
-  // Slots persist across calls (their storage is what contract_into
-  // recycles); num_levels tracks how many this call actually used.
-  std::size_t num_levels = 0;
-  {
-    const CoarseningStrategy& strategy = coarsening_strategy(cfg.coarsen.strategy);
-    if (ob) {
-      ob->metrics.record_max(ob->pipeline.coarsen_strategy,
-                             static_cast<std::int64_t>(cfg.coarsen.strategy));
-    }
-    const Graph* cur = &g;
-    std::span<const ewt_t> cewgt;  // empty at level 0
-    while (cur->num_vertices() > cfg.coarsen_to) {
-      throw_if_cancelled(cfg.cancel);
-      obs::PhaseScope level_span(ob, obs::Phase::kCoarsen, "coarsen");
-      level_span.arg("level", static_cast<std::int64_t>(num_levels));
-      level_span.arg("n", cur->num_vertices());
-      if (ws.levels.size() <= num_levels) {
-        ws.levels.push_back(std::make_unique<Contraction>());
-      }
-      Contraction& c = *ws.levels[num_levels];
-      // The strategy owns match→contract→stop for its level: a false return
-      // means the ladder is done (matching stagnated / nothing left to
-      // contract) and the just-computed level is discarded.
-      CoarsenLevelStats ls;
-      if (!strategy.coarsen_level(*cur, cewgt, cfg.matching, cfg.coarsen,
-                                  cfg.min_shrink_factor, rng, pool, ws, c, ls)) {
-        break;
-      }
-      const vid_t fine_n = cur->num_vertices();
-      const vid_t coarse_n = c.coarse.num_vertices();
-      if (ob) {
-        ob->metrics.add(ob->pipeline.coarsen_levels);
-        ob->metrics.add(ob->pipeline.matched_pairs, ls.matched_pairs);
-        if (ls.ad_sweeps > 0) {
-          ob->metrics.add(ob->pipeline.coarsen_ad_iters, ls.ad_sweeps);
-        }
-        if (ls.pq_updates > 0) {
-          ob->metrics.add(ob->pipeline.coarsen_nlevel_pq_updates, ls.pq_updates);
-        }
-        if (ls.match_rounds > 0) {
-          ob->metrics.add(ob->pipeline.coarsen_match_rounds, ls.match_rounds);
-          ob->metrics.add(ob->pipeline.coarsen_match_proposals, ls.match_proposals);
-        }
-        ob->metrics.observe(ob->pipeline.shrink_pct,
-                            fine_n > 0 ? 100 * static_cast<std::int64_t>(coarse_n) /
-                                             fine_n
-                                       : 0);
-      }
-      if (report) {
-        // The matching that built the next level belongs to the *fine* side.
-        rep.levels.back().matched_fraction =
-            fine_n > 0 ? 2.0 * static_cast<double>(ls.matched_pairs) /
-                             static_cast<double>(fine_n)
-                       : 0.0;
-        obs::LevelReport lr;
-        lr.level = static_cast<int>(num_levels) + 1;
-        lr.vertices = coarse_n;
-        lr.edges = c.coarse.num_edges();
-        lr.total_vertex_weight = c.coarse.total_vertex_weight();
-        rep.levels.push_back(lr);
-      }
-      ++num_levels;
-      cur = &c.coarse;
-      cewgt = c.cewgt;
-    }
-  }
+  const std::size_t num_levels =
+      coarsen_ladder(g, cfg.coarsen_to, cfg, rng, pool, ws, ws.levels, "coarsen",
+                     &obs::Obs::PipelineMetrics::coarsen_levels);
   const Graph& coarsest = num_levels == 0 ? g : ws.levels[num_levels - 1]->coarse;
   out.levels = static_cast<int>(num_levels);
   out.coarsest_n = coarsest.num_vertices();
   if (report) {
+    rep.n = g.num_vertices();
+    rep.total_weight = g.total_vertex_weight();
+    rep.target0 = target0;
     rep.num_levels = out.levels;
     rep.coarsest_n = out.coarsest_n;
+    // One row per level, finest first.  Every strategy's matched pairs are
+    // fine_n - coarse_n, so the matching that built G_{i+1} (recorded on
+    // row i, the fine side) can be read off the ladder.
+    for (std::size_t i = 0; i <= num_levels; ++i) {
+      const Graph& level_graph = i == 0 ? g : ws.levels[i - 1]->coarse;
+      obs::LevelReport lr;
+      lr.level = static_cast<int>(i);
+      lr.vertices = level_graph.num_vertices();
+      lr.edges = level_graph.num_edges();
+      lr.total_vertex_weight = level_graph.total_vertex_weight();
+      if (i < num_levels && lr.vertices > 0) {
+        lr.matched_fraction =
+            2.0 * static_cast<double>(lr.vertices - ws.levels[i]->coarse.num_vertices()) /
+            static_cast<double>(lr.vertices);
+      }
+      rep.levels.push_back(lr);
+    }
   }
 
   // ---- Initial partitioning phase. ----------------------------------------
@@ -232,28 +174,12 @@ BisectStats multilevel_bisect_into(const Graph& g, vwt_t target0,
     if (li == 0) break;
 
     // Project P_{i+1} to P_i: each fine vertex inherits its multinode's side.
-    // The side buffer ping-pongs with ws.proj, so projection reuses the same
-    // two buffers all the way down the ladder.
+    // Part weights and cut are invariant under projection (§3.1).
     obs::PhaseScope span(ob, obs::Phase::kProject, "project");
     span.arg("level", static_cast<std::int64_t>(li));
-    const std::vector<vid_t>& cmap = ws.levels[li - 1]->cmap;
-    ws.proj.resize(cmap.size());
-    for (std::size_t v = 0; v < cmap.size(); ++v) {
-      ws.proj[v] = b.side[static_cast<std::size_t>(cmap[v])];
-    }
-    // Part weights and cut are invariant under projection (§3.1).
-    std::swap(b.side, ws.proj);
+    project_level(ws.levels[li - 1]->cmap, b.side, ws.proj);
   }
-
-  // The ladder's swaps migrate capacity between the caller's side buffer and
-  // ws.proj with level-count parity, so which physical buffer ends up where
-  // depends on this call's shape.  Equalize the pair on exit: both settle at
-  // the running max, and no later call — whatever its shape or order in a
-  // request stream — can inherit a too-small buffer and be forced to regrow
-  // (the server's zero-allocation steady state relies on this).
-  const std::size_t side_cap = std::max(b.side.capacity(), ws.proj.capacity());
-  b.side.reserve(side_cap);
-  ws.proj.reserve(side_cap);
+  even_capacities(b.side, ws.proj);
 
   if (ob) ob->metrics.add(ob->pipeline.bisections);
   if (report) {

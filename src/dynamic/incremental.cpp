@@ -150,19 +150,6 @@ RepartitionResult repartition_after_delta(
   }
   std::vector<part_t>& part = state.part;
 
-  // --- Balance envelope: identical to the direct path's finest level, so
-  // incremental and from-scratch answers live under the same constraint.
-  const vwt_t total = g.total_vertex_weight();
-  vwt_t max_vwgt = 0;
-  for (vid_t v = 0; v < n; ++v) {
-    max_vwgt = std::max(max_vwgt, g.vertex_weight(v));
-  }
-  const vwt_t max_part_weight =
-      static_cast<vwt_t>((static_cast<double>(total) / k) *
-                         (1.0 + icfg.direct.imbalance)) +
-      max_vwgt;
-  const vwt_t min_part_weight = std::max<vwt_t>(1, (total / k) / 2);
-
   // --- Frontier: the delta's dirty rows plus their neighbours.
   ws.active.assign(static_cast<std::size_t>(n), 0);
   for (vid_t v : touched) {
@@ -170,19 +157,13 @@ RepartitionResult repartition_after_delta(
     for (vid_t u : g.neighbors(v)) ws.active[static_cast<std::size_t>(u)] = 1;
   }
 
+  // --- The direct path's finest-level step, so incremental and
+  // from-scratch answers live under the same balance envelope.
   KwayRefineResult rr;
   {
     obs::PhaseScope refine(ob, obs::Phase::kRefine, "dynamic.refine");
-    kway_balance(g, part, k, ws.pwgts, max_part_weight, min_part_weight,
-                 ws.direct.refine);
-    rr = kway_parallel_refine_active(g, part, k, ws.pwgts, max_part_weight,
-                                     min_part_weight, icfg.refine_passes, pool,
-                                     ws.direct.refine, {ws.active});
-  }
-  if (ob != nullptr) {
-    ob->metrics.add(ob->pipeline.kway_rounds, rr.rounds);
-    ob->metrics.add(ob->pipeline.kway_gathers, rr.gathers);
-    ob->metrics.add(ob->pipeline.kway_conflict_rejects, rr.conflict_rejects);
+    rr = kway_refine_level(g, k, icfg.direct.imbalance, icfg.refine_passes, part,
+                           ws.pwgts, pool, ws.direct.refine, ob, ws.active);
   }
 
   RepartitionResult res;

@@ -3,27 +3,24 @@
 #include <utility>
 #include <vector>
 
-#include "coarsen/contract.hpp"
+#include "coarsen/strategy.hpp"
+#include "core/config.hpp"
 #include "initpart/spectral_init.hpp"
 #include "spectral/fiedler.hpp"
+#include "support/workspace.hpp"
 
 namespace mgp {
 
 Bisection msb_bisect(const Graph& g, vwt_t target0, const MsbOptions& opts, Rng& rng) {
-  // ---- Coarsen with random matching. ----
-  std::vector<Contraction> levels;
-  const Graph* cur = &g;
-  while (cur->num_vertices() > opts.coarsen_to) {
-    Matching m = compute_matching(*cur, MatchingScheme::kRandom, {}, rng);
-    Contraction c = contract(*cur, m, {});
-    if (static_cast<double>(c.coarse.num_vertices()) >
-        opts.min_shrink_factor * static_cast<double>(cur->num_vertices())) {
-      break;
-    }
-    levels.push_back(std::move(c));
-    cur = &levels.back().coarse;
-  }
-  const Graph& coarsest = levels.empty() ? g : levels.back().coarse;
+  // ---- Coarsen with random matching, on the shared ladder. ----
+  MultilevelConfig rm;
+  rm.matching = MatchingScheme::kRandom;
+  rm.min_shrink_factor = opts.min_shrink_factor;
+  BisectWorkspace ws;
+  const std::size_t num_levels =
+      coarsen_ladder(g, opts.coarsen_to, rm, rng, /*pool=*/nullptr, ws, ws.levels,
+                     "msb.coarsen", &obs::Obs::PipelineMetrics::coarsen_levels);
+  const Graph& coarsest = num_levels == 0 ? g : ws.levels[num_levels - 1]->coarse;
 
   // ---- Exact Fiedler vector of the coarsest graph. ----
   FiedlerOptions fopts;
@@ -33,14 +30,11 @@ Bisection msb_bisect(const Graph& g, vwt_t target0, const MsbOptions& opts, Rng&
   std::vector<double> fied = std::move(f.vector);
 
   // ---- Uncoarsen: interpolate, then re-converge with warm-started Lanczos. ----
-  for (std::size_t li = levels.size(); li-- > 0;) {
-    const Graph& fine = (li == 0) ? g : levels[li - 1].coarse;
-    const std::vector<vid_t>& cmap = levels[li].cmap;
-    std::vector<double> interp(static_cast<std::size_t>(fine.num_vertices()));
-    for (std::size_t v = 0; v < interp.size(); ++v) {
-      interp[v] = fied[static_cast<std::size_t>(cmap[v])];
-    }
-    LanczosResult lr = lanczos_fiedler(fine, interp, opts.lanczos, rng);
+  std::vector<double> interp;
+  for (std::size_t li = num_levels; li-- > 0;) {
+    const Graph& fine = (li == 0) ? g : ws.levels[li - 1]->coarse;
+    project_level(ws.levels[li]->cmap, fied, interp);
+    LanczosResult lr = lanczos_fiedler(fine, fied, opts.lanczos, rng);
     fied = std::move(lr.vector);
   }
 

@@ -5,8 +5,7 @@
 namespace mgp {
 
 std::size_t BisectWorkspace::bytes_reserved() const {
-  std::size_t total = arena.bytes_reserved();
-  total += match.match.capacity() * sizeof(vid_t);
+  std::size_t total = match.match.capacity() * sizeof(vid_t);
   total += match_order.capacity() * sizeof(vid_t);
   total += hem.bytes_reserved();
   total += contract.memory_bytes();

@@ -4,11 +4,11 @@
 // needs — the matching and visit order, the coarsening ladder's Contraction
 // slots (whose CSR storage is recycled level by level), the initial
 // partitioner's frontier/gain-queue/trial scratch, the KL engine's gain
-// tables and move log, the projection ping-pong buffer, and a ScratchArena
-// for call-local tables.  multilevel_bisect threads it through every kernel,
-// so after the first bisection has warmed the buffers to the subproblem's
-// size, the steady-state serial hot path performs no heap allocations at
-// all (the returned labelling is the one per-call exception; the thread
+// tables and move log, and the projection ping-pong buffer.
+// multilevel_bisect threads it through every kernel, so after the first
+// bisection has warmed the buffers to the subproblem's size, the
+// steady-state serial hot path performs no heap allocations at all (the
+// returned labelling is the one per-call exception; the thread
 // pool's task futures are the parallel-path exception).
 //
 // WorkspacePool hands workspaces to the recursive-bisection workers:
@@ -35,13 +35,13 @@
 #include "coarsen/strategy.hpp"
 #include "initpart/graph_grow.hpp"
 #include "refine/kl.hpp"
-#include "support/arena.hpp"
 
 namespace mgp {
 
 /// Every reusable buffer of one multilevel bisection.  Default-constructed
 /// empty; warms to the subproblem's high-water size on first use.
 struct BisectWorkspace {
+  /// Empty; see ScratchArena (coarsen/contract.hpp).  Delete with it.
   ScratchArena arena;
 
   // Coarsening.

@@ -59,12 +59,12 @@ TEST(AllocRegressionTest, HemContractSteadyStateIsAllocationFree) {
     Rng rng(2024);
     compute_matching(g, MatchingScheme::kHeavyEdge, {}, rng, ws.match,
                      ws.match_order);
-    contract_into(g, ws.match, {}, nullptr, ws.contract, ws.arena, *ws.levels[0]);
+    contract_into(g, ws.match, {}, nullptr, ws.contract, *ws.levels[0]);
     const Graph& c1 = ws.levels[0]->coarse;
     compute_matching(c1, MatchingScheme::kHeavyEdge, ws.levels[0]->cewgt, rng,
                      ws.match, ws.match_order);
     contract_into(c1, ws.match, ws.levels[0]->cewgt, nullptr, ws.contract,
-                  ws.arena, *ws.levels[1]);
+                  *ws.levels[1]);
   };
 
   run();  // warm the buffers
@@ -91,7 +91,7 @@ TEST(AllocRegressionTest, ParallelHemSteadyStateIsAllocationFree) {
   vid_t pairs = 0;
   auto run = [&]() {
     compute_matching_parallel_hem(g, pool, ws.match, ws.hem);
-    contract_into(g, ws.match, {}, nullptr, ws.contract, ws.arena, *ws.levels[0]);
+    contract_into(g, ws.match, {}, nullptr, ws.contract, *ws.levels[0]);
     compute_matching_parallel_hem(ws.levels[0]->coarse, pool, ws.match, ws.hem);
     pairs = ws.match.pairs;
   };
