@@ -89,6 +89,28 @@ INSTANTIATE_TEST_SUITE_P(
              to_string(std::get<1>(info.param));
     });
 
+TEST(PipelineDeterminismTest, ParallelRefinerUnaffectedByObsCollection) {
+  // The determinism contract composes: obs collection must not perturb a
+  // pooled run's refinement either.
+  Graph g = fem2d_tri(48, 48, 3);
+  MultilevelConfig cfg;
+  std::vector<part_t> reference;
+  for (int threads : kPoolSizes) {
+    ThreadPool pool(threads);
+    Rng rng(555);
+    KwayResult plain = kway_partition(g, 8, cfg, rng, &pool);
+    if (reference.empty()) reference = plain.part;
+    ASSERT_EQ(plain.part, reference) << "t=" << threads;
+
+    obs::Obs ob;
+    MultilevelConfig with_obs = cfg;
+    with_obs.obs = &ob;
+    Rng obs_rng(555);
+    KwayResult traced = kway_partition(g, 8, with_obs, obs_rng, &pool);
+    ASSERT_EQ(traced.part, reference) << "obs run diverged, t=" << threads;
+  }
+}
+
 TEST(PipelineDeterminismTest, RefinementIgnoresThePool) {
   // The threads contract: a pool changes a partition only through the
   // matcher (proposal HEM), so under random matching a null pool and every
@@ -153,63 +175,59 @@ TEST(PipelineDeterminismTest, SequentialPathUnaffectedByPoolElsewhere) {
 TEST(PipelineDeterminismTest, ObsCollectionDoesNotPerturbPartitions) {
   // The observability contract (DESIGN.md): attaching an Obs context draws
   // no randomness and alters no control flow, so partitions stay
-  // byte-identical with collection on or off, for every pool size and for
-  // more than one seed.
+  // byte-identical with collection on or off, for every pool size.
   Graph g = fem2d_tri(48, 48, 3);
   MultilevelConfig cfg;  // HEM + GGGP + BKLGR, the paper default
-  for (std::uint64_t seed : {1234u, 555u}) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    std::vector<part_t> reference;
+  std::vector<part_t> reference;
+  std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t, std::int64_t>>
+      ref_bisections;
+  std::pair<std::int64_t, std::int64_t> ref_work{0, 0};
+  for (int threads : kPoolSizes) {
+    ThreadPool pool(threads);
+    Rng plain_rng(1234);
+    KwayResult plain = kway_partition(g, 8, cfg, plain_rng, &pool);
+    if (reference.empty()) reference = plain.part;
+    ASSERT_EQ(plain.part, reference) << "plain run diverged, t=" << threads;
+
+    obs::Obs ob;
+    MultilevelConfig with_obs = cfg;
+    with_obs.obs = &ob;
+    Rng obs_rng(1234);
+    KwayResult traced = kway_partition(g, 8, with_obs, obs_rng, &pool);
+    ASSERT_EQ(traced.part, reference) << "obs run diverged, t=" << threads;
+
+    // The report must actually have collected, and agree with the metrics.
+    EXPECT_EQ(ob.report.num_bisections(), 7u);  // k=8 -> 7 bisections
+    EXPECT_EQ(ob.metrics.snapshot().counter_value("pipeline.bisections"), 7);
+
+    // The pooled HEM fed its work counters, and that work depends only on
+    // the graphs matched, so it is the same at every pool size.
+    const auto snap = ob.metrics.snapshot();
+    EXPECT_GT(snap.counter_value("phase.coarsen_ns") +
+                  snap.counter_value("phase.initpart_ns") +
+                  snap.counter_value("phase.refine_ns") +
+                  snap.counter_value("phase.project_ns"),
+              0);
+    const std::pair<std::int64_t, std::int64_t> work{
+        snap.counter_value("coarsen.match_rounds"),
+        snap.counter_value("coarsen.match_proposals")};
+    EXPECT_GT(work.first, 0) << "t=" << threads;
+    EXPECT_GE(work.second, g.num_vertices()) << "t=" << threads;
+    if (ref_work.first == 0) ref_work = work;
+    EXPECT_EQ(work, ref_work) << "t=" << threads;
+
+    // Report content (modulo times) is pool-size-invariant: same multiset
+    // of bisections regardless of scheduling.
     std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t, std::int64_t>>
-        ref_bisections;
-    std::pair<std::int64_t, std::int64_t> ref_work{0, 0};
-    for (int threads : kPoolSizes) {
-      ThreadPool pool(threads);
-      Rng plain_rng(seed);
-      KwayResult plain = kway_partition(g, 8, cfg, plain_rng, &pool);
-      if (reference.empty()) reference = plain.part;
-      ASSERT_EQ(plain.part, reference) << "plain run diverged, t=" << threads;
-
-      obs::Obs ob;
-      MultilevelConfig with_obs = cfg;
-      with_obs.obs = &ob;
-      Rng obs_rng(seed);
-      KwayResult traced = kway_partition(g, 8, with_obs, obs_rng, &pool);
-      ASSERT_EQ(traced.part, reference) << "obs run diverged, t=" << threads;
-
-      // The report must actually have collected, and agree with the metrics.
-      EXPECT_EQ(ob.report.num_bisections(), 7u);  // k=8 -> 7 bisections
-      EXPECT_EQ(ob.metrics.snapshot().counter_value("pipeline.bisections"), 7);
-
-      // The pooled HEM fed its work counters, and that work depends only on
-      // the graphs matched, so it is the same at every pool size.
-      const auto snap = ob.metrics.snapshot();
-      EXPECT_GT(snap.counter_value("phase.coarsen_ns") +
-                    snap.counter_value("phase.initpart_ns") +
-                    snap.counter_value("phase.refine_ns") +
-                    snap.counter_value("phase.project_ns"),
-                0);
-      const std::pair<std::int64_t, std::int64_t> work{
-          snap.counter_value("coarsen.match_rounds"),
-          snap.counter_value("coarsen.match_proposals")};
-      EXPECT_GT(work.first, 0) << "t=" << threads;
-      EXPECT_GE(work.second, g.num_vertices()) << "t=" << threads;
-      if (ref_work.first == 0) ref_work = work;
-      EXPECT_EQ(work, ref_work) << "t=" << threads;
-
-      // Report content (modulo times) is pool-size-invariant: same multiset
-      // of bisections regardless of scheduling.
-      std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t, std::int64_t>>
-          content;
-      for (const auto& b : ob.report.bisections()) {
-        content.emplace_back(b.n, b.coarsest_n, b.initial_cut, b.final_cut);
-      }
-      std::sort(content.begin(), content.end());
-      if (ref_bisections.empty()) {
-        ref_bisections = content;
-      } else {
-        EXPECT_EQ(content, ref_bisections) << "report differs, t=" << threads;
-      }
+        content;
+    for (const auto& b : ob.report.bisections()) {
+      content.emplace_back(b.n, b.coarsest_n, b.initial_cut, b.final_cut);
+    }
+    std::sort(content.begin(), content.end());
+    if (ref_bisections.empty()) {
+      ref_bisections = content;
+    } else {
+      EXPECT_EQ(content, ref_bisections) << "report differs, t=" << threads;
     }
   }
 }
