@@ -15,102 +15,50 @@ std::size_t GraphStore::entry_bytes(const Entry& e) {
   return total;
 }
 
-void GraphStore::evict_for(std::size_t need) {
-  auto it = lru_.end();
-  while (bytes_ + need > max_bytes_ && it != lru_.begin()) {
-    --it;
-    auto mit = map_.find(*it);
-    // A lease pins the entry: shared_ptr copies are only minted under mu_
-    // (checkout), so a use_count of 1 here means the map is the sole owner
-    // and the entry is safe to drop.
-    if (mit == map_.end() || mit->second.entry.use_count() != 1) continue;
-    bytes_ -= mit->second.charged;
-    map_.erase(mit);
-    it = lru_.erase(it);
-    ++stats_.evictions;
-  }
-}
-
 GraphStore::PinOutcome GraphStore::pin(Graph& g, std::uint64_t fingerprint) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = map_.find(fingerprint);
-  if (it != map_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.pos);
+  if (lru_.find(fingerprint) != nullptr) {
     ++stats_.repins;
     return {true, true};
   }
   auto entry = std::make_shared<Entry>();
   entry->fingerprint = fingerprint;
   entry->graph = std::move(g);
-  const std::size_t need = entry_bytes(*entry);
-  evict_for(need);
-  if (bytes_ + need > max_bytes_) {
+  EntryPtr* slot = lru_.insert(fingerprint, entry_bytes(*entry));
+  if (slot == nullptr) {
     g = std::move(entry->graph);  // hand the decode buffer back
     ++stats_.rejected;
     return {false, false};
   }
-  lru_.push_front(fingerprint);
-  map_[fingerprint] = Slot{std::move(entry), lru_.begin(), need};
-  bytes_ += need;
+  *slot = std::move(entry);
   ++stats_.pins;
   return {true, false};
 }
 
 GraphStore::EntryPtr GraphStore::checkout(std::uint64_t fingerprint) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = map_.find(fingerprint);
-  if (it == map_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second.pos);
-  return it->second.entry;
+  EntryPtr* slot = lru_.find(fingerprint);
+  return slot == nullptr ? nullptr : *slot;
 }
 
 void GraphStore::rekey(const EntryPtr& entry, std::uint64_t old_fp,
                        std::uint64_t new_fp) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = map_.find(old_fp);
-  if (it == map_.end() || it->second.entry != entry) return;
-  const std::size_t charged = entry_bytes(*entry);
-  if (new_fp == old_fp) {
-    bytes_ += charged;
-    bytes_ -= it->second.charged;
-    it->second.charged = charged;
-    return;
-  }
-  auto occ = map_.find(new_fp);
-  if (occ != map_.end()) {
-    if (occ->second.entry.use_count() == 1) {
-      // Identical bytes, older labellings: the freshly-patched entry wins.
-      bytes_ -= occ->second.charged;
-      lru_.erase(occ->second.pos);
-      map_.erase(occ);
-      ++stats_.evictions;
-    } else {
-      // The occupant is checked out — drop *this* entry from the map
-      // instead.  The caller's lease stays valid for the in-flight
-      // response; the next delta referencing new_fp finds the occupant.
-      bytes_ -= it->second.charged;
-      lru_.erase(it->second.pos);
-      map_.erase(it);
-      ++stats_.evictions;
-      return;
-    }
-  }
-  auto nh = map_.extract(it);  // node reuse: no allocation
-  nh.key() = new_fp;
-  bytes_ += charged;
-  bytes_ -= nh.mapped().charged;
-  nh.mapped().charged = charged;
-  *nh.mapped().pos = new_fp;
-  lru_.splice(lru_.begin(), lru_, nh.mapped().pos);
-  map_.insert(std::move(nh));
+  EntryPtr* slot = lru_.peek(old_fp);
+  if (slot == nullptr || *slot != entry) return;
+  lru_.rekey(old_fp, new_fp, entry_bytes(*entry));
 }
 
 GraphStore::Stats GraphStore::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats s = stats_;
-  s.entries = map_.size();
-  s.bytes = bytes_;
-  s.max_bytes = max_bytes_;
+  s.evictions = lru_.evictions_total();
+  s.evictions_budget = lru_.evictions()[Map::kBudget];
+  s.evictions_replaced = lru_.evictions()[Map::kReplaced];
+  s.evictions_dropped = lru_.evictions()[Map::kDropped];
+  s.entries = lru_.size();
+  s.bytes = lru_.used();
+  s.max_bytes = lru_.budget();
   return s;
 }
 

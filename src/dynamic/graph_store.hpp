@@ -12,11 +12,13 @@
 //     is checked out is never evicted, and delta processing happens under
 //     the entry's own mutex so the store-wide lock is never held across a
 //     repartition;
-//   * byte-budgeted with LRU eviction — pinning past the budget evicts
-//     idle least-recently-used entries first and rejects (the server maps
-//     this to OVERLOADED) when the budget still cannot admit the graph;
+//   * byte-budgeted with LRU eviction (support/lru.hpp) — pinning past the
+//     budget evicts idle least-recently-used entries first and rejects
+//     (the server maps this to OVERLOADED) when the budget still cannot
+//     admit the graph; a delta that grows an entry re-charges it and
+//     evicts idle entries the same way;
 //   * re-keyed after every delta — the entry moves to its post-delta
-//     fingerprint (allocation-free unordered_map node reuse), which is the
+//     fingerprint (allocation-free node reuse), which is the
 //     cache-invalidation invariant: a labelling is only ever reachable
 //     under the fingerprint of the exact graph it labels, so a stale
 //     labelling can never be served.  A delta racing a re-key sees
@@ -24,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -32,6 +33,7 @@
 #include "dynamic/delta.hpp"
 #include "dynamic/incremental.hpp"
 #include "graph/csr.hpp"
+#include "support/lru.hpp"
 
 namespace mgp::dynamic {
 
@@ -67,7 +69,7 @@ class GraphStore {
   };
   using EntryPtr = std::shared_ptr<Entry>;
 
-  explicit GraphStore(std::size_t max_bytes) : max_bytes_(max_bytes) {}
+  explicit GraphStore(std::size_t max_bytes) : lru_(max_bytes) {}
 
   struct PinOutcome {
     bool ok = false;
@@ -87,7 +89,8 @@ class GraphStore {
 
   /// Moves a checked-out entry (whose mutex the caller holds, and whose
   /// graph/labels were just patched) from `old_fp` to `new_fp`, and
-  /// re-charges its bytes against the budget.  Node-reusing: allocation-
+  /// re-charges its bytes against the budget, evicting idle LRU entries
+  /// until the store fits again (best effort).  Node-reusing: allocation-
   /// free.  If `new_fp` is already occupied by an idle entry, that entry is
   /// evicted (same bytes, newer labelling); if the occupant is checked out,
   /// this entry is simply dropped from the map instead (the caller's lease
@@ -97,7 +100,10 @@ class GraphStore {
   struct Stats {
     std::uint64_t pins = 0;       ///< graphs admitted
     std::uint64_t repins = 0;     ///< PINs of an already-pinned fingerprint
-    std::uint64_t evictions = 0;  ///< entries evicted (budget or rekey)
+    std::uint64_t evictions = 0;  ///< entries evicted, all reasons
+    std::uint64_t evictions_budget = 0;    ///< idle LRU entries, for bytes
+    std::uint64_t evictions_replaced = 0;  ///< idle occupants of a rekey
+    std::uint64_t evictions_dropped = 0;   ///< rekeyed onto a leased occupant
     std::uint64_t rejected = 0;   ///< PINs refused by the budget
     std::size_t entries = 0;
     std::size_t bytes = 0;
@@ -107,21 +113,18 @@ class GraphStore {
 
  private:
   static std::size_t entry_bytes(const Entry& e);
-  /// Evicts idle LRU entries until `need` more bytes fit (best effort).
-  void evict_for(std::size_t need);
 
-  struct Slot {
-    EntryPtr entry;
-    std::list<std::uint64_t>::iterator pos;  ///< position in lru_
-    std::size_t charged = 0;  ///< bytes billed against the budget
+  /// A lease pins the entry: shared_ptr copies are only minted under mu_
+  /// (checkout), so a use_count of 1 means the map is the sole owner.
+  struct Idle {
+    bool operator()(const EntryPtr& e) const { return e.use_count() == 1; }
   };
 
+  using Map = Lru<std::uint64_t, EntryPtr, std::hash<std::uint64_t>, Idle>;
+
   mutable std::mutex mu_;
-  std::size_t max_bytes_;
-  std::size_t bytes_ = 0;
-  std::list<std::uint64_t> lru_;  ///< front = most recently used
-  std::unordered_map<std::uint64_t, Slot> map_;
-  Stats stats_;
+  Map lru_;
+  Stats stats_;  ///< pins, repins, rejected; the rest is read off lru_
 };
 
 }  // namespace mgp::dynamic

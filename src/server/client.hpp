@@ -22,14 +22,19 @@
 
 namespace mgp::server {
 
-/// Outcome of one partition() call.
-struct PartitionOutcome {
+/// What every call reports: kOk, or the server's or the transport's
+/// reason (transport failures are kInternal; the connection is then dead).
+struct Outcome {
   Status status = Status::kInternal;
-  std::vector<part_t> part;  ///< filled iff status == kOk
-  ewt_t edge_cut = 0;
-  bool cache_hit = false;
   std::string error;  ///< server/transport message when status != kOk
   bool ok() const { return status == Status::kOk; }
+};
+
+/// Outcome of one partition() call.
+struct PartitionOutcome : Outcome {
+  std::vector<part_t> part;  ///< filled iff ok()
+  ewt_t edge_cut = 0;
+  bool cache_hit = false;
 };
 
 class Client {
@@ -43,34 +48,25 @@ class Client {
 
   bool connected() const { return fd_.valid(); }
 
-  /// Partitions `g` remotely.  Transport failures surface as kInternal with
-  /// an explanatory message; the connection is then dead.
+  /// Partitions `g` remotely.
   PartitionOutcome partition(const Graph& g, const RequestOptions& opts);
 
   /// Outcome of one pin() call.
-  struct PinOutcome {
-    Status status = Status::kInternal;
-    std::uint64_t fingerprint = 0;  ///< filled iff status == kOk
+  struct PinOutcome : Outcome {
+    std::uint64_t fingerprint = 0;  ///< filled iff ok()
     bool already_pinned = false;
-    std::string error;
-    bool ok() const { return status == Status::kOk; }
   };
 
   /// Pins `g` in the server's GraphStore; the returned fingerprint names
   /// the graph in subsequent delta() calls.
   PinOutcome pin(const Graph& g);
 
-  /// Outcome of one delta() call.
-  struct DeltaOutcome {
-    Status status = Status::kInternal;
+  /// Outcome of one delta() call: the repartitioned labelling plus how it
+  /// was made.
+  struct DeltaOutcome : PartitionOutcome {
     std::uint64_t fingerprint = 0;  ///< post-delta; use for the next delta()
     bool from_scratch = false;
     std::uint8_t reason = 0;  ///< dynamic::RepartitionResult::Reason
-    std::vector<part_t> part;
-    ewt_t edge_cut = 0;
-    bool cache_hit = false;
-    std::string error;
-    bool ok() const { return status == Status::kOk; }
   };
 
   /// Applies `batch` to the pinned graph named by `fingerprint` and returns

@@ -25,14 +25,14 @@ ServerMetrics::ServerMetrics(obs::MetricsRegistry& reg)
       delta_not_found(reg.counter("server.delta_not_found")) {}
 
 RequestHandler::RequestHandler(WorkspacePool& pool, ResultCache& cache,
-                               obs::MetricsRegistry& reg, const ServerMetrics& ids,
-                               int direct_min_k, dynamic::GraphStore* store)
+                               dynamic::GraphStore& store, obs::MetricsRegistry& reg,
+                               const ServerMetrics& ids, int direct_min_k)
     : pool_(pool),
       cache_(cache),
+      store_(store),
       reg_(reg),
       ids_(ids),
-      direct_min_k_(direct_min_k),
-      store_(store) {}
+      direct_min_k_(direct_min_k) {}
 
 void RequestHandler::handle(std::span<const std::uint8_t> payload,
                             std::chrono::steady_clock::time_point arrival,
@@ -43,11 +43,7 @@ void RequestHandler::handle(std::span<const std::uint8_t> payload,
   RequestHead head;
   err_.clear();
   Status st = decode_request_head(payload, head, err_);
-  if (st != Status::kOk) {
-    reg_.add(ids_.bad_requests);
-    write_error_frame(st, err_, frame_out);
-    return;
-  }
+  if (st != Status::kOk) return fail(st, err_, frame_out);
   const auto k = static_cast<part_t>(head.k);
 
   // Cache identity is computed over the wire bytes, so a hit skips even
@@ -56,28 +52,16 @@ void RequestHandler::handle(std::span<const std::uint8_t> payload,
   if (cache_.lookup(key, part_, cut_)) {
     reg_.add(ids_.cache_hits);
     reg_.add(ids_.responses_ok);
-    write_response_frame(k, /*cache_hit=*/true, frame_out);
-    return;
+    encode_partition_response(part_, k, cut_, /*cache_hit=*/true, body_);
+    return frame_body(MsgType::kPartitionResponse, frame_out);
   }
   reg_.add(ids_.cache_misses);
 
-  cancel_.reset();
-  if (head.deadline_ms > 0) {
-    cancel_.set_deadline(arrival + std::chrono::milliseconds(head.deadline_ms));
-    if (cancel_.expired()) {  // budget burned while the request sat queued
-      reg_.add(ids_.deadline_expired);
-      write_error_frame(Status::kDeadlineExceeded,
-                        "deadline expired before partitioning started", frame_out);
-      return;
-    }
+  if (!admit(head, arrival)) {
+    return fail(Status::kDeadlineExceeded, "deadline expired while queued", frame_out);
   }
-
   st = decode_request_graph(payload, head, graph_, err_);
-  if (st != Status::kOk) {
-    reg_.add(ids_.bad_requests);
-    write_error_frame(st, err_, frame_out);
-    return;
-  }
+  if (st != Status::kOk) return fail(st, err_, frame_out);
 
   MultilevelConfig cfg = config_from_head(head);
   if (head.deadline_ms > 0) cfg.cancel = &cancel_;
@@ -104,66 +88,48 @@ void RequestHandler::handle(std::span<const std::uint8_t> payload,
       cut_ = kway_partition_into(graph_, k, cfg, rng, scratch_, lease.get(), part_);
     }
   } catch (const CancelledError&) {
-    reg_.add(ids_.deadline_expired);
-    write_error_frame(Status::kDeadlineExceeded,
-                      "deadline expired during partitioning", frame_out);
-    return;
+    return fail(Status::kDeadlineExceeded, "deadline expired during partitioning",
+                frame_out);
   } catch (const std::exception& e) {
-    write_error_frame(Status::kInternal, e.what(), frame_out);
-    return;
+    return fail(Status::kInternal, e.what(), frame_out);
   }
 
   cache_.insert(key, part_, cut_);
   reg_.add(ids_.responses_ok);
-  write_response_frame(k, /*cache_hit=*/false, frame_out);
+  encode_partition_response(part_, k, cut_, /*cache_hit=*/false, body_);
+  frame_body(MsgType::kPartitionResponse, frame_out);
 }
 
 void RequestHandler::handle_pin(std::span<const std::uint8_t> payload,
                                 std::vector<std::uint8_t>& frame_out) {
   obs::Span span("server.pin");
   reg_.add(ids_.requests_total);
-  if (store_ == nullptr) {
-    write_error_frame(Status::kInternal, "graph store disabled", frame_out);
-    return;
-  }
 
   RequestHead head;
   err_.clear();
   Status st = decode_pin_request(payload, head, err_);
-  if (st != Status::kOk) {
-    reg_.add(ids_.bad_requests);
-    write_error_frame(st, err_, frame_out);
-    return;
-  }
+  if (st != Status::kOk) return fail(st, err_, frame_out);
 
   // The fingerprint is over the whole payload (the graph region encoding),
   // so a re-pin of a known graph skips CSR decoding entirely — checkout()
   // also refreshes the entry's recency.
   const std::uint64_t fp = fnv1a64(payload);
-  if (dynamic::GraphStore::EntryPtr entry = store_->checkout(fp)) {
+  if (store_.checkout(fp) != nullptr) {
     reg_.add(ids_.pins_total);
     encode_pin_response(fp, head.n, head.arcs, /*already_pinned=*/true, body_);
-    write_body_frame(MsgType::kPinGraphResponse, frame_out);
-    return;
+    return frame_body(MsgType::kPinGraphResponse, frame_out);
   }
 
   st = decode_pin_graph(payload, head, pin_graph_, err_);
-  if (st != Status::kOk) {
-    reg_.add(ids_.bad_requests);
-    write_error_frame(st, err_, frame_out);
-    return;
-  }
+  if (st != Status::kOk) return fail(st, err_, frame_out);
 
-  const dynamic::GraphStore::PinOutcome outcome = store_->pin(pin_graph_, fp);
+  const dynamic::GraphStore::PinOutcome outcome = store_.pin(pin_graph_, fp);
   if (!outcome.ok) {
-    reg_.add(ids_.rejected_overloaded);
-    write_error_frame(Status::kOverloaded, "graph store byte budget exhausted",
-                      frame_out);
-    return;
+    return fail(Status::kOverloaded, "graph store byte budget exhausted", frame_out);
   }
   reg_.add(ids_.pins_total);
   encode_pin_response(fp, head.n, head.arcs, outcome.already_pinned, body_);
-  write_body_frame(MsgType::kPinGraphResponse, frame_out);
+  frame_body(MsgType::kPinGraphResponse, frame_out);
 }
 
 void RequestHandler::handle_delta(std::span<const std::uint8_t> payload,
@@ -172,47 +138,22 @@ void RequestHandler::handle_delta(std::span<const std::uint8_t> payload,
   obs::Span span("server.delta");
   reg_.add(ids_.requests_total);
   reg_.add(ids_.deltas_total);
-  if (store_ == nullptr) {
-    write_error_frame(Status::kInternal, "graph store disabled", frame_out);
-    return;
-  }
 
   DeltaHead head;
   err_.clear();
   Status st = decode_delta_head(payload, head, err_);
-  if (st != Status::kOk) {
-    reg_.add(ids_.bad_requests);
-    write_error_frame(st, err_, frame_out);
-    return;
-  }
+  if (st != Status::kOk) return fail(st, err_, frame_out);
   const auto k = static_cast<part_t>(head.k);
-
-  cancel_.reset();
-  if (head.deadline_ms > 0) {
-    cancel_.set_deadline(arrival + std::chrono::milliseconds(head.deadline_ms));
-    if (cancel_.expired()) {
-      reg_.add(ids_.deadline_expired);
-      write_error_frame(Status::kDeadlineExceeded,
-                        "deadline expired before repartitioning started",
-                        frame_out);
-      return;
-    }
+  if (!admit(head, arrival)) {
+    return fail(Status::kDeadlineExceeded, "deadline expired while queued", frame_out);
   }
-
   st = decode_delta_ops(payload, head, batch_, err_);
-  if (st != Status::kOk) {
-    reg_.add(ids_.bad_requests);
-    write_error_frame(st, err_, frame_out);
-    return;
-  }
+  if (st != Status::kOk) return fail(st, err_, frame_out);
 
-  dynamic::GraphStore::EntryPtr entry = store_->checkout(head.fingerprint);
+  dynamic::GraphStore::EntryPtr entry = store_.checkout(head.fingerprint);
   if (entry == nullptr) {
-    reg_.add(ids_.delta_not_found);
-    write_error_frame(Status::kNotFound,
-                      "fingerprint is not pinned (never pinned, or evicted)",
-                      frame_out);
-    return;
+    return fail(Status::kNotFound,
+                "fingerprint is not pinned (never pinned, or evicted)", frame_out);
   }
 
   // Entry lock: serializes patch + repartition against concurrent deltas on
@@ -222,11 +163,8 @@ void RequestHandler::handle_delta(std::span<const std::uint8_t> payload,
   if (entry->fingerprint != head.fingerprint) {
     // A concurrent delta re-keyed the entry between checkout and lock; the
     // client's view of the graph is stale.  Re-PIN and retry.
-    reg_.add(ids_.delta_not_found);
-    write_error_frame(Status::kNotFound,
-                      "fingerprint was re-keyed by a concurrent delta",
-                      frame_out);
-    return;
+    return fail(Status::kNotFound, "fingerprint was re-keyed by a concurrent delta",
+                frame_out);
   }
 
   // Warm-start slot: config digest over bytes [0, 20) — the same layout a
@@ -247,8 +185,7 @@ void RequestHandler::handle_delta(std::span<const std::uint8_t> payload,
                                 dynamic::RepartitionResult::Reason::kIncremental),
                             it->second.part, k, it->second.cut,
                             /*cache_hit=*/true, body_);
-      write_body_frame(MsgType::kDeltaResponse, frame_out);
-      return;
+      return frame_body(MsgType::kDeltaResponse, frame_out);
     }
   }
 
@@ -257,11 +194,7 @@ void RequestHandler::handle_delta(std::span<const std::uint8_t> payload,
   // entry is never left holding a graph its fingerprint does not name).
   const std::string patch_err = dynamic::apply_delta(
       entry->graph, batch_, entry->patch_scratch, entry->spare, apply_);
-  if (!patch_err.empty()) {
-    reg_.add(ids_.bad_requests);
-    write_error_frame(Status::kBadRequest, patch_err, frame_out);
-    return;
-  }
+  if (!patch_err.empty()) return fail(Status::kBadRequest, patch_err, frame_out);
   std::swap(entry->graph, entry->spare);
 
   dynamic::LabelState& slot = entry->labels[lkey];
@@ -286,48 +219,46 @@ void RequestHandler::handle_delta(std::span<const std::uint8_t> payload,
   } catch (const CancelledError&) {
     std::swap(entry->graph, entry->spare);  // restore the pre-delta graph
     slot.valid = false;  // part may be half-mutated; force scratch next time
-    reg_.add(ids_.deadline_expired);
-    write_error_frame(Status::kDeadlineExceeded,
-                      "deadline expired during repartitioning", frame_out);
-    return;
+    return fail(Status::kDeadlineExceeded, "deadline expired during repartitioning",
+                frame_out);
   } catch (const std::exception& e) {
     std::swap(entry->graph, entry->spare);
     slot.valid = false;
-    write_error_frame(Status::kInternal, e.what(), frame_out);
-    return;
+    return fail(Status::kInternal, e.what(), frame_out);
   }
 
   // Commit: the entry now answers to the post-delta fingerprint only.
   entry->fingerprint = apply_.fingerprint;
-  store_->rekey(entry, head.fingerprint, apply_.fingerprint);
+  store_.rekey(entry, head.fingerprint, apply_.fingerprint);
 
   if (result.from_scratch) reg_.add(ids_.delta_fallbacks);
   reg_.add(ids_.responses_ok);
   encode_delta_response(apply_.fingerprint, result.from_scratch,
                         static_cast<std::uint8_t>(result.reason), slot.part, k,
                         slot.cut, /*cache_hit=*/false, body_);
-  write_body_frame(MsgType::kDeltaResponse, frame_out);
+  frame_body(MsgType::kDeltaResponse, frame_out);
 }
 
-void RequestHandler::write_error_frame(Status status, std::string_view message,
-                                       std::vector<std::uint8_t>& frame_out) {
-  encode_error_frame(status, message, frame_out);
+bool RequestHandler::admit(const ConfigHead& head,
+                           std::chrono::steady_clock::time_point arrival) {
+  cancel_.reset();
+  if (head.deadline_ms == 0) return true;
+  cancel_.set_deadline(arrival + std::chrono::milliseconds(head.deadline_ms));
+  return !cancel_.expired();
 }
 
-void RequestHandler::write_response_frame(part_t k, bool cache_hit,
-                                          std::vector<std::uint8_t>& frame_out) {
-  encode_partition_response(part_, k, cut_, cache_hit, body_);
-  frame_out.clear();
-  frame_out.resize(kFrameHeaderBytes);
-  FrameHeader h;
-  h.type = MsgType::kPartitionResponse;
-  h.payload_len = static_cast<std::uint32_t>(body_.size());
-  encode_frame_header(h, frame_out.data());
-  frame_out.insert(frame_out.end(), body_.begin(), body_.end());
+void RequestHandler::fail(Status status, std::string_view message,
+                          std::vector<std::uint8_t>& frame_out) {
+  // Every status but INTERNAL has its own counter.
+  if (status == Status::kBadRequest) reg_.add(ids_.bad_requests);
+  if (status == Status::kDeadlineExceeded) reg_.add(ids_.deadline_expired);
+  if (status == Status::kOverloaded) reg_.add(ids_.rejected_overloaded);
+  if (status == Status::kNotFound) reg_.add(ids_.delta_not_found);
+  encode_error_response(status, message, body_);
+  frame_body(MsgType::kErrorResponse, frame_out);
 }
 
-void RequestHandler::write_body_frame(MsgType type,
-                                      std::vector<std::uint8_t>& frame_out) {
+void RequestHandler::frame_body(MsgType type, std::vector<std::uint8_t>& frame_out) {
   frame_out.clear();
   frame_out.resize(kFrameHeaderBytes);
   FrameHeader h;

@@ -58,9 +58,9 @@ inline constexpr int kDefaultDirectMinK = 64;
 
 class RequestHandler {
  public:
-  RequestHandler(WorkspacePool& pool, ResultCache& cache, obs::MetricsRegistry& reg,
-                 const ServerMetrics& ids, int direct_min_k = kDefaultDirectMinK,
-                 dynamic::GraphStore* store = nullptr);
+  RequestHandler(WorkspacePool& pool, ResultCache& cache, dynamic::GraphStore& store,
+                 obs::MetricsRegistry& reg, const ServerMetrics& ids,
+                 int direct_min_k = kDefaultDirectMinK);
 
   RequestHandler(const RequestHandler&) = delete;
   RequestHandler& operator=(const RequestHandler&) = delete;
@@ -87,19 +87,21 @@ class RequestHandler {
                     std::vector<std::uint8_t>& frame_out);
 
  private:
-  void write_error_frame(Status status, std::string_view message,
-                         std::vector<std::uint8_t>& frame_out);
-  void write_response_frame(part_t k, bool cache_hit,
-                            std::vector<std::uint8_t>& frame_out);
-  /// Wraps body_ in a frame of the given type.
-  void write_body_frame(MsgType type, std::vector<std::uint8_t>& frame_out);
+  /// Arms cancel_ with the head's deadline, anchored at arrival; false when
+  /// the budget already ran out while the request sat queued.
+  bool admit(const ConfigHead& head, std::chrono::steady_clock::time_point arrival);
+  /// Answers `status`, counting it under its metric.
+  void fail(Status status, std::string_view message,
+            std::vector<std::uint8_t>& frame_out);
+  /// The one frame writer: wraps body_ in a frame of the given type.
+  void frame_body(MsgType type, std::vector<std::uint8_t>& frame_out);
 
   WorkspacePool& pool_;
   ResultCache& cache_;
+  dynamic::GraphStore& store_;
   obs::MetricsRegistry& reg_;
   const ServerMetrics& ids_;
   int direct_min_k_;
-  dynamic::GraphStore* store_;  ///< null = PIN/DELTA answered INTERNAL
 
   // Warm per-worker state (the zero-allocation steady state).
   Graph graph_;

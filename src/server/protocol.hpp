@@ -2,49 +2,24 @@
 //
 // Length-prefixed binary frames over a stream socket, little-endian
 // throughout, no external serialization dependency.  Every frame is a
-// 12-byte header followed by `payload_len` payload bytes:
+// 12-byte header (frame_header_fields) followed by `payload_len` payload
+// bytes.  Each message's layout is declared once, as a field function below
+// (request_head_fields, delta_head_fields, ...): the encoders run it with a
+// Writer, the decoders with a bounds-checked Reader, and the wire fuzz test
+// with an IO that locates its length fields.
 //
-//   offset  size  field
-//        0     4  magic        0x3150474D ("MGP1")
-//        4     1  version      kProtocolVersion
-//        5     1  type         MsgType
-//        6     2  reserved     0
-//        8     4  payload_len  bytes that follow
+// A PartitionRequest payload is the 28-byte config head (config_fields),
+// then the graph region: u64 n, u64 arcs = xadj[n], and the CSR arrays
+// xadj (u64 × n+1), adjncy (u32 × arcs), vwgt (i64 × n), adjwgt (i64 ×
+// arcs).
 //
-// A PartitionRequest payload is a fixed 44-byte head followed by the CSR
-// arrays of the graph:
-//
-//   offset  size      field
-//        0     4      k            number of parts (u32)
-//        4     8      seed         RNG seed (u64)
-//       12     1      matching     coarsening scheme byte: 0..3 =
-//                                  MatchingScheme under the default
-//                                  strategy, 4 = algebraic-distance HEM,
-//                                  5 = n-level (coarsen/strategy.hpp);
-//                                  anything above is BAD_REQUEST
-//       13     1      initpart     InitPartScheme as u8
-//       14     1      refine       RefinePolicy as u8
-//       15     1      kway_mode    KwayMode as u8 (0 auto / 1 rb / 2 direct;
-//                                  was reserved-zero, so old clients send
-//                                  kAuto and old servers already digested
-//                                  the byte — no version bump needed)
-//       16     4      coarsen_to   coarsening threshold (u32)
-//       20     8      deadline_ms  per-request budget; 0 = none, at most
-//                                  kMaxDeadlineMs (u64)
-//       28     8      n            vertices (u64)
-//       36     8      arcs         adjacency slots = xadj[n] (u64)
-//       44  8(n+1)    xadj         u64 each
-//        +  4*arcs    adjncy       u32 each
-//        +    8*n     vwgt         i64 each
-//        +  8*arcs    adjwgt       i64 each
-//
-// Cache identity: the graph fingerprint is FNV-1a over bytes [28, end) —
-// the n/arcs head plus all four arrays — and the config digest is FNV-1a
-// over bytes [0, 20).  The deadline sits between the two regions exactly so
-// it never reaches the cache key: the same (graph, k, seed, scheme) hits
-// the cache regardless of the caller's latency budget.  The key also pins
-// the exact n and k, so even a colliding payload can never be served a
-// partition with the wrong label count or part count.  FNV-1a is not
+// Cache identity: the graph fingerprint is FNV-1a over the graph region
+// (bytes [28, end)) and the config digest is FNV-1a over bytes [0, 20).
+// The deadline sits between the two regions exactly so it never reaches
+// the cache key: the same (graph, k, seed, scheme) hits the cache
+// regardless of the caller's latency budget.  The key also pins the exact
+// n and k, so even a colliding payload can never be served a partition
+// with the wrong label count or part count.  FNV-1a is not
 // collision-resistant, however: clients sharing one server are assumed to
 // be mutually trusted (a client able to engineer a full 128-bit collision
 // could poison the cache for the others).  Deployments with untrusted
@@ -71,6 +46,7 @@ inline constexpr std::uint32_t kMagic = 0x3150474DU;  // "MGP1"
 inline constexpr std::uint8_t kProtocolVersion = 1;
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 inline constexpr std::size_t kRequestHeadBytes = 44;
+inline constexpr std::size_t kDeltaHeadBytes = 76;
 /// Bytes [0, kConfigDigestBytes) of a request are the config-digest region.
 inline constexpr std::size_t kConfigDigestBytes = 20;
 /// The graph fingerprint covers bytes [kGraphRegionOffset, payload end).
@@ -124,12 +100,6 @@ struct FrameHeader {
   std::uint32_t payload_len = 0;
 };
 
-/// Serializes `h` into 12 bytes at `out` (caller sizes the buffer).
-void encode_frame_header(const FrameHeader& h, std::uint8_t* out);
-/// Parses 12 bytes.  False iff the magic does not match (other fields are
-/// reported as-is for the caller to judge).
-bool decode_frame_header(std::span<const std::uint8_t> bytes, FrameHeader& out);
-
 /// The 28-byte prefix a PartitionRequest and a DELTA_REPARTITION share:
 /// the config-digest region [0, 20) and the deadline.
 struct ConfigHead {
@@ -149,6 +119,155 @@ struct RequestHead : ConfigHead {
   std::uint64_t arcs = 0;
 };
 
+/// Fixed head of a DELTA_REPARTITION request.
+struct DeltaHead : ConfigHead {
+  std::uint64_t fingerprint = 0;  ///< of the *pre-delta* pinned graph
+  std::uint64_t n_edge_ins = 0;
+  std::uint64_t n_edge_del = 0;
+  std::uint64_t n_vertex_add = 0;
+  std::uint64_t n_vertex_rem = 0;
+  std::uint64_t n_weight_upd = 0;
+};
+
+struct PartitionResponseView {
+  part_t k = 0;
+  ewt_t edge_cut = 0;
+  bool cache_hit = false;
+  std::uint64_t n = 0;
+  std::span<const std::uint8_t> labels;  ///< u32 little-endian each
+};
+
+struct PinResponseView {
+  std::uint64_t fingerprint = 0;
+  std::uint64_t n = 0;
+  std::uint64_t arcs = 0;
+  bool already_pinned = false;
+};
+
+struct DeltaResponseView {
+  std::uint64_t fingerprint = 0;  ///< of the post-delta graph
+  bool from_scratch = false;
+  std::uint8_t reason = 0;  ///< dynamic::RepartitionResult::Reason
+  PartitionResponseView body;
+};
+
+// ---------------------------------------------------------------------------
+// Wire layouts, each declared once.  A field function lists a message's
+// fields in wire order, and the IO decides the direction: u8/u32/u64 are
+// little-endian integers, vid a u32 that must fit vid_t, pad(n) n reserved
+// zero bytes, str a u32 length and that many bytes, each(v, f) runs f on
+// every element of an op array whose count the head declared.
+// ---------------------------------------------------------------------------
+
+template <class IO, class H>
+void frame_header_fields(IO& io, H& h) {
+  io.u32(h.magic);
+  io.u8(h.version);
+  io.u8(h.type);
+  io.pad(2);
+  io.u32(h.payload_len);
+}
+
+template <class IO, class H>
+void config_fields(IO& io, H& h) {
+  io.u32(h.k);
+  io.u64(h.seed);
+  io.u8(h.matching);   // scheme byte, 0..kSchemeByteMax (coarsen/strategy.hpp)
+  io.u8(h.initpart);   // InitPartScheme
+  io.u8(h.refine);     // RefinePolicy
+  io.u8(h.kway_mode);  // KwayMode; was reserved-zero, so old clients send kAuto
+  io.u32(h.coarsen_to);  // the config-digest region ends here
+  io.u64(h.deadline_ms);  // 0 = none, at most kMaxDeadlineMs
+}
+
+/// The graph region's head; the CSR arrays follow it.  A PIN_GRAPH payload
+/// is exactly a graph region, so a pin fingerprint (FNV-1a over the whole
+/// payload) equals the graph_fp of a PartitionRequest for the same graph.
+template <class IO, class H>
+void graph_dims_fields(IO& io, H& h) {
+  io.u64(h.n);
+  io.u64(h.arcs);
+}
+
+template <class IO, class H>
+void request_head_fields(IO& io, H& h) {
+  config_fields(io, h);
+  graph_dims_fields(io, h);
+}
+
+/// The op arrays (delta_ops_fields) follow, in the order of their counts.
+template <class IO, class H>
+void delta_head_fields(IO& io, H& h) {
+  config_fields(io, h);
+  io.u64(h.fingerprint);
+  io.u64(h.n_edge_ins);
+  io.u64(h.n_edge_del);
+  io.u64(h.n_vertex_add);
+  io.u64(h.n_vertex_rem);
+  io.u64(h.n_weight_upd);
+}
+
+template <class IO, class B>
+void delta_ops_fields(IO& io, B& batch) {
+  io.each(batch.edge_ins, [&](auto& e) { io.vid(e.u); io.vid(e.v); io.u64(e.w); });
+  io.each(batch.edge_del, [&](auto& e) { io.vid(e.u); io.vid(e.v); });
+  io.each(batch.vertex_add, [&](auto& w) { io.u64(w); });
+  io.each(batch.vertex_rem, [&](auto& v) { io.vid(v); });
+  io.each(batch.weight_upd, [&](auto& e) { io.vid(e.v); io.u64(e.w); });
+}
+
+/// The n labels (u32 each) follow.
+template <class IO, class H>
+void partition_response_fields(IO& io, H& h) {
+  io.u32(h.k);
+  io.u64(h.edge_cut);
+  io.u8(h.cache_hit);
+  io.pad(3);
+  io.u64(h.n);
+}
+
+template <class IO, class H>
+void pin_response_fields(IO& io, H& h) {
+  io.u64(h.fingerprint);
+  io.u64(h.n);
+  io.u64(h.arcs);
+  io.u8(h.already_pinned);
+  io.pad(7);
+}
+
+template <class IO, class H>
+void delta_response_fields(IO& io, H& h) {
+  io.u64(h.fingerprint);
+  io.u8(h.from_scratch);
+  io.u8(h.reason);
+  io.pad(2);
+  partition_response_fields(io, h.body);
+}
+
+template <class IO, class S, class M>
+void error_fields(IO& io, S& status, M& message) {
+  io.u8(status);
+  io.pad(3);
+  io.str(message);
+}
+
+template <class IO, class J>
+void stats_fields(IO& io, J& json) {
+  io.str(json);
+}
+
+// ---------------------------------------------------------------------------
+// Codecs.  Encoders clear `out` first and reuse its capacity.  Decoders
+// validate before they trust a declared size: every count is bounded by the
+// bytes left before any length product, so none can wrap mod 2^64.
+// ---------------------------------------------------------------------------
+
+/// Serializes `h` into 12 bytes at `out` (caller sizes the buffer).
+void encode_frame_header(const FrameHeader& h, std::uint8_t* out);
+/// Parses 12 bytes.  False iff the magic does not match (other fields are
+/// reported as-is for the caller to judge).
+bool decode_frame_header(std::span<const std::uint8_t> bytes, FrameHeader& out);
+
 /// Parses and validates the head: sizes coherent with the payload length,
 /// enums in range, k >= 1.  On failure returns kBadRequest and fills `err`.
 Status decode_request_head(std::span<const std::uint8_t> payload, RequestHead& out,
@@ -156,7 +275,8 @@ Status decode_request_head(std::span<const std::uint8_t> payload, RequestHead& o
 
 /// Decodes the CSR arrays into `g`, recycling g's storage (zero allocation
 /// once capacities have warmed).  Validates xadj monotonicity/consistency,
-/// endpoint ranges, non-negative vertex weights, and positive edge weights;
+/// endpoint ranges, non-negative vertex weights, positive edge weights, and
+/// weight totals that fit 63 bits (Graph sums them);
 /// symmetry is the client's contract (checking it would cost O(E log d) per
 /// request).  On failure returns kBadRequest, fills `err`, leaves g empty.
 Status decode_request_graph(std::span<const std::uint8_t> payload,
@@ -186,21 +306,11 @@ struct RequestOptions {
 void encode_partition_request(const Graph& g, const RequestOptions& opts,
                               std::vector<std::uint8_t>& out);
 
-/// PartitionResponse payload: u32 k, i64 edge_cut, u8 cache_hit, 3 reserved
-/// bytes, u64 n, then u32 per vertex label.
 void encode_partition_response(std::span<const part_t> part, part_t k, ewt_t edge_cut,
                                bool cache_hit, std::vector<std::uint8_t>& out);
-struct PartitionResponseView {
-  part_t k = 0;
-  ewt_t edge_cut = 0;
-  bool cache_hit = false;
-  std::uint64_t n = 0;
-  std::span<const std::uint8_t> labels;  ///< u32 little-endian each
-};
 bool decode_partition_response(std::span<const std::uint8_t> payload,
                                PartitionResponseView& out);
 
-/// ErrorResponse payload: u8 status, 3 reserved bytes, u32 length, message.
 void encode_error_response(Status status, std::string_view message,
                            std::vector<std::uint8_t>& out);
 /// A complete ErrorResponse *frame* (header + payload) into `out` (cleared
@@ -210,42 +320,11 @@ void encode_error_frame(Status status, std::string_view message,
 bool decode_error_response(std::span<const std::uint8_t> payload, Status& status,
                            std::string& message);
 
-/// StatsResponse payload: u32 length, JSON bytes.
 void encode_stats_response(std::string_view json, std::vector<std::uint8_t>& out);
 bool decode_stats_response(std::span<const std::uint8_t> payload, std::string& json);
 
-// ---------------------------------------------------------------------------
-// Incremental repartitioning (DESIGN.md §11).
-//
-// A PIN_GRAPH payload is *exactly* the graph region of a PartitionRequest —
-// u64 n, u64 arcs, then the four CSR arrays — so the pin fingerprint
-// (FNV-1a over the whole payload) equals the graph_fp that a
-// PartitionRequest carrying the same graph would be cache-keyed under.
-//
-// A DELTA_REPARTITION payload is a fixed 76-byte head followed by the op
-// arrays:
-//
-//   offset  size  field
-//        0    20  identical layout and semantics to a PartitionRequest's
-//                 config-digest region (k, seed, matching, initpart,
-//                 refine, kway_mode, coarsen_to) — FNV-1a over these bytes
-//                 is the digest that keys the warm-start labelling
-//       20     8  deadline_ms (outside the digest, as in PartitionRequest)
-//       28     8  fingerprint of the *pre-delta* pinned graph (u64)
-//       36     8  edge-insert count (u64)      — then counts for the rest:
-//       44     8  edge-delete count
-//       52     8  vertex-add count
-//       60     8  vertex-remove count
-//       68     8  weight-update count
-//       76  16*a  edge inserts   (u32 u, u32 v, u64 w)
-//        +   8*b  edge deletes   (u32 u, u32 v)
-//        +   8*c  vertex adds    (u64 w)
-//        +   4*d  vertex removes (u32 v)
-//        +  12*e  weight updates (u32 v, u64 w)
-// ---------------------------------------------------------------------------
-
-inline constexpr std::size_t kPinHeadBytes = 16;
-inline constexpr std::size_t kDeltaHeadBytes = 76;
+// Incremental repartitioning (DESIGN.md §11).  A DELTA_REPARTITION's
+// config-digest region keys the warm-start labelling.
 
 /// Builds a PIN_GRAPH payload (the graph region encoding) into `out`.
 void encode_pin_request(const Graph& g, std::vector<std::uint8_t>& out);
@@ -256,38 +335,20 @@ Status decode_pin_request(std::span<const std::uint8_t> payload,
 Status decode_pin_graph(std::span<const std::uint8_t> payload,
                         const RequestHead& head, Graph& g, std::string& err);
 
-/// PinGraphResponse payload: u64 fingerprint, u64 n, u64 arcs,
-/// u8 already_pinned, 7 reserved bytes.
-struct PinResponseView {
-  std::uint64_t fingerprint = 0;
-  std::uint64_t n = 0;
-  std::uint64_t arcs = 0;
-  bool already_pinned = false;
-};
 void encode_pin_response(std::uint64_t fingerprint, std::uint64_t n,
                          std::uint64_t arcs, bool already_pinned,
                          std::vector<std::uint8_t>& out);
 bool decode_pin_response(std::span<const std::uint8_t> payload,
                          PinResponseView& out);
 
-/// Fixed head of a DELTA_REPARTITION request (layout above).
-struct DeltaHead : ConfigHead {
-  std::uint64_t fingerprint = 0;
-  std::uint64_t n_edge_ins = 0;
-  std::uint64_t n_edge_del = 0;
-  std::uint64_t n_vertex_add = 0;
-  std::uint64_t n_vertex_rem = 0;
-  std::uint64_t n_weight_upd = 0;
-};
-
 /// Parses and validates the delta head: enums in range, op counts bounded
 /// by what the payload can carry (before any length arithmetic, mirroring
 /// decode_request_head's wrap hardening), exact total length.
 Status decode_delta_head(std::span<const std::uint8_t> payload, DeltaHead& out,
                          std::string& err);
-/// Decodes the op arrays into `out` (cleared first; capacities reused, so a
-/// warm batch decodes with zero allocations).  Ids are validated to fit
-/// vid_t here; graph-semantic validation happens in dynamic::apply_delta.
+/// Decodes the op arrays into `out` (capacities reused, so a warm batch
+/// decodes with zero allocations).  Ids are validated to fit vid_t here;
+/// graph-semantic validation happens in dynamic::apply_delta.
 Status decode_delta_ops(std::span<const std::uint8_t> payload,
                         const DeltaHead& head, dynamic::DeltaBatch& out,
                         std::string& err);
@@ -298,15 +359,6 @@ void encode_delta_request(std::uint64_t fingerprint,
                           const RequestOptions& opts,
                           std::vector<std::uint8_t>& out);
 
-/// DeltaResponse payload: u64 post-delta fingerprint, u8 from_scratch,
-/// u8 reason (RepartitionResult::Reason), u16 reserved, then a
-/// PartitionResponse body (u32 k, i64 cut, u8 cache_hit, ..., labels).
-struct DeltaResponseView {
-  std::uint64_t fingerprint = 0;
-  bool from_scratch = false;
-  std::uint8_t reason = 0;
-  PartitionResponseView body;
-};
 void encode_delta_response(std::uint64_t fingerprint, bool from_scratch,
                            std::uint8_t reason, std::span<const part_t> part,
                            part_t k, ewt_t edge_cut, bool cache_hit,

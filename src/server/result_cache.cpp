@@ -5,20 +5,18 @@
 namespace mgp::server {
 
 ResultCache::ResultCache(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 1)) {}
+    : lru_(std::max<std::size_t>(capacity, 1)) {}
 
 bool ResultCache::lookup(const CacheKey& key, std::vector<part_t>& part_out,
                          ewt_t& cut_out) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
+  const Entry* e = lru_.find(key);
+  if (e == nullptr) {
     ++stats_.misses;
     return false;
   }
-  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency, no realloc
-  const Entry& e = *it->second;
-  part_out.assign(e.part.begin(), e.part.end());
-  cut_out = e.cut;
+  part_out.assign(e->part.begin(), e->part.end());
+  cut_out = e->cut;
   ++stats_.hits;
   return true;
 }
@@ -26,43 +24,20 @@ bool ResultCache::lookup(const CacheKey& key, std::vector<part_t>& part_out,
 void ResultCache::insert(const CacheKey& key, std::span<const part_t> part,
                          ewt_t cut) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    // Deterministic pipeline: a re-insert carries the same bytes, so only
-    // recency needs refreshing.
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  if (lru_.size() >= capacity_) {
-    // Recycle the LRU entry in place: its list node, labelling capacity,
-    // and hash-map node all become the new entry's (extract/insert reuses
-    // the map node and cannot rehash at constant size), so steady-state
-    // insertion is splice + rekey + copy — no heap traffic.
-    auto last = std::prev(lru_.end());
-    auto node = index_.extract(last->key);
-    lru_.splice(lru_.begin(), lru_, last);
-    ++stats_.evictions;
-    Entry& e = lru_.front();
-    e.key = key;
-    e.part.assign(part.begin(), part.end());
-    e.cut = cut;
-    node.key() = key;
-    node.mapped() = lru_.begin();
-    index_.insert(std::move(node));
-  } else {
-    lru_.emplace_front();
-    Entry& e = lru_.front();
-    e.key = key;
-    e.part.assign(part.begin(), part.end());
-    e.cut = cut;
-    index_[key] = lru_.begin();
-  }
+  // Deterministic pipeline: a re-insert carries the same bytes, so only
+  // recency needs refreshing.
+  if (lru_.find(key) != nullptr) return;
+  Entry& e = *lru_.insert(key, 1);  // cost 1 always fits: the LRU recycles
+  e.part.assign(part.begin(), part.end());
+  e.cut = cut;
   ++stats_.insertions;
 }
 
 ResultCache::Stats ResultCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  Stats s = stats_;
+  s.evictions = lru_.evictions_total();
+  return s;
 }
 
 std::size_t ResultCache::size() const {

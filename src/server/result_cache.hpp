@@ -15,16 +15,16 @@
 // cache escapes the lock.  At capacity, insert() recycles the evicted
 // entry's buffer for the incoming labelling (steady-state insertions touch
 // the heap only when the new partition outgrows the evicted capacity).
+// The LRU itself is support/lru.hpp at a cost of 1 per entry.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "server/protocol.hpp"
+#include "support/lru.hpp"
 #include "support/types.hpp"
 
 namespace mgp::server {
@@ -49,7 +49,7 @@ class ResultCache {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;
+    std::uint64_t evictions = 0;  ///< all at capacity
   };
   Stats stats() const;
   std::size_t size() const;
@@ -65,16 +65,13 @@ class ResultCache {
     }
   };
   struct Entry {
-    CacheKey key;
     std::vector<part_t> part;
     ewt_t cut = 0;
   };
 
   mutable std::mutex mu_;
-  std::size_t capacity_;
-  std::list<Entry> lru_;  ///< front = most recently used
-  std::unordered_map<CacheKey, std::list<Entry>::iterator, KeyHash> index_;
-  Stats stats_;
+  Lru<CacheKey, Entry, KeyHash> lru_;
+  Stats stats_;  ///< evictions are the LRU's; filled in by stats()
 };
 
 }  // namespace mgp::server

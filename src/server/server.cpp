@@ -206,8 +206,7 @@ void Server::connection_loop(std::shared_ptr<Connection> conn) {
 }
 
 void Server::worker_loop() {
-  RequestHandler handler(wpool_, cache_, registry_, ids_, cfg_.direct_min_k,
-                         &store_);
+  RequestHandler handler(wpool_, cache_, store_, registry_, ids_, cfg_.direct_min_k);
   std::vector<std::uint8_t> frame;
   while (std::optional<Job> job = queue_.pop()) {
     // Exception barrier: a throw escaping a thread is std::terminate, so
@@ -267,6 +266,7 @@ std::string Server::stats_json() const {
   w.kv("misses", static_cast<std::int64_t>(cs.misses));
   w.kv("insertions", static_cast<std::int64_t>(cs.insertions));
   w.kv("evictions", static_cast<std::int64_t>(cs.evictions));
+  w.kv("evictions_capacity", static_cast<std::int64_t>(cs.evictions));
   w.kv("entries", static_cast<std::int64_t>(cache_.size()));
   w.end_object();
   const dynamic::GraphStore::Stats ss = store_.stats();
@@ -275,6 +275,9 @@ std::string Server::stats_json() const {
   w.kv("pins", static_cast<std::int64_t>(ss.pins));
   w.kv("repins", static_cast<std::int64_t>(ss.repins));
   w.kv("evictions", static_cast<std::int64_t>(ss.evictions));
+  w.kv("evictions_budget", static_cast<std::int64_t>(ss.evictions_budget));
+  w.kv("evictions_rekey_replaced", static_cast<std::int64_t>(ss.evictions_replaced));
+  w.kv("evictions_rekey_dropped", static_cast<std::int64_t>(ss.evictions_dropped));
   w.kv("rejected", static_cast<std::int64_t>(ss.rejected));
   w.kv("entries", static_cast<std::int64_t>(ss.entries));
   w.kv("bytes", static_cast<std::int64_t>(ss.bytes));

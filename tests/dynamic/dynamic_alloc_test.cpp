@@ -83,8 +83,7 @@ TEST(DynamicAllocTest, WarmDeltaHandlerPathIsAllocationFree) {
   obs::MetricsRegistry reg;
   server::ServerMetrics ids(reg);
   GraphStore store(256u << 20);
-  server::RequestHandler handler(pool, cache, reg, ids,
-                                 server::kDefaultDirectMinK, &store);
+  server::RequestHandler handler(pool, cache, store, reg, ids);
 
   Graph g = circuit(1500, 11);
   DeltaBatch fwd, bwd;

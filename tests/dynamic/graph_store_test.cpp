@@ -168,5 +168,48 @@ TEST(GraphStore, StatsTrackBytesAndCounts) {
   EXPECT_LE(s.bytes, s.max_bytes);
 }
 
+TEST(GraphStore, RekeyThatGrowsTheEntryEvictsIdleEntries) {
+  // A rekey re-charges the entry's bytes; when the patched entry outgrew
+  // the budget, idle LRU entries go, leased ones stay (best effort).
+  Graph probe = make_graph(1);
+  const std::size_t one = probe.memory_bytes();
+  GraphStore store(one * 5 / 2);
+  ASSERT_TRUE(pin_fresh(store, 100, 1).ok);
+  ASSERT_TRUE(pin_fresh(store, 200, 2).ok);
+  GraphStore::EntryPtr e = store.checkout(200);
+  ASSERT_NE(e, nullptr);
+  {
+    std::lock_guard<std::mutex> lock(e->mu);
+    e->labels[LabelKey{7, 4}].part.assign(2 * one / sizeof(part_t), 0);
+    e->fingerprint = 777;
+    store.rekey(e, 200, 777);
+  }
+  EXPECT_EQ(store.checkout(100), nullptr);  // the idle entry was evicted
+  GraphStore::EntryPtr moved = store.checkout(777);
+  ASSERT_NE(moved, nullptr);
+  EXPECT_EQ(moved.get(), e.get());  // the leased entry stays
+  const GraphStore::Stats s = store.stats();
+  EXPECT_EQ(s.entries, 1u);
+  EXPECT_GE(s.evictions, 1u);
+}
+
+TEST(GraphStore, SameKeyRechargeEvictsIdleEntries) {
+  Graph probe = make_graph(1);
+  const std::size_t one = probe.memory_bytes();
+  GraphStore store(one * 5 / 2);
+  ASSERT_TRUE(pin_fresh(store, 100, 1).ok);
+  ASSERT_TRUE(pin_fresh(store, 200, 2).ok);
+  GraphStore::EntryPtr e = store.checkout(200);
+  ASSERT_NE(e, nullptr);
+  {
+    std::lock_guard<std::mutex> lock(e->mu);
+    e->labels[LabelKey{7, 4}].part.assign(2 * one / sizeof(part_t), 0);
+    store.rekey(e, 200, 200);
+  }
+  EXPECT_EQ(store.checkout(100), nullptr);
+  EXPECT_NE(store.checkout(200), nullptr);
+  EXPECT_EQ(store.stats().entries, 1u);
+}
+
 }  // namespace
 }  // namespace mgp::dynamic

@@ -595,5 +595,126 @@ TEST(DeltaCodecTest, DeltaResponseRoundTrip) {
   EXPECT_FALSE(decode_delta_response(torn, view));
 }
 
+TEST(ResponseCodecTest, RejectsLabelCountThatWrapsTheLengthCheck) {
+  // n = 2^62 makes 4*n vanish mod 2^64: a bare 24-byte body must not pass
+  // as a response carrying 2^62 labels.
+  std::vector<std::uint8_t> body;
+  encode_partition_response({}, 2, 0, false, body);
+  ASSERT_EQ(body.size(), 24u);
+  body[23] = 0x40;  // n = 2^62
+  PartitionResponseView view;
+  EXPECT_FALSE(decode_partition_response(body, view));
+
+  std::vector<std::uint8_t> delta;
+  encode_delta_response(1, false, 0, {}, 2, 0, false, delta);
+  ASSERT_EQ(delta.size(), 36u);
+  delta[35] = 0x40;
+  DeltaResponseView dview;
+  EXPECT_FALSE(decode_delta_response(delta, dview));
+}
+
+TEST(RequestCodecTest, RejectsWeightTotalsThatOverflow) {
+  // Each weight fits int64 but their sum does not.  The Graph the decoder
+  // builds sums them, so the request must be rejected instead.
+  GraphBuilder b(3);
+  b.add_edge(0, 1, 1);
+  b.add_edge(1, 2, 1);
+  const std::vector<std::uint8_t> valid = encode_request(std::move(b).build(), {});
+  const std::size_t vwgt_off = kRequestHeadBytes + 8 * 4 + 4 * 4;
+  const std::size_t adjwgt_off = vwgt_off + 8 * 3;
+  const auto put_u64 = [](std::vector<std::uint8_t>& p, std::size_t at, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) p[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  };
+  RequestHead head;
+  std::string err;
+  Graph g;
+
+  std::vector<std::uint8_t> heavy_vertices = valid;
+  put_u64(heavy_vertices, vwgt_off, 1ull << 62);
+  put_u64(heavy_vertices, vwgt_off + 8, 1ull << 62);
+  ASSERT_EQ(decode_request_head(heavy_vertices, head, err), Status::kOk) << err;
+  EXPECT_EQ(decode_request_graph(heavy_vertices, head, g, err), Status::kBadRequest);
+  EXPECT_FALSE(err.empty());
+
+  std::vector<std::uint8_t> heavy_edges = valid;
+  for (std::size_t a = 0; a < 4; ++a) {
+    put_u64(heavy_edges, adjwgt_off + 8 * a, 1ull << 61);
+  }
+  ASSERT_EQ(decode_request_head(heavy_edges, head, err), Status::kOk) << err;
+  EXPECT_EQ(decode_request_graph(heavy_edges, head, g, err), Status::kBadRequest);
+}
+
+// Every encoder's bytes on one fixed input, pinned by FNV-1a.  The values
+// were captured from the hand-offset codec this layout-declared one
+// replaced, so any drift in field order, width or padding fails here even
+// when encoder and decoder drift together.
+RequestOptions golden_options() {
+  RequestOptions o;
+  o.k = 5;
+  o.seed = 0x0123456789ABCDEFull;
+  o.matching = MatchingScheme::kRandom;
+  o.refine = RefinePolicy::kKLR;
+  o.kway_mode = KwayMode::kDirect;
+  o.coarsen_to = 37;
+  o.deadline_ms = 1234;
+  return o;
+}
+
+dynamic::DeltaBatch golden_batch() {
+  dynamic::DeltaBatch b;
+  b.edge_ins.push_back({1, 7, 3});
+  b.edge_ins.push_back({2, 9, 1LL << 33});
+  b.edge_del.push_back({0, 1});
+  b.vertex_add.push_back(5);
+  b.vertex_add.push_back(70000);
+  b.vertex_rem.push_back(4);
+  b.weight_upd.push_back({3, 11});
+  return b;
+}
+
+void expect_golden(const std::vector<std::uint8_t>& bytes, std::uint64_t hash,
+                   std::size_t size) {
+  EXPECT_EQ(bytes.size(), size);
+  EXPECT_EQ(fnv1a64(bytes), hash);
+}
+
+TEST(WireGoldenTest, RequestsAreByteIdentical) {
+  const Graph g = weighted_graph_with_isolated_vertex();
+  std::vector<std::uint8_t> out;
+  encode_partition_request(g, golden_options(), out);
+  expect_golden(out, 0xa6c36b80e8fee904ull, 308);
+  encode_pin_request(g, out);
+  expect_golden(out, 0x3c6cd3200701f3cdull, 280);
+  encode_delta_request(0xFEEDFACECAFEBEEFull, golden_batch(), golden_options(), out);
+  expect_golden(out, 0x551456a68006bc89ull, 148);
+}
+
+TEST(WireGoldenTest, ResponsesAreByteIdentical) {
+  const std::vector<part_t> part = {0, 1, 2, 3, 4, 0, 1};
+  std::vector<std::uint8_t> out;
+  encode_partition_response(part, 5, 123456789012LL, true, out);
+  expect_golden(out, 0x0bae097e503f4df2ull, 52);
+  encode_pin_response(0xDEADBEEFCAFEull, 7, 12, true, out);
+  expect_golden(out, 0xc0f5d63f28b4d4a5ull, 32);
+  encode_delta_response(0xFEEDull, true, 2, part, 5, 4242, false, out);
+  expect_golden(out, 0x095bfcab5cb7f18cull, 64);
+  encode_error_response(Status::kNotFound, "fingerprint is not pinned", out);
+  expect_golden(out, 0x88a2903549d7016cull, 33);
+  encode_stats_response("{\"x\":1,\"y\":[2,3]}", out);
+  expect_golden(out, 0x308378f1bff4faf9ull, 21);
+}
+
+TEST(WireGoldenTest, FramesAreByteIdentical) {
+  std::vector<std::uint8_t> out;
+  encode_error_frame(Status::kOverloaded, "request queue is full", out);
+  expect_golden(out, 0xe8f47e441330c662ull, 41);
+  FrameHeader h;
+  h.type = MsgType::kDeltaResponse;
+  h.payload_len = 0x01020304;
+  out.assign(kFrameHeaderBytes, 0xAA);  // reserved bytes must be zeroed
+  encode_frame_header(h, out.data());
+  expect_golden(out, 0x430f26764f3fdf14ull, 12);
+}
+
 }  // namespace
 }  // namespace mgp::server

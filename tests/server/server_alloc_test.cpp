@@ -33,7 +33,8 @@ TEST(ServerAllocTest, SteadyStateComputePathIsAllocationFree) {
   ResultCache cache(1);  // capacity 1: every insert exercises recycling
   obs::MetricsRegistry reg;
   ServerMetrics ids(reg);
-  RequestHandler handler(pool, cache, reg, ids);
+  dynamic::GraphStore store(1u << 20);
+  RequestHandler handler(pool, cache, store, reg, ids);
 
   const Graph g = grid2d(32, 32);
   std::vector<std::vector<std::uint8_t>> payloads;
@@ -79,7 +80,8 @@ TEST(ServerAllocTest, DirectModeSteadyStateIsAllocationFree) {
   ResultCache cache(1);
   obs::MetricsRegistry reg;
   ServerMetrics ids(reg);
-  RequestHandler handler(pool, cache, reg, ids);
+  dynamic::GraphStore store(1u << 20);
+  RequestHandler handler(pool, cache, store, reg, ids);
 
   const Graph g = grid2d(32, 32);
   std::vector<std::vector<std::uint8_t>> payloads;
@@ -112,7 +114,8 @@ TEST(ServerAllocTest, ErrorPathsDoNotLeakIntoSteadyState) {
   ResultCache cache(1);
   obs::MetricsRegistry reg;
   ServerMetrics ids(reg);
-  RequestHandler handler(pool, cache, reg, ids);
+  dynamic::GraphStore store(1u << 20);
+  RequestHandler handler(pool, cache, store, reg, ids);
 
   const Graph g = grid2d(24, 24);
   std::vector<std::uint8_t> a, b;
