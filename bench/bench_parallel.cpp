@@ -22,7 +22,10 @@
 // (the binary links the counting allocator from tests/support/alloc_guard).
 // The workspace-arena subsystem keeps the serial rows orders of magnitude
 // below |V|; multi-thread rows additionally pay the thread pool's per-task
-// future/function plumbing.  The whole table, with a host block naming the
+// future/function plumbing.  Each row also records the pooled matcher's
+// work, match_rounds and match_proposals, read from one extra untimed run
+// with an obs::Obs attached: pure functions of the input and the code, so
+// CI gates them exactly.  The whole table, with a host block naming the
 // machine and commit it ran on, is emitted as machine-readable JSON
 // (default BENCH_arena.json, override with MGP_BENCH_ARENA_OUT; see
 // README for how to read it).
@@ -36,6 +39,7 @@
 #include "coarsen/contract.hpp"
 #include "coarsen/parallel_matching.hpp"
 #include "core/kway.hpp"
+#include "obs/report.hpp"
 #include "support/alloc_guard.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
@@ -51,6 +55,8 @@ struct SweepRow {
   ewt_t cut;
   std::uint64_t allocs;
   std::uint64_t alloc_bytes;
+  std::int64_t match_rounds;
+  std::int64_t match_proposals;
 };
 
 /// Writes the sweep as a machine-readable artifact next to the run.
@@ -89,7 +95,8 @@ void write_arena_json(const std::string& path, const Graph& g, vid_t side,
                  "\"kway_seconds\": %.6f, \"speedup_vs_1t\": %.3f, "
                  "\"speedup_vs_seq\": %.3f, \"cut\": %lld, "
                  "\"cut_vs_seq\": %.4f, "
-                 "\"allocations\": %llu, \"alloc_bytes\": %llu}%s\n",
+                 "\"allocations\": %llu, \"alloc_bytes\": %llu, "
+                 "\"match_rounds\": %lld, \"match_proposals\": %lld}%s\n",
                  r.threads, r.coarsen_s, r.kway_s,
                  rows[0].kway_s / r.kway_s, seq_kway / r.kway_s,
                  static_cast<long long>(r.cut),
@@ -98,6 +105,8 @@ void write_arena_json(const std::string& path, const Graph& g, vid_t side,
                              : 1.0,
                  static_cast<unsigned long long>(r.allocs),
                  static_cast<unsigned long long>(r.alloc_bytes),
+                 static_cast<long long>(r.match_rounds),
+                 static_cast<long long>(r.match_proposals),
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -201,7 +210,18 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    rows.push_back({threads, coarsen, kway_s, r.edge_cut, allocs, alloc_bytes});
+    // The matcher's work, from one untimed run with an Obs attached (which
+    // never changes the partition).
+    obs::Obs ob;
+    MultilevelConfig counted = cfg;
+    counted.obs = &ob;
+    Rng counted_rng(seed);
+    kway_partition(g, k, counted, counted_rng, &pool);
+    const obs::MetricsSnapshot snap = ob.metrics.snapshot();
+
+    rows.push_back({threads, coarsen, kway_s, r.edge_cut, allocs, alloc_bytes,
+                    snap.counter_value("coarsen.match_rounds"),
+                    snap.counter_value("coarsen.match_proposals")});
     std::printf("%s %s %s %s %s %s %s %s\n", bench::fmt_int(threads, 8).c_str(),
                 bench::fmt_time(coarsen, 9).c_str(),
                 bench::fmt_ratio(coarsen1 / coarsen, 8).c_str(),

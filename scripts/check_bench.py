@@ -26,9 +26,11 @@ baseline holds on CI runners):
     counts track the standard library's small-buffer thresholds (which vary
     across toolchains) while still catching a lost workspace-reuse path,
     which inflates counts by orders of magnitude;
-  * work counts — "gathers" (the k-way refiner's connectivity gathers) —
-    must not exceed the baseline: the count is a pure function of the
-    pinned input and the code, so any rise is more work, not noise;
+  * work counts — "gathers" (the k-way refiner's connectivity gathers),
+    "match_rounds" and "match_proposals" (the pooled matcher's proposal
+    rounds and proposals) — must not exceed the baseline: each count is a
+    pure function of the pinned input and the code, so any rise is more
+    work, not noise;
   * ratio metrics — "speedup_vs_1t", "speedup_vs_seq",
     "speedup_vs_scratch" — no more than --tolerance below the baseline's
     ratio.  "speedup_vs_seq" compares the pooled pipeline with the
@@ -59,7 +61,7 @@ from pathlib import Path
 CUT_METRICS = ("cut", "final_cut", "cut_vs_seq", "cut_rb", "cut_vs_rb",
                "cut_scratch", "cut_vs_scratch")
 COUNTER_METRICS = ("steady_allocs", "allocations")
-WORK_METRICS = ("gathers",)
+WORK_METRICS = ("gathers", "match_rounds", "match_proposals")
 ALLOC_FACTOR = 3.0  # bound for nonzero allocation-count baselines
 RATIO_METRICS = ("speedup_vs_1t", "speedup_vs_seq", "speedup_vs_scratch")
 TIME_METRICS = ("real_time", "cpu_time", "coarsen_seconds", "kway_seconds",

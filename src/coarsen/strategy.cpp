@@ -111,13 +111,19 @@ class MatchingCoarsening final : public CoarseningStrategy {
 
 // ---- Algebraic-distance-weighted HEM. --------------------------------------
 
+// Jacobi relaxation shape.  Safro/Sanders/Schulz observe that a handful of
+// sweeps over a few test vectors already separates "tight" from "loose"
+// edges.
+constexpr int kAdTestVectors = 3;  ///< R: independent relaxation vectors
+constexpr int kAdIterations = 8;   ///< fixed JOR sweep count per level
+constexpr double kAdOmega = 0.5;   ///< JOR damping factor in (0, 1]
+
 /// Sum over test vectors of |x_r[u] - x_r[v]|: small when u and v settle to
 /// similar values under relaxation, i.e. when they sit in the same tightly
 /// coupled region.
-double ad_distance(const std::vector<double>& x, std::size_t n, int r_count,
-                   vid_t u, vid_t v) {
+double ad_distance(const std::vector<double>& x, std::size_t n, vid_t u, vid_t v) {
   double d = 0.0;
-  for (int r = 0; r < r_count; ++r) {
+  for (int r = 0; r < kAdTestVectors; ++r) {
     const std::size_t base = static_cast<std::size_t>(r) * n;
     d += std::fabs(x[base + static_cast<std::size_t>(u)] -
                    x[base + static_cast<std::size_t>(v)]);
@@ -128,29 +134,26 @@ double ad_distance(const std::vector<double>& x, std::size_t n, int r_count,
 class AlgebraicDistanceCoarsening final : public CoarseningStrategy {
  public:
   bool coarsen_level(const Graph& fine, std::span<const ewt_t> fine_cewgt,
-                     MatchingScheme, const CoarsenOptions& opts,
+                     MatchingScheme, const CoarsenOptions&,
                      double min_shrink_factor, Rng& rng, ThreadPool* pool,
                      BisectWorkspace& ws, Contraction& out,
                      CoarsenLevelStats& stats) const override {
     const vid_t n = fine.num_vertices();
     const std::size_t un = static_cast<std::size_t>(n);
     CoarsenWorkspace& cw = ws.coarsen;
-    const int r_count = std::max(1, opts.ad_test_vectors);
-    const int iters = std::max(0, opts.ad_iterations);
-    const double omega = opts.ad_omega;
 
     // Exactly one draw seeds the relaxation, then the visit permutation
     // draws as usual: the stream is identical with or without a pool, so the
     // whole strategy is pool-size-invariant (relaxation and matching are
     // sequential; contraction is thread-count-invariant).
     Rng ad_rng(rng.next_u64());
-    const std::size_t total = static_cast<std::size_t>(r_count) * un;
+    const std::size_t total = static_cast<std::size_t>(kAdTestVectors) * un;
     cw.ad_x.resize(total);
     cw.ad_y.resize(total);
     for (std::size_t i = 0; i < total; ++i) cw.ad_x[i] = ad_rng.next_double();
 
-    for (int it = 0; it < iters; ++it) {
-      for (int r = 0; r < r_count; ++r) {
+    for (int it = 0; it < kAdIterations; ++it) {
+      for (int r = 0; r < kAdTestVectors; ++r) {
         const std::size_t base = static_cast<std::size_t>(r) * un;
         for (vid_t v = 0; v < n; ++v) {
           auto nbrs = fine.neighbors(v);
@@ -163,7 +166,7 @@ class AlgebraicDistanceCoarsening final : public CoarseningStrategy {
           }
           const double self = cw.ad_x[base + static_cast<std::size_t>(v)];
           cw.ad_y[base + static_cast<std::size_t>(v)] =
-              wsum > 0.0 ? (1.0 - omega) * self + omega * (acc / wsum) : self;
+              wsum > 0.0 ? (1.0 - kAdOmega) * self + kAdOmega * (acc / wsum) : self;
         }
         // Rescale to [0, 1]: JOR contracts everything toward local means, so
         // without renormalisation a few sweeps flatten the vector and the
@@ -182,7 +185,7 @@ class AlgebraicDistanceCoarsening final : public CoarseningStrategy {
       }
       std::swap(cw.ad_x, cw.ad_y);
     }
-    stats.ad_sweeps = n > 0 ? iters : 0;
+    stats.ad_sweeps = n > 0 ? kAdIterations : 0;
 
     // HEM with AD tie-breaking: heaviest edge first, algebraically closest
     // endpoint among equally-heavy candidates.  On unit-weight graphs the
@@ -207,10 +210,10 @@ class AlgebraicDistanceCoarsening final : public CoarseningStrategy {
         if (matched(v)) continue;
         if (wgts[i] > best_w) {
           best_w = wgts[i];
-          best_d = ad_distance(cw.ad_x, un, r_count, u, v);
+          best_d = ad_distance(cw.ad_x, un, u, v);
           chosen = v;
         } else if (wgts[i] == best_w) {
-          const double d = ad_distance(cw.ad_x, un, r_count, u, v);
+          const double d = ad_distance(cw.ad_x, un, u, v);
           if (d < best_d) {
             best_d = d;
             chosen = v;

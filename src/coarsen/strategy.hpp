@@ -69,13 +69,6 @@ std::string to_string(CoarsenStrategy s);
 struct CoarsenOptions {
   CoarsenStrategy strategy = CoarsenStrategy::kMatching;
 
-  // kAlgebraicDistance: Jacobi relaxation shape.  The defaults follow
-  // Safro/Sanders/Schulz's observation that a handful of sweeps over a few
-  // test vectors already separates "tight" from "loose" edges.
-  int ad_test_vectors = 3;   ///< R: independent relaxation vectors
-  int ad_iterations = 8;     ///< fixed JOR sweep count per level
-  double ad_omega = 0.5;     ///< JOR damping factor in (0, 1]
-
   /// kNLevel: edges contracted per level.  0 = adaptive max(1, n/16), which
   /// caps the ladder around 40+ levels per halving; 1 = the literal n-level
   /// algorithm (one edge per level — intended for tests and small graphs).

@@ -27,20 +27,20 @@ struct MultilevelConfig {
   MatchingScheme matching = MatchingScheme::kHeavyEdge;
   /// How levels are built (coarsen/strategy.hpp): the default matching +
   /// contraction pipeline, algebraic-distance HEM, or n-level tiny-batch
-  /// contraction, plus the advanced strategies' knobs.  `matching` above
-  /// only applies under CoarsenStrategy::kMatching.
+  /// contraction, plus n-level's batch size.  `matching` above only applies
+  /// under CoarsenStrategy::kMatching.
   CoarsenOptions coarsen;
   /// Coarsen until the graph has at most this many vertices ("a few
   /// hundred" / "|V_m| < 100" in the paper).
   vid_t coarsen_to = 100;
   /// Stop coarsening early if a level shrinks by less than this factor
   /// (matching stagnation guard; contraction must make progress).
-  double min_shrink_factor = 0.95;
+  static constexpr double min_shrink_factor = 0.95;
 
   // Phase 2: initial partitioning.
   InitPartScheme initpart = InitPartScheme::kGGGP;
-  int ggp_trials = 10;   ///< paper: "we selected 10 vertices for GGP"
-  int gggp_trials = 5;   ///< paper: "... and 5 for GGGP"
+  static constexpr int ggp_trials = 10;  ///< paper: "we selected 10 vertices for GGP"
+  static constexpr int gggp_trials = 5;  ///< paper: "... and 5 for GGGP"
   FiedlerOptions fiedler;  ///< for InitPartScheme::kSpectral
 
   // Parallel execution (DESIGN.md "Threading model & determinism").

@@ -14,6 +14,10 @@
 
 namespace mgp {
 
+/// Unlock passes of k-way refinement per level (each pass runs
+/// propose/commit rounds to quiescence; stops early on no gain).
+constexpr int kMaxRefinePasses = 8;
+
 void KwayDirectConfig::validate(part_t k) const {
   if (k < 1) throw std::invalid_argument("kway_direct: k must be >= 1");
   if (coarse_vertices_per_part < 1) {
@@ -21,12 +25,6 @@ void KwayDirectConfig::validate(part_t k) const {
   }
   if (coarsen_to_floor < 1) {
     throw std::invalid_argument("kway_direct: coarsen_to_floor must be >= 1");
-  }
-  if (!(base.min_shrink_factor > 0.0) || base.min_shrink_factor > 1.0) {
-    throw std::invalid_argument("kway_direct: base.min_shrink_factor must be in (0, 1]");
-  }
-  if (max_refine_passes < 1) {
-    throw std::invalid_argument("kway_direct: max_refine_passes must be >= 1");
   }
   if (imbalance < 0.0) {
     throw std::invalid_argument("kway_direct: imbalance must be >= 0");
@@ -106,7 +104,7 @@ ewt_t kway_partition_direct_into(const Graph& g, part_t k,
       obs::PhaseScope refine_span(ob, obs::Phase::kRefine, "kway_direct.refine");
       refine_span.arg("level", static_cast<std::int64_t>(li));
       refine_span.arg("n", level_graph.num_vertices());
-      kway_refine_level(level_graph, k, cfg.imbalance, cfg.max_refine_passes, out_part,
+      kway_refine_level(level_graph, k, cfg.imbalance, kMaxRefinePasses, out_part,
                         dws.pwgts, pool, dws.refine, ob);
     }
     if (li == 0) break;

@@ -46,9 +46,6 @@ struct KwayDirectConfig {
   /// The coarsest graph keeps at least this many vertices per part.
   vid_t coarse_vertices_per_part = 16;
   vid_t coarsen_to_floor = 100;
-  /// Unlock passes of k-way refinement per level (each pass runs
-  /// propose/commit rounds to quiescence; stops early on no gain).
-  int max_refine_passes = 8;
   /// Allowed part weight: (total/k) * (1 + imbalance) + the level's max
   /// vertex weight (recomputed per level of the uncoarsening sweep).
   double imbalance = 0.03;

@@ -110,8 +110,13 @@ std::string apply_delta(const Graph& src, const DeltaBatch& b, DeltaScratch& s,
 
   Graph::Storage st = dst.take_storage();
 
+  // Graph sums each weight array, so its totals must fit in 63 bits.  Every
+  // weight is non-negative, so the source total plus every added and updated
+  // weight bounds the patched total without a pass over the graph.
+  vwt_t vwgt_bound = src.total_vertex_weight();
   for (vwt_t w : b.vertex_add) {
     if (w < 0) return "added vertex has negative weight";
+    if (!add_weight_total(vwgt_bound, w)) return "vertex weights overflow 63 bits";
   }
 
   s.dirty.assign(nn, 0);
@@ -135,6 +140,7 @@ std::string apply_delta(const Graph& src, const DeltaBatch& b, DeltaScratch& s,
   for (const WeightUpd& wu : b.weight_upd) {
     if (wu.v < 0 || wu.v >= new_n) return "weight update id out of range";
     if (wu.w < 0) return "weight update is negative";
+    if (!add_weight_total(vwgt_bound, wu.w)) return "vertex weights overflow 63 bits";
     if (s.removed[static_cast<std::size_t>(wu.v)] != 0) {
       return "weight update on a removed vertex";
     }
@@ -175,12 +181,16 @@ std::string apply_delta(const Graph& src, const DeltaBatch& b, DeltaScratch& s,
   // fingerprint of the same graph built from scratch (given sorted source
   // rows, which every house builder produces).
   s.ins_xadj.assign(nn + 1, 0);
+  ewt_t arc_wgt_bound = 2 * src.total_edge_weight();  // each edge is two arcs
   for (const EdgeIns& e : b.edge_ins) {
     if (e.u < 0 || e.u >= new_n || e.v < 0 || e.v >= new_n) {
       return "edge insertion id out of range";
     }
     if (e.u == e.v) return "edge insertion is a self-loop";
     if (e.w <= 0) return "edge insertion weight must be positive";
+    if (!add_weight_total(arc_wgt_bound, e.w) || !add_weight_total(arc_wgt_bound, e.w)) {
+      return "edge weights overflow 63 bits";
+    }
     if (s.removed[static_cast<std::size_t>(e.u)] != 0 ||
         s.removed[static_cast<std::size_t>(e.v)] != 0) {
       return "edge insertion touches a removed vertex";

@@ -1,6 +1,7 @@
 #include "dynamic/delta_script.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace mgp::dynamic {
@@ -11,6 +12,13 @@ std::string at_line(int line, const std::string& msg) {
   os << "delta script line " << line << ": " << msg;
   return os.str();
 }
+
+/// A wider id than vid_t holds would wrap onto another vertex.
+bool valid_id(long long id) {
+  return id >= 0 && id <= std::numeric_limits<vid_t>::max();
+}
+
+constexpr const char* kIdRange = "vertex id outside [0, 2^31 - 1]";
 
 }  // namespace
 
@@ -41,12 +49,14 @@ std::string parse_delta_script(std::istream& in,
       long long v = 0;
       long long w = 0;
       if (!(ls >> u >> v >> w)) return at_line(lineno, "expected: ae u v w");
+      if (!valid_id(u) || !valid_id(v)) return at_line(lineno, kIdRange);
       b.edge_ins.push_back({static_cast<vid_t>(u), static_cast<vid_t>(v),
                             static_cast<ewt_t>(w)});
     } else if (op == "de") {
       long long u = 0;
       long long v = 0;
       if (!(ls >> u >> v)) return at_line(lineno, "expected: de u v");
+      if (!valid_id(u) || !valid_id(v)) return at_line(lineno, kIdRange);
       b.edge_del.push_back({static_cast<vid_t>(u), static_cast<vid_t>(v)});
     } else if (op == "av") {
       long long w = 0;
@@ -55,11 +65,13 @@ std::string parse_delta_script(std::istream& in,
     } else if (op == "rv") {
       long long v = 0;
       if (!(ls >> v)) return at_line(lineno, "expected: rv v");
+      if (!valid_id(v)) return at_line(lineno, kIdRange);
       b.vertex_rem.push_back(static_cast<vid_t>(v));
     } else if (op == "vw") {
       long long v = 0;
       long long w = 0;
       if (!(ls >> v >> w)) return at_line(lineno, "expected: vw v w");
+      if (!valid_id(v)) return at_line(lineno, kIdRange);
       b.weight_upd.push_back({static_cast<vid_t>(v), static_cast<vwt_t>(w)});
     } else {
       return at_line(lineno, "unknown op '" + op + "'");

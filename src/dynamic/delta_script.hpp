@@ -12,10 +12,11 @@
 //   rv v             remove (tombstone) vertex v
 //   vw v w           set vertex v's weight to w
 //
-// Vertex ids are 0-based.  Each `batch` line opens a new DeltaBatch; the
-// batch is implicitly closed by the next `batch` line or end of file.  An
-// empty batch (two adjacent `batch` lines) is legal — it round-trips to a
-// no-op DELTA_REPARTITION, which exercises the server's label-cache hit.
+// Vertex ids are 0-based and lie in [0, 2^31 - 1].  Each `batch` line opens
+// a new DeltaBatch; the batch is implicitly closed by the next `batch` line
+// or end of file.  An empty batch (two adjacent `batch` lines) is legal — it
+// round-trips to a no-op DELTA_REPARTITION, which exercises the server's
+// label-cache hit.
 #pragma once
 
 #include <istream>

@@ -12,6 +12,12 @@
 namespace mgp::dynamic {
 namespace {
 
+/// Refinement passes of the warm-start path (the from-scratch path runs
+/// the direct pipeline's own count).
+constexpr int kWarmRefinePasses = 4;
+/// Fall back to from-scratch when arcs_changed / old_arcs exceeds this.
+constexpr double kFullRebuildRatio = 0.2;
+
 std::size_t vec_bytes(const auto& v) {
   return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
 }
@@ -134,7 +140,7 @@ RepartitionResult repartition_after_delta(
   if (!state.valid || k <= 0) {
     return scratch(RepartitionResult::Reason::kNoPrevious);
   }
-  if (churn_ratio > icfg.full_rebuild_ratio) {
+  if (churn_ratio > kFullRebuildRatio) {
     return scratch(RepartitionResult::Reason::kChurnRatio);
   }
 
@@ -162,7 +168,7 @@ RepartitionResult repartition_after_delta(
   KwayRefineResult rr;
   {
     obs::PhaseScope refine(ob, obs::Phase::kRefine, "dynamic.refine");
-    rr = kway_refine_level(g, k, icfg.direct.imbalance, icfg.refine_passes, part,
+    rr = kway_refine_level(g, k, icfg.direct.imbalance, kWarmRefinePasses, part,
                            ws.pwgts, pool, ws.direct.refine, ob, ws.active);
   }
 

@@ -12,7 +12,7 @@
 //
 // The incremental path falls back to a full kway_partition_direct_into when
 //   * there is no previous labelling for this (graph, config, k),
-//   * the delta's churn ratio exceeds full_rebuild_ratio, or
+//   * the delta's churn ratio (arcs_changed / old arcs) exceeds 0.2, or
 //   * the incremental cut degrades past quality_bound × a tracked estimate
 //     (anchored at the last from-scratch cut and inflated per delta by the
 //     observed churn, so slow drift eventually forces a re-anchor).
@@ -39,11 +39,6 @@ struct IncrementalConfig {
   /// From-scratch / fallback configuration (also supplies base.obs/cancel
   /// and the balance envelope shared by both paths).
   KwayDirectConfig direct;
-  /// Refinement passes for the warm-start path (the from-scratch path uses
-  /// direct.max_refine_passes).
-  int refine_passes = 4;
-  /// Fall back to from-scratch when arcs_changed / old_arcs exceeds this.
-  double full_rebuild_ratio = 0.2;
   /// Fall back when the incremental cut exceeds bound × tracked estimate.
   double quality_bound = 1.5;
 };
@@ -81,7 +76,7 @@ struct RepartitionResult {
   enum class Reason : std::uint8_t {
     kIncremental = 0,   ///< warm start accepted
     kNoPrevious = 1,    ///< no (valid, fingerprint-matching) previous state
-    kChurnRatio = 2,    ///< delta ratio above full_rebuild_ratio
+    kChurnRatio = 2,    ///< churn ratio above 0.2
     kQualityBound = 3,  ///< incremental cut degraded past the estimate
   };
   ewt_t cut = 0;

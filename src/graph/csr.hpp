@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -113,5 +114,14 @@ class Graph {
   vwt_t total_vwgt_ = 0;
   ewt_t total_ewgt_ = 0;
 };
+
+/// Graph's cached totals need each weight array to sum within 63 bits: adds
+/// `w` to `total`, or returns false (total unchanged) when `w` is negative or
+/// the sum would not fit.  Decoders of untrusted weights check with it.
+inline bool add_weight_total(std::int64_t& total, std::int64_t w) {
+  if (w < 0 || w > std::numeric_limits<std::int64_t>::max() - total) return false;
+  total += w;
+  return true;
+}
 
 }  // namespace mgp

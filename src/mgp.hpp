@@ -63,7 +63,6 @@
 
 // Numeric solvers (extensions).
 #include "cholesky/sparse_cholesky.hpp"
-#include "cholesky/conjugate_gradient.hpp"
 
 // Geometry (extensions).
 #include "geom/geometry.hpp"

@@ -49,7 +49,6 @@ struct NdStep {
     } else {
       vertex_separator_from_bisection_into(g, bisection, separator, sep);
     }
-    if (opts.refine_separator) refine_separator(g, sep, opts.sep_refine, rng);
 
     // Degenerate bisection (everything on one side, empty separator) would
     // recurse forever; fall back to MMD for this block.

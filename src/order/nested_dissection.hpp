@@ -19,7 +19,6 @@
 #include "core/config.hpp"
 #include "core/kway.hpp"
 #include "graph/csr.hpp"
-#include "order/separator_refine.hpp"
 #include "spectral/msb.hpp"
 #include "support/rng.hpp"
 
@@ -31,10 +30,6 @@ struct NdOptions {
   /// Use the naive boundary separator instead of minimum vertex cover
   /// (ablation knob; the paper's choice is min vertex cover = false).
   bool boundary_separator = false;
-  /// Apply greedy separator refinement after extraction (extension; the
-  /// paper stops at the minimum-vertex-cover separator).
-  bool refine_separator = false;
-  SepRefineOptions sep_refine;
 };
 
 /// Generic nested dissection over any bisector.  Returns new_to_old.

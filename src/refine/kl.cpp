@@ -56,18 +56,23 @@ KlGainScan kl_scan_gains(const Graph& g, std::span<const part_t> side, KlWorkspa
   return scan;
 }
 
-KlStats kl_refine(const Graph& g, Bisection& b, vwt_t target0, const KlOptions& opts,
-                  Rng& rng, std::vector<obs::KlPassReport>* pass_log,
-                  KlWorkspace* ext_ws) {
+KlStats kl_refine(const Graph& g, Bisection& b, vwt_t target0, RefinePolicy policy,
+                  const KlOptions& opts, Rng& rng,
+                  std::vector<obs::KlPassReport>* pass_log, KlWorkspace* ext_ws) {
   KlWorkspace local_ws;
   KlWorkspace& ws = ext_ws ? *ext_ws : local_ws;
   const KlGainScan scan = kl_scan_gains(g, b.side, ws);
-  return kl_refine_scanned(g, b, target0, opts, rng, scan, ws, pass_log);
+  return kl_refine_scanned(g, b, target0, policy, opts, rng, scan, ws, pass_log);
 }
 
 KlStats kl_refine_scanned(const Graph& g, Bisection& b, vwt_t target0,
-                          const KlOptions& opts, Rng& rng, const KlGainScan& scan,
-                          KlWorkspace& ws, std::vector<obs::KlPassReport>* pass_log) {
+                          RefinePolicy policy, const KlOptions& opts, Rng& rng,
+                          const KlGainScan& scan, KlWorkspace& ws,
+                          std::vector<obs::KlPassReport>* pass_log) {
+  using enum RefinePolicy;
+  assert(policy == kGR || policy == kKLR || policy == kBGR || policy == kBKLR);
+  const bool boundary_only = policy == kBGR || policy == kBKLR;
+  const int max_passes = policy == kGR || policy == kBGR ? 1 : KlOptions::max_passes;
   const vid_t n = g.num_vertices();
   KlStats stats;
   if (n == 0) return stats;
@@ -76,17 +81,17 @@ KlStats kl_refine_scanned(const Graph& g, Bisection& b, vwt_t target0,
 
   const vwt_t total = g.total_vertex_weight();
   const vwt_t target[2] = {target0, total - target0};
-  vwt_t max_vwgt = 0;
-  for (vid_t v = 0; v < n; ++v) max_vwgt = std::max(max_vwgt, g.vertex_weight(v));
-  const vwt_t slack =
-      static_cast<vwt_t>(opts.weight_slack_factor * static_cast<double>(max_vwgt));
+  // A best-cut state may exceed a side's target by the maximum vertex
+  // weight: coarse-level multinodes are lumpy.
+  vwt_t slack = 0;
+  for (vid_t v = 0; v < n; ++v) slack = std::max(slack, g.vertex_weight(v));
 
   ws.locked.resize(static_cast<std::size_t>(n));
   ws.moves.reserve(static_cast<std::size_t>(n));
 
   const ewt_t max_gain = std::max<ewt_t>(1, scan.max_degree);
 
-  for (int pass = 0; pass < (opts.single_pass ? 1 : opts.max_passes); ++pass) {
+  for (int pass = 0; pass < max_passes; ++pass) {
     ++stats.passes;
     const ewt_t pass_start_cut = b.cut;
     const KlStats stats_at_pass_start = stats;
@@ -102,7 +107,7 @@ KlStats kl_refine_scanned(const Graph& g, Bisection& b, vwt_t target0,
     // algorithms are randomized end to end).
     rng.permutation_into(n, ws.order);
     for (vid_t v : ws.order) {
-      if (opts.boundary_only && ws.ed[static_cast<std::size_t>(v)] == 0) continue;
+      if (boundary_only && ws.ed[static_cast<std::size_t>(v)] == 0) continue;
       ws.queue[b.side[static_cast<std::size_t>(v)]].insert(v, gain_of(ws, v));
       ++stats.insertions;
     }
@@ -173,12 +178,12 @@ KlStats kl_refine_scanned(const Graph& g, Bisection& b, vwt_t target0,
         if (ws.locked[uu]) continue;
         BucketQueue& q = ws.queue[b.side[uu]];
         if (q.contains(u)) {
-          if (opts.boundary_only && ws.ed[uu] == 0) {
+          if (boundary_only && ws.ed[uu] == 0) {
             q.remove(u);  // left the boundary; no longer a move candidate
           } else {
             q.update(u, gain_of(ws, u));
           }
-        } else if (opts.boundary_only && ws.ed[uu] > 0 && gain_of(ws, u) > 0) {
+        } else if (boundary_only && ws.ed[uu] > 0 && gain_of(ws, u) > 0) {
           // §3.3: a vertex that just became a boundary vertex is inserted
           // when it has positive gain.
           q.insert(u, gain_of(ws, u));

@@ -23,6 +23,10 @@
 
 namespace mgp {
 
+/// The refinement policies of §3.3 / Table 4.  kl_refine runs GR, KLR, BGR
+/// and BKLR; refine_bisection (refine/refine.hpp) also resolves BKLGR.
+enum class RefinePolicy { kNone, kGR, kKLR, kBGR, kBKLR, kBKLGR };
+
 /// Reusable scratch of one kl_refine call: gain bookkeeping, the per-side
 /// FM bucket queues, the move log for undo, and the random insertion order.
 /// Pass a warm one to kl_refine for an allocation-free inner loop.  The
@@ -46,18 +50,10 @@ struct KlWorkspace {
 };
 
 struct KlOptions {
+  /// Pass cap for the multi-pass policies (convergence usually takes 2-4).
+  static constexpr int max_passes = 8;
   /// Stop a pass after this many consecutive non-improving moves (§3.3's x).
   int non_improving_window = 50;
-  /// Pass cap for the multi-pass policies (convergence usually takes 2-4).
-  int max_passes = 8;
-  /// Seed the queues with boundary vertices only (BGR/BKLR).
-  bool boundary_only = false;
-  /// Stop after a single pass (GR/BGR).
-  bool single_pass = false;
-  /// Additive slack on each side's target weight, in units of the maximum
-  /// vertex weight (coarse-level multinodes are lumpy; a best-cut state is
-  /// only accepted within target + slack).
-  double weight_slack_factor = 1.0;
   /// BKLGR's switch rule (§3.3): run multi-pass BKLR while the boundary is
   /// smaller than this fraction of the original graph, else single-pass BGR.
   double bklgr_boundary_fraction = 0.02;
@@ -89,11 +85,13 @@ KlGainScan kl_scan_gains(const Graph& g, std::span<const part_t> side, KlWorkspa
 /// refinement dispatch scans once, decides on the boundary size, then
 /// refines without scanning again.  Byte-identical to kl_refine.
 KlStats kl_refine_scanned(const Graph& g, Bisection& b, vwt_t target0,
-                          const KlOptions& opts, Rng& rng, const KlGainScan& scan,
-                          KlWorkspace& ws, std::vector<obs::KlPassReport>* pass_log);
+                          RefinePolicy policy, const KlOptions& opts, Rng& rng,
+                          const KlGainScan& scan, KlWorkspace& ws,
+                          std::vector<obs::KlPassReport>* pass_log);
 
-/// Refines `b` in place.  `target0` is side 0's desired vertex weight.
-/// Deterministic given rng state.
+/// Refines `b` in place under `policy`, one of GR, KLR, BGR and BKLR.
+/// `target0` is side 0's desired vertex weight.  Deterministic given rng
+/// state.
 ///
 /// When `pass_log` is non-null, one obs::KlPassReport per executed pass is
 /// appended (moves / rollbacks / early-exit / bucket-queue peak occupancy).
@@ -102,8 +100,9 @@ KlStats kl_refine_scanned(const Graph& g, Bisection& b, vwt_t target0,
 /// When `ws` is non-null its buffers are used as the call's scratch (and
 /// retained for the next call); a null `ws` uses a call-local workspace.
 /// Results are byte-identical either way.
-KlStats kl_refine(const Graph& g, Bisection& b, vwt_t target0, const KlOptions& opts,
-                  Rng& rng, std::vector<obs::KlPassReport>* pass_log = nullptr,
+KlStats kl_refine(const Graph& g, Bisection& b, vwt_t target0, RefinePolicy policy,
+                  const KlOptions& opts, Rng& rng,
+                  std::vector<obs::KlPassReport>* pass_log = nullptr,
                   KlWorkspace* ws = nullptr);
 
 /// Number of boundary vertices (vertices with at least one cut edge).

@@ -16,8 +16,8 @@ std::string to_string(RefinePolicy p) {
 
 KlStats refine_bisection(const Graph& g, Bisection& b, vwt_t target0,
                          RefinePolicy policy, vid_t original_n, Rng& rng,
-                         const KlOptions& base_opts,
-                         std::vector<obs::KlPassReport>* pass_log, KlWorkspace* ws) {
+                         const KlOptions& opts, std::vector<obs::KlPassReport>* pass_log,
+                         KlWorkspace* ws) {
   if (policy == RefinePolicy::kNone) return {};
   KlWorkspace local_ws;
   KlWorkspace& kws = ws ? *ws : local_ws;
@@ -25,20 +25,16 @@ KlStats refine_bisection(const Graph& g, Bisection& b, vwt_t target0,
   // sweep the boundary size the BKLGR decision needs.
   const KlGainScan scan = kl_scan_gains(g, b.side, kws);
 
-  KlOptions opts = base_opts;
-  opts.boundary_only = policy == RefinePolicy::kBGR || policy == RefinePolicy::kBKLR ||
-                       policy == RefinePolicy::kBKLGR;
-  opts.single_pass = policy == RefinePolicy::kGR || policy == RefinePolicy::kBGR;
   if (policy == RefinePolicy::kBKLGR) {
     // §3.3: "if the number of vertices in the boundary of the coarse graph
     // is less than 2% of the number of vertices in the original graph,
     // refinement is performed using BKLR, otherwise BGR is used."
     const bool small_boundary =
         static_cast<double>(scan.boundary) <
-        base_opts.bklgr_boundary_fraction * static_cast<double>(original_n);
-    opts.single_pass = !small_boundary;
+        opts.bklgr_boundary_fraction * static_cast<double>(original_n);
+    policy = small_boundary ? RefinePolicy::kBKLR : RefinePolicy::kBGR;
   }
-  return kl_refine_scanned(g, b, target0, opts, rng, scan, kws, pass_log);
+  return kl_refine_scanned(g, b, target0, policy, opts, rng, scan, kws, pass_log);
 }
 
 }  // namespace mgp

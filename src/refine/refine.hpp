@@ -19,8 +19,6 @@ namespace mgp {
 
 class ThreadPool;
 
-enum class RefinePolicy { kNone, kGR, kKLR, kBGR, kBKLR, kBKLGR };
-
 /// Paper mnemonic ("GR", "BKLGR", ...).
 std::string to_string(RefinePolicy p);
 

@@ -333,19 +333,14 @@ Status decode_request_graph(std::span<const std::uint8_t> payload,
   }
   // Graph sums each weight array, so the totals must fit as well.
   std::int64_t total = 0;
-  const auto add = [&total](std::int64_t w) {
-    if (w > std::numeric_limits<std::int64_t>::max() - total) return false;
-    total += w;
-    return true;
-  };
   if (!get_array<std::uint64_t>(p, st.vwgt, [&](std::uint64_t w) {
-        return static_cast<vwt_t>(w) >= 0 && add(static_cast<vwt_t>(w));
+        return add_weight_total(total, static_cast<vwt_t>(w));
       })) {
     return bad(err, "negative vertex weight, or vertex weights overflow 63 bits");
   }
   total = 0;
   if (!get_array<std::uint64_t>(p, st.adjwgt, [&](std::uint64_t w) {
-        return static_cast<ewt_t>(w) > 0 && add(static_cast<ewt_t>(w));
+        return w > 0 && add_weight_total(total, static_cast<ewt_t>(w));
       })) {
     return bad(err, "non-positive edge weight, or edge weights overflow 63 bits");
   }

@@ -24,7 +24,8 @@ namespace mgp {
 struct LanczosOptions {
   int max_iters = 80;     ///< Krylov dimension cap.
   double tol = 1e-5;      ///< relative Ritz-residual tolerance.
-  int check_every = 5;    ///< convergence-test period (tridiagonal solves).
+  /// Convergence-test period (tridiagonal solves).
+  static constexpr int check_every = 5;
 };
 
 struct LanczosResult {

@@ -15,18 +15,15 @@
 
 #include "core/kway.hpp"
 #include "initpart/bisection_state.hpp"
-#include "spectral/lanczos.hpp"
 #include "support/rng.hpp"
 #include "support/timer.hpp"
 
 namespace mgp {
 
+/// MSB coarsens as MultilevelConfig's defaults do, re-converges each level
+/// with default LanczosOptions, and MSB-KL refines with default KLR.
 struct MsbOptions {
-  vid_t coarsen_to = 100;       ///< RM-coarsen until below this many vertices
-  double min_shrink_factor = 0.95;
-  LanczosOptions lanczos;       ///< per-level Fiedler refinement
-  bool kl_refine = false;       ///< true = the MSB-KL variant
-  KlOptions kl;                 ///< used when kl_refine is set
+  bool kl_refine = false;  ///< true = the MSB-KL variant
 };
 
 /// One MSB (or MSB-KL) bisection of g.

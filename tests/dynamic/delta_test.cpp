@@ -253,6 +253,31 @@ TEST(DeltaApply, RejectsEveryMalformedOp) {
   }
 }
 
+TEST(DeltaApply, RejectsWeightTotalsBeyond63Bits) {
+  // Graph sums each weight array into a signed 64-bit total, so a batch
+  // whose weights each fit but whose totals do not must be rejected before
+  // the patched graph is built.
+  const Graph g = path_graph(3);
+  const vwt_t big = vwt_t{1} << 62;
+  DeltaBatch adds;
+  adds.vertex_add = {big, big};
+  EXPECT_EQ(apply_err(g, adds), "vertex weights overflow 63 bits");
+  DeltaBatch updates;
+  updates.weight_upd = {{0, big}, {1, big}};
+  EXPECT_EQ(apply_err(g, updates), "vertex weights overflow 63 bits");
+  DeltaBatch edges;  // one edge is two arcs: 2 * 2^62 does not fit
+  edges.edge_ins.push_back({0, 2, big});
+  EXPECT_EQ(apply_err(g, edges), "edge weights overflow 63 bits");
+
+  // Just below the bound is accepted, and the totals are exact.
+  DeltaBatch fits;
+  fits.vertex_add = {big};
+  fits.edge_ins.push_back({0, 2, big / 2});
+  const Graph patched = apply_ok(g, fits);
+  EXPECT_EQ(patched.total_vertex_weight(), big + 3);
+  EXPECT_EQ(patched.total_edge_weight(), big / 2 + 2);
+}
+
 TEST(DeltaApply, RejectionLeavesSourceIntact) {
   const Graph src = chorded_square();
   const std::uint64_t before = graph_fingerprint(src);
@@ -335,6 +360,28 @@ TEST(DeltaScript, RejectsMalformedLines) {
     std::vector<DeltaBatch> parsed;
     EXPECT_NE(parse_delta_script(is, parsed), "") << script;
   }
+}
+
+TEST(DeltaScript, RejectsIdsOutsideVidRange) {
+  // Ids are read as 64-bit numbers; one that vid_t cannot hold must be
+  // rejected with its line, not wrapped onto another vertex.
+  const char* bad[] = {
+      "batch\nrv 4294967296\n",    // would wrap to vertex 0
+      "batch\nde 4294967297 2\n",  // would wrap to edge (1, 2)
+      "batch\nae 0 2147483648 1\n",
+      "batch\nvw -1 3\n",
+  };
+  for (const char* script : bad) {
+    std::istringstream is(script);
+    std::vector<DeltaBatch> parsed;
+    EXPECT_EQ(parse_delta_script(is, parsed),
+              "delta script line 2: vertex id outside [0, 2^31 - 1]")
+        << script;
+  }
+  std::istringstream is("batch\nrv 2147483647\n");
+  std::vector<DeltaBatch> parsed;
+  ASSERT_EQ(parse_delta_script(is, parsed), "");
+  EXPECT_EQ(parsed[0].vertex_rem[0], 2147483647);
 }
 
 TEST(Churn, SynthesizedBatchesApplyCleanly) {

@@ -153,13 +153,11 @@ TEST(InvariantsTest, RefinersNeverWorsenCutNorViolateBalanceBound) {
   for (const auto& [name, g] : random_graphs(51)) {
     const vwt_t total = g.total_vertex_weight();
     const vwt_t target0 = total / 2;
-    vwt_t max_vwgt = 0;
-    for (vid_t v = 0; v < g.num_vertices(); ++v) {
-      max_vwgt = std::max(max_vwgt, g.vertex_weight(v));
-    }
     const KlOptions opts;  // defaults, as the pipeline uses them
-    const vwt_t slack =
-        static_cast<vwt_t>(opts.weight_slack_factor * static_cast<double>(max_vwgt));
+    vwt_t slack = 0;  // KL's rule: the slack is the maximum vertex weight
+    for (vid_t v = 0; v < g.num_vertices(); ++v) {
+      slack = std::max(slack, g.vertex_weight(v));
+    }
 
     for (RefinePolicy policy : kRefiners) {
       for (std::uint64_t bseed : {1u, 9u}) {

@@ -21,18 +21,15 @@ Bisection interleaved(const Graph& g) {
 
 TEST(KlTest, NeverWorsensCut) {
   Graph g = fem2d_tri(12, 12, 3);
-  for (bool boundary : {false, true}) {
-    for (bool single : {false, true}) {
-      Bisection b = interleaved(g);
-      const ewt_t before = b.cut;
-      KlOptions opts;
-      opts.boundary_only = boundary;
-      opts.single_pass = single;
-      Rng rng(5);
-      kl_refine(g, b, g.total_vertex_weight() / 2, opts, rng);
-      EXPECT_LE(b.cut, before);
-      EXPECT_EQ(check_bisection(g, b), "");
-    }
+  for (RefinePolicy policy : {RefinePolicy::kKLR, RefinePolicy::kGR, RefinePolicy::kBKLR,
+                              RefinePolicy::kBGR}) {
+    Bisection b = interleaved(g);
+    const ewt_t before = b.cut;
+    KlOptions opts;
+    Rng rng(5);
+    kl_refine(g, b, g.total_vertex_weight() / 2, policy, opts, rng);
+    EXPECT_LE(b.cut, before);
+    EXPECT_EQ(check_bisection(g, b), "");
   }
 }
 
@@ -42,7 +39,7 @@ TEST(KlTest, ImprovesInterleavedGrid) {
   const ewt_t before = b.cut;  // 180: every edge cut
   Rng rng(6);
   KlOptions opts;
-  kl_refine(g, b, 50, opts, rng);
+  kl_refine(g, b, 50, RefinePolicy::kKLR, opts, rng);
   EXPECT_LT(b.cut, before / 2);
 }
 
@@ -57,8 +54,7 @@ TEST(KlTest, FixesAlmostPerfectPartition) {
   ASSERT_GT(b.cut, 1);
   Rng rng(7);
   KlOptions opts;
-  opts.boundary_only = true;
-  kl_refine(g, b, 15, opts, rng);
+  kl_refine(g, b, 15, RefinePolicy::kBKLR, opts, rng);
   EXPECT_EQ(b.cut, 1);
   // The clean cut may land a vertex either side of the midpoint within the
   // one-vertex weight slack.
@@ -71,7 +67,7 @@ TEST(KlTest, RespectsWeightLimits) {
   Bisection b = interleaved(g);
   Rng rng(8);
   KlOptions opts;
-  kl_refine(g, b, 32, opts, rng);
+  kl_refine(g, b, 32, RefinePolicy::kKLR, opts, rng);
   // Unit weights, slack = 1 vertex: neither side may exceed 33.
   EXPECT_LE(b.part_weight[0], 33);
   EXPECT_LE(b.part_weight[1], 33);
@@ -83,9 +79,9 @@ TEST(KlTest, StatsAreCoherent) {
   const ewt_t before = b.cut;
   Rng rng(9);
   KlOptions opts;
-  KlStats s = kl_refine(g, b, 50, opts, rng);
+  KlStats s = kl_refine(g, b, 50, RefinePolicy::kKLR, opts, rng);
   EXPECT_GE(s.passes, 1);
-  EXPECT_LE(s.passes, opts.max_passes);
+  EXPECT_LE(s.passes, KlOptions::max_passes);
   EXPECT_GE(s.moves_attempted, s.swapped);
   EXPECT_EQ(s.cut_reduction, before - b.cut);
 }
@@ -95,8 +91,7 @@ TEST(KlTest, SinglePassDoesExactlyOnePass) {
   Bisection b = interleaved(g);
   Rng rng(10);
   KlOptions opts;
-  opts.single_pass = true;
-  KlStats s = kl_refine(g, b, 50, opts, rng);
+  KlStats s = kl_refine(g, b, 50, RefinePolicy::kGR, opts, rng);
   EXPECT_EQ(s.passes, 1);
 }
 
@@ -104,12 +99,10 @@ TEST(KlTest, MultiPassNotWorseThanSinglePass) {
   Graph g = fem2d_tri(14, 14, 6);
   Bisection b1 = interleaved(g);
   Bisection b2 = interleaved(g);
-  KlOptions single;
-  single.single_pass = true;
-  KlOptions multi;
+  KlOptions opts;
   Rng r1(11), r2(11);
-  kl_refine(g, b1, g.total_vertex_weight() / 2, single, r1);
-  kl_refine(g, b2, g.total_vertex_weight() / 2, multi, r2);
+  kl_refine(g, b1, g.total_vertex_weight() / 2, RefinePolicy::kGR, opts, r1);
+  kl_refine(g, b2, g.total_vertex_weight() / 2, RefinePolicy::kKLR, opts, r2);
   EXPECT_LE(b2.cut, b1.cut);
 }
 
@@ -120,12 +113,10 @@ TEST(KlTest, BoundaryInsertsFewerVertices) {
   for (vid_t v = 0; v < 400; ++v) side[static_cast<std::size_t>(v)] = (v % 20) < 10 ? 0 : 1;
   Bisection b1 = make_bisection(g, side);
   Bisection b2 = make_bisection(g, side);
-  KlOptions full;
-  KlOptions boundary;
-  boundary.boundary_only = true;
+  KlOptions opts;
   Rng r1(12), r2(12);
-  KlStats sf = kl_refine(g, b1, 200, full, r1);
-  KlStats sb = kl_refine(g, b2, 200, boundary, r2);
+  KlStats sf = kl_refine(g, b1, 200, RefinePolicy::kKLR, opts, r1);
+  KlStats sb = kl_refine(g, b2, 200, RefinePolicy::kBKLR, opts, r2);
   EXPECT_LT(sb.insertions, sf.insertions / 2);
 }
 
@@ -141,7 +132,7 @@ TEST(KlTest, ZeroCutIsFixedPoint) {
   Bisection b = make_bisection(g, side);
   Rng rng(13);
   KlOptions opts;
-  kl_refine(g, b, 4, opts, rng);
+  kl_refine(g, b, 4, RefinePolicy::kKLR, opts, rng);
   EXPECT_EQ(b.cut, 0);
   EXPECT_EQ(b.side, side);
 }
@@ -151,7 +142,7 @@ TEST(KlTest, EmptyGraph) {
   Bisection b;
   Rng rng(1);
   KlOptions opts;
-  KlStats s = kl_refine(g, b, 0, opts, rng);
+  KlStats s = kl_refine(g, b, 0, RefinePolicy::kKLR, opts, rng);
   EXPECT_EQ(s.passes, 0);
 }
 
@@ -169,7 +160,7 @@ TEST(KlTest, WeightedVerticesStayWithinSlack) {
   Rng rng(14);
   KlOptions opts;
   const vwt_t target0 = g.total_vertex_weight() / 2;  // 10
-  kl_refine(g, b, target0, opts, rng);
+  kl_refine(g, b, target0, RefinePolicy::kKLR, opts, rng);
   EXPECT_EQ(check_bisection(g, b), "");
   // Slack is one max vertex weight (10): limit = 20 per side.
   EXPECT_LE(b.part_weight[0], 20);
@@ -191,8 +182,8 @@ TEST(KlTest, DeterministicGivenSeed) {
   Bisection b2 = interleaved(g);
   Rng r1(15), r2(15);
   KlOptions opts;
-  kl_refine(g, b1, g.total_vertex_weight() / 2, opts, r1);
-  kl_refine(g, b2, g.total_vertex_weight() / 2, opts, r2);
+  kl_refine(g, b1, g.total_vertex_weight() / 2, RefinePolicy::kKLR, opts, r1);
+  kl_refine(g, b2, g.total_vertex_weight() / 2, RefinePolicy::kKLR, opts, r2);
   EXPECT_EQ(b1.side, b2.side);
   EXPECT_EQ(b1.cut, b2.cut);
 }
@@ -236,12 +227,13 @@ TEST(KlTest, GainTableMatchesFinalLabelling) {
                      (boundary ? " BKLR" : " KLR"));
         Bisection b = interleaved(g);
         KlOptions opts;
-        opts.boundary_only = boundary;
         opts.non_improving_window = 10;  // short windows: many undone moves
         KlWorkspace ws;
         Rng rng(17);
         const KlStats s =
-            kl_refine(g, b, g.total_vertex_weight() / 2, opts, rng, nullptr, &ws);
+            kl_refine(g, b, g.total_vertex_weight() / 2,
+                      boundary ? RefinePolicy::kBKLR : RefinePolicy::kKLR, opts, rng,
+                      nullptr, &ws);
         undone_calls += (s.passes > 1 && s.moves_attempted > s.swapped) ? 1 : 0;
 
         KlWorkspace fresh;
@@ -266,7 +258,7 @@ TEST_P(KlWindowTest, NonImprovingWindowStillImproves) {
   Rng rng(16);
   KlOptions opts;
   opts.non_improving_window = GetParam();
-  kl_refine(g, b, 50, opts, rng);
+  kl_refine(g, b, 50, RefinePolicy::kKLR, opts, rng);
   EXPECT_LE(b.cut, before);
   EXPECT_EQ(check_bisection(g, b), "");
 }
