@@ -1,11 +1,10 @@
 // Speedup curves for the parallel multilevel pipeline (extension).
 //
-// §1: "the coarsening phase of these methods is easy to parallelize" — this
-// harness measures how much that (plus parallel contraction and the
-// fork/join recursive-bisection tree) buys end to end.  For each thread
-// count it times (a) standalone coarsening kernels (matching + contraction)
-// and (b) the full k-way partition, and prints speedup over the 1-thread
-// run of the *same* parallel pipeline plus the sequential baseline.
+// The pool runs the fork/join recursive-bisection tree: independent
+// subproblems on workers, while each bisection's coarsening runs on the
+// thread that owns it.  For each thread count this harness times the full
+// k-way partition and prints speedup over the 1-thread run of the *same*
+// pooled pipeline plus the sequential baseline.
 //
 // Partitions are byte-identical across the thread counts by construction
 // (the determinism suite asserts it); the edge-cut column makes that
@@ -21,8 +20,8 @@
 // Each row also reports the heap-allocation count of its timed k-way run
 // (the binary links the counting allocator from tests/support/alloc_guard).
 // The workspace-arena subsystem keeps the serial rows orders of magnitude
-// below |V|; multi-thread rows additionally pay the thread pool's per-task
-// future/function plumbing.  Each row also records the pooled matcher's
+// below |V|; multi-thread rows additionally pay a future and a function
+// node per forked subproblem.  Each row also records the pooled matcher's
 // work, match_rounds and match_proposals, read from one extra untimed run
 // with an obs::Obs attached: pure functions of the input and the code, so
 // CI gates them exactly.  The whole table, with a host block naming the
@@ -36,8 +35,6 @@
 #include <vector>
 
 #include "common.hpp"
-#include "coarsen/contract.hpp"
-#include "coarsen/parallel_matching.hpp"
 #include "core/kway.hpp"
 #include "obs/report.hpp"
 #include "support/alloc_guard.hpp"
@@ -50,7 +47,6 @@ using namespace mgp;
 
 struct SweepRow {
   int threads;
-  double coarsen_s;
   double kway_s;
   ewt_t cut;
   std::uint64_t allocs;
@@ -91,13 +87,13 @@ void write_arena_json(const std::string& path, const Graph& g, vid_t side,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SweepRow& r = rows[i];
     std::fprintf(f,
-                 "    {\"threads\": %d, \"coarsen_seconds\": %.6f, "
+                 "    {\"threads\": %d, "
                  "\"kway_seconds\": %.6f, \"speedup_vs_1t\": %.3f, "
                  "\"speedup_vs_seq\": %.3f, \"cut\": %lld, "
                  "\"cut_vs_seq\": %.4f, "
                  "\"allocations\": %llu, \"alloc_bytes\": %llu, "
                  "\"match_rounds\": %lld, \"match_proposals\": %lld}%s\n",
-                 r.threads, r.coarsen_s, r.kway_s,
+                 r.threads, r.kway_s,
                  rows[0].kway_s / r.kway_s, seq_kway / r.kway_s,
                  static_cast<long long>(r.cut),
                  seq_cut > 0 ? static_cast<double>(r.cut) /
@@ -112,19 +108,6 @@ void write_arena_json(const std::string& path, const Graph& g, vid_t side,
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
-}
-
-/// One level of pooled coarsening.  The matcher's buffers are the caller's,
-/// so a repeat call times the warm matcher, as the pipeline runs it.
-double time_coarsen_kernels(const Graph& g, ThreadPool& pool, Matching& m,
-                            ParallelHemScratch& scratch) {
-  Timer t;
-  compute_matching_parallel_hem(g, pool, m, scratch);
-  Contraction c = contract(g, m, {}, &pool);
-  // Touch the result so the work cannot be elided.
-  volatile ewt_t sink = c.coarse.total_edge_weight();
-  (void)sink;
-  return t.seconds();
 }
 
 }  // namespace
@@ -173,24 +156,16 @@ int main(int argc, char** argv) {
               static_cast<long long>(seq_cut),
               static_cast<unsigned long long>(seq_allocs));
 
-  std::printf("%s %s %s %s %s %s %s %s\n", bench::pad("threads", 8).c_str(),
-              bench::pad("coarsen", 9).c_str(), bench::pad("speedup", 8).c_str(),
+  std::printf("%s %s %s %s %s %s\n", bench::pad("threads", 8).c_str(),
               bench::pad("kway", 9).c_str(), bench::pad("speedup", 8).c_str(),
               bench::pad("vs-seq", 8).c_str(), bench::pad("cut", 10).c_str(),
               bench::pad("allocs", 9).c_str());
 
   std::vector<SweepRow> rows;
-  double coarsen1 = 0, kway1 = 0;
+  double kway1 = 0;
   ewt_t cut1 = 0;
   for (int threads = 1; threads <= max_threads; threads *= 2) {
     ThreadPool pool(threads);
-    // Warm-up + min-of-2 for the kernel timing; the end-to-end partition
-    // dominates the runtime so one run suffices there.
-    Matching m;
-    ParallelHemScratch scratch;
-    double coarsen = time_coarsen_kernels(g, pool, m, scratch);
-    coarsen = std::min(coarsen, time_coarsen_kernels(g, pool, m, scratch));
-
     Rng rng(seed);
     mgp::testing::AllocGuard alloc_guard;
     Timer t;
@@ -200,7 +175,6 @@ int main(int argc, char** argv) {
     const std::uint64_t alloc_bytes = alloc_guard.bytes();
 
     if (threads == 1) {
-      coarsen1 = coarsen;
       kway1 = kway_s;
       cut1 = r.edge_cut;
     } else if (r.edge_cut != cut1) {
@@ -219,12 +193,10 @@ int main(int argc, char** argv) {
     kway_partition(g, k, counted, counted_rng, &pool);
     const obs::MetricsSnapshot snap = ob.metrics.snapshot();
 
-    rows.push_back({threads, coarsen, kway_s, r.edge_cut, allocs, alloc_bytes,
+    rows.push_back({threads, kway_s, r.edge_cut, allocs, alloc_bytes,
                     snap.counter_value("coarsen.match_rounds"),
                     snap.counter_value("coarsen.match_proposals")});
-    std::printf("%s %s %s %s %s %s %s %s\n", bench::fmt_int(threads, 8).c_str(),
-                bench::fmt_time(coarsen, 9).c_str(),
-                bench::fmt_ratio(coarsen1 / coarsen, 8).c_str(),
+    std::printf("%s %s %s %s %s %s\n", bench::fmt_int(threads, 8).c_str(),
                 bench::fmt_time(kway_s, 9).c_str(),
                 bench::fmt_ratio(kway1 / kway_s, 8).c_str(),
                 bench::fmt_ratio(seq_kway / kway_s, 8).c_str(),
@@ -238,7 +210,7 @@ int main(int argc, char** argv) {
       "column is constant by the determinism guarantee.  allocs counts every "
       "heap allocation inside the timed k-way run; serial rows stay orders of "
       "magnitude below |V| thanks to the workspace pool, multi-thread rows "
-      "add the thread pool's per-task plumbing.)\n");
+      "add a future and a function node per forked subproblem.)\n");
 
   std::string out = "BENCH_arena.json";
   if (const char* e = std::getenv("MGP_BENCH_ARENA_OUT")) out = e;

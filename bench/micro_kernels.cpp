@@ -114,18 +114,17 @@ BENCHMARK(BM_Matching)
     ->Arg(static_cast<int>(MatchingScheme::kHeavyClique));
 
 void BM_ParallelMatching(benchmark::State& state) {
-  // Round-synchronous proposal HEM; results identical across thread counts.
+  // Round-synchronous proposal HEM, the matcher a pooled HEM level runs.
   const Graph& g = bench_graph();
-  ThreadPool pool(static_cast<int>(state.range(0)));
   Matching m;
   ParallelHemScratch scratch;
   for (auto _ : state) {
-    compute_matching_parallel_hem(g, pool, m, scratch);
+    compute_matching_parallel_hem(g, m, scratch);
     benchmark::DoNotOptimize(m.pairs);
   }
   state.SetItemsProcessed(state.iterations() * g.num_arcs());
 }
-BENCHMARK(BM_ParallelMatching)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_ParallelMatching);
 
 /// The k-way propose/commit engine at k=2: one floorless pass under one
 /// ceiling, the heavier entry side or target0 plus one maximum vertex
@@ -237,13 +236,13 @@ BENCHMARK(BM_MatchingWorkspace);
 
 void BM_ContractWorkspace(benchmark::State& state) {
   // contract_into with pooled scratch: the coarse CSR, contraction map,
-  // and scatter tables are all recycled across runs.
+  // and scatter table are all recycled across runs.
   const Graph& g = bench_graph();
   Rng rng(4);
   Matching m = compute_matching(g, MatchingScheme::kHeavyEdge, {}, rng);
   ContractScratch scratch;
   Contraction c;
-  auto run = [&]() { contract_into(g, m, {}, nullptr, scratch, c); };
+  auto run = [&]() { contract_into(g, m, {}, scratch, c); };
   run();  // warm the buffers
   mgp::testing::AllocGuard guard;
   run();

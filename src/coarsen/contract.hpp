@@ -5,11 +5,9 @@
 // weights, so a partition's edge-cut is identical at every level for the
 // same vertex assignment.  Unmatched vertices are copied over.
 //
-// Contraction is data-parallel over coarse rows: each coarse vertex's
-// adjacency depends only on its own fine constituents and the (read-only)
-// cmap, so rows can be assembled concurrently into per-chunk scratch
-// buffers and concatenated in row order.  The parallel path is
-// byte-identical to the sequential one for every thread count.
+// Contraction runs on the calling thread, with or without a pool: a
+// chunked pooled build bought no latency and cost per-chunk buffers and
+// task futures (DESIGN.md §5.2).
 #pragma once
 
 #include <span>
@@ -17,7 +15,6 @@
 
 #include "coarsen/matching.hpp"
 #include "graph/csr.hpp"
-#include "support/thread_pool.hpp"
 
 namespace mgp {
 
@@ -36,64 +33,41 @@ struct Contraction {
   }
 };
 
-/// Per-chunk scratch for the parallel contraction path: rows are assembled
-/// into these buffers, then concatenated in chunk (= row) order.  The
-/// sequential path uses chunk 0's scatter table.
-struct ContractChunk {
-  std::vector<eid_t> pos;  ///< dense coarse-neighbour scatter table
-  std::vector<vid_t> adjncy;
-  std::vector<ewt_t> adjwgt;
-};
-
-/// Reusable scratch for contract_into: the coarse-row representatives and
-/// the per-chunk row buffers.
+/// Reusable scratch for contract_into.
 struct ContractScratch {
-  std::vector<vid_t> reps;  ///< coarse vertex -> the fine vertex that claimed it
-  std::vector<ContractChunk> chunks;
-  std::vector<eid_t> chunk_base;
+  std::vector<eid_t> pos;  ///< dense coarse-neighbour scatter table
 
-  std::size_t memory_bytes() const {
-    std::size_t total =
-        reps.capacity() * sizeof(vid_t) + chunk_base.capacity() * sizeof(eid_t);
-    for (const ContractChunk& c : chunks) {
-      total += c.pos.capacity() * sizeof(eid_t) + c.adjncy.capacity() * sizeof(vid_t) +
-               c.adjwgt.capacity() * sizeof(ewt_t);
-    }
-    return total;
-  }
+  std::size_t memory_bytes() const { return pos.capacity() * sizeof(eid_t); }
 };
 
 /// Contracts `fine` along `match`.  `fine_cewgt` may be empty (level 0).
 /// O(|V| + |E|): two passes over the fine adjacency with a dense
 /// coarse-neighbour position table.
-///
-/// When `pool` is non-null with num_threads() > 1, coarse rows are built in
-/// parallel (per-chunk scratch buffers, prefix-sum merge into the output
-/// CSR); the result is byte-identical to the sequential path.
 Contraction contract(const Graph& fine, const Matching& match,
-                     std::span<const ewt_t> fine_cewgt, ThreadPool* pool = nullptr);
+                     std::span<const ewt_t> fine_cewgt);
 
 /// Allocation-free form: scratch tables come from `scratch`, and the result
 /// is rebuilt inside `out`, recycling the capacity of whatever Contraction
 /// previously occupied it (the coarse Graph's CSR arrays are moved out,
-/// refilled, and moved back in).  The sequential path performs zero heap
-/// allocations once every buffer has warmed to this subproblem's size; the
-/// parallel path is allocation-free except for the pool's task futures.
-/// Byte-identical to contract() above, which wraps this.
+/// refilled, and moved back in).  Performs zero heap allocations once every
+/// buffer has warmed to this subproblem's size.  Byte-identical to
+/// contract() above, which wraps this.
 void contract_into(const Graph& fine, const Matching& match,
-                   std::span<const ewt_t> fine_cewgt, ThreadPool* pool,
-                   ContractScratch& scratch, Contraction& out);
+                   std::span<const ewt_t> fine_cewgt, ContractScratch& scratch,
+                   Contraction& out);
+
+class ThreadPool;
 
 /// The empty remains of the deleted bump allocator, and the argument order
-/// that still passed it: the arena is ignored.  Kept only because
+/// that still passed it and a pool: both are ignored.  Kept only because
 /// mgpbench/src/replay.cpp passes BisectWorkspace::arena and benchmark files
 /// change in benchmark-only commits; delete both, with that member, in the
-/// next one, together with that call's arena argument.
+/// next one, together with that call's pool and arena arguments.
 struct ScratchArena {};
 inline void contract_into(const Graph& fine, const Matching& match,
-                          std::span<const ewt_t> fine_cewgt, ThreadPool* pool,
+                          std::span<const ewt_t> fine_cewgt, ThreadPool*,
                           ContractScratch& scratch, ScratchArena&, Contraction& out) {
-  contract_into(fine, match, fine_cewgt, pool, scratch, out);
+  contract_into(fine, match, fine_cewgt, scratch, out);
 }
 
 }  // namespace mgp

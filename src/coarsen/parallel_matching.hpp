@@ -1,4 +1,4 @@
-// Deterministic parallel heavy-edge matching (extension).
+// Deterministic proposal-based heavy-edge matching (extension).
 //
 // §1: "The coarsening phase of these methods is easy to parallelize [23],
 // but the Kernighan-Lin heuristic used in the refinement phase is very
@@ -31,12 +31,13 @@
 // oracle test in tests/coarsen/parallel_matching_test.cpp asserts it), and
 // the proposals computed total a few n instead of rounds x n.
 //
-// Within a round, the propose and commit sweeps share no mutable state
-// (each pair is written by exactly one candidate), so the result is
-// *identical for every thread count*.  Progress is guaranteed: the globally
-// heaviest available edge (in the (weight, id, id) total order) is always
-// mutual, so each round matches at least one pair, and termination with no
-// progress certifies maximality.
+// The rounds run on the calling thread: sweeping them on the pool's
+// workers bought no latency (a wavefront round holds a few hundred
+// candidates) and cost a task future per chunk (DESIGN.md §5.2).  The
+// matcher draws no RNG, so its result is the same for every pool size.
+// Progress is guaranteed: the globally heaviest available edge (in the
+// (weight, id, id) total order) is always mutual, so each round matches at
+// least one pair, and termination with no progress certifies maximality.
 #pragma once
 
 #include <cstddef>
@@ -44,7 +45,6 @@
 #include <vector>
 
 #include "coarsen/matching.hpp"
-#include "support/thread_pool.hpp"
 
 namespace mgp {
 
@@ -70,13 +70,10 @@ struct ParallelHemStats {
   std::int64_t proposals = 0;
 };
 
-/// Heavy-edge matching computed by parallel rounds on `pool`'s workers
-/// (a 1-thread pool executes the same algorithm inline; results are
-/// byte-identical across pool sizes).  The matching goes into `out`; both
-/// `out` and `scratch` are caller-owned and reused across calls, so a warm
-/// call allocates nothing beyond the pool's task plumbing.
-ParallelHemStats compute_matching_parallel_hem(const Graph& g, ThreadPool& pool,
-                                               Matching& out,
+/// Heavy-edge matching computed by proposal rounds.  The matching goes into
+/// `out`; both `out` and `scratch` are caller-owned and reused across calls,
+/// so a warm call allocates nothing.
+ParallelHemStats compute_matching_parallel_hem(const Graph& g, Matching& out,
                                                ParallelHemScratch& scratch);
 
 }  // namespace mgp

@@ -90,20 +90,17 @@ class MatchingCoarsening final : public CoarseningStrategy {
                      double min_shrink_factor, Rng& rng, ThreadPool* pool,
                      BisectWorkspace& ws, Contraction& out,
                      CoarsenLevelStats& stats) const override {
-    // With a pool, HEM switches to the proposal-based parallel matcher
-    // (deterministic for every pool size; draws no RNG).  The other schemes
-    // have no parallel variant and stay sequential — still byte-identical
-    // across pool sizes, since they draw the same RNG stream regardless and
-    // contraction is thread-count-invariant.
+    // With a pool, HEM switches to the proposal matcher (draws no RNG).
+    // Both matchers and the contraction run on this thread, so the result
+    // is byte-identical across pool sizes.
     if (pool && matching == MatchingScheme::kHeavyEdge) {
-      const ParallelHemStats hem =
-          compute_matching_parallel_hem(fine, *pool, ws.match, ws.hem);
+      const ParallelHemStats hem = compute_matching_parallel_hem(fine, ws.match, ws.hem);
       stats.match_rounds = hem.rounds;
       stats.match_proposals = hem.proposals;
     } else {
       compute_matching(fine, matching, fine_cewgt, rng, ws.match, ws.match_order);
     }
-    contract_into(fine, ws.match, fine_cewgt, pool, ws.contract, out);
+    contract_into(fine, ws.match, fine_cewgt, ws.contract, out);
     stats.matched_pairs = ws.match.pairs;
     return accept_level(fine, out, min_shrink_factor);
   }
@@ -135,7 +132,7 @@ class AlgebraicDistanceCoarsening final : public CoarseningStrategy {
  public:
   bool coarsen_level(const Graph& fine, std::span<const ewt_t> fine_cewgt,
                      MatchingScheme, const CoarsenOptions&,
-                     double min_shrink_factor, Rng& rng, ThreadPool* pool,
+                     double min_shrink_factor, Rng& rng, ThreadPool*,
                      BisectWorkspace& ws, Contraction& out,
                      CoarsenLevelStats& stats) const override {
     const vid_t n = fine.num_vertices();
@@ -143,9 +140,8 @@ class AlgebraicDistanceCoarsening final : public CoarseningStrategy {
     CoarsenWorkspace& cw = ws.coarsen;
 
     // Exactly one draw seeds the relaxation, then the visit permutation
-    // draws as usual: the stream is identical with or without a pool, so the
-    // whole strategy is pool-size-invariant (relaxation and matching are
-    // sequential; contraction is thread-count-invariant).
+    // draws as usual: the stream is identical with or without a pool, and
+    // everything is sequential, so the strategy is pool-size-invariant.
     Rng ad_rng(rng.next_u64());
     const std::size_t total = static_cast<std::size_t>(kAdTestVectors) * un;
     cw.ad_x.resize(total);
@@ -230,7 +226,7 @@ class AlgebraicDistanceCoarsening final : public CoarseningStrategy {
       }
     }
 
-    contract_into(fine, m, fine_cewgt, pool, ws.contract, out);
+    contract_into(fine, m, fine_cewgt, ws.contract, out);
     stats.matched_pairs = m.pairs;
     return accept_level(fine, out, min_shrink_factor);
   }

@@ -2,7 +2,7 @@
 // G_{i+1} from G_i, behind a single per-level interface.
 //
 //   kMatching          — the paper's §3.1 pipeline: a maximal matching
-//                        (RM/HEM/LEM/HCM, or the proposal-based parallel HEM
+//                        (RM/HEM/LEM/HCM, or the proposal-based HEM
 //                        when a pool is attached) followed by pairwise
 //                        contraction.  This is the default and is
 //                        byte-identical to the historical hard-coded loop.

@@ -38,12 +38,11 @@ struct BisectStats {
 /// randomness or alters control flow: partitions are byte-identical with
 /// obs on or off.
 ///
-/// If `pool` is non-null the coarsening phase runs in parallel: matching
-/// by the proposal-based parallel HEM (when cfg.matching is kHeavyEdge)
-/// and contraction by chunked row assembly.  Results are byte-identical
-/// for every pool size, including a 1-thread pool (see DESIGN.md
-/// "Threading model & determinism"); with pool == nullptr the fully
-/// sequential pre-pool path runs.
+/// If `pool` is non-null and cfg.matching is kHeavyEdge, matching uses the
+/// proposal-based HEM; coarsening still runs on the calling thread, so
+/// results are byte-identical for every pool size, including a 1-thread
+/// pool (see DESIGN.md "Threading model & determinism").  With
+/// pool == nullptr sequential HEM runs.
 ///
 /// If `ws` is non-null every kernel's scratch and the coarsening ladder's
 /// storage come from it (see support/workspace.hpp): a warm workspace makes

@@ -24,11 +24,17 @@ constexpr long long kMaxWeight = 1LL << 40;
 }
 
 /// Reads the next non-comment line ('%' or '#' prefixed lines are skipped).
-bool next_data_line(std::istream& in, std::string& out, std::size_t& line_no) {
+/// Blank lines are skipped too unless `keep_blank`: inside a METIS vertex
+/// section a blank line is an isolated vertex's row.
+bool next_data_line(std::istream& in, std::string& out, std::size_t& line_no,
+                    bool keep_blank = false) {
   while (std::getline(in, out)) {
     ++line_no;
     std::size_t i = out.find_first_not_of(" \t\r");
-    if (i == std::string::npos) continue;
+    if (i == std::string::npos) {
+      if (keep_blank) return true;
+      continue;
+    }
     if (out[i] == '%' || out[i] == '#') continue;
     return true;
   }
@@ -66,7 +72,7 @@ Graph read_metis_graph(std::istream& in) {
   GraphBuilder b(static_cast<vid_t>(n));
   bool hit_eof = false;
   for (long long u = 0; u < n; ++u) {
-    if (!next_data_line(in, line, line_no)) {
+    if (!next_data_line(in, line, line_no, /*keep_blank=*/true)) {
       // Trailing isolated vertices may legitimately have no line in some
       // writers; treat missing lines as isolated only at EOF.
       hit_eof = true;

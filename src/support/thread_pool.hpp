@@ -1,23 +1,23 @@
 // Fixed-size worker pool with work-helping waits and deterministic
 // data-parallel loops (extension; threading model in DESIGN.md).
 //
-// The paper observes (§1) that "the coarsening phase of these methods is
-// easy to parallelize"; this pool is the substrate that lets the whole
-// pipeline — matching, contraction, and the recursive-bisection tree —
-// exploit that on shared memory without sacrificing reproducibility:
+// The pool runs independent subproblems on workers: the recursive-bisection
+// tree (core/split_recursion.hpp) forks its two halves, and the k-way
+// refiner's propose sweep splits into chunks.  Coarsening runs on the
+// calling thread (DESIGN.md §5.2).
 //
 //   * submit() returns a std::future; wait_help() lets a task block on a
 //     future while executing other queued tasks, so nested fork/join
 //     (recursive bisection spawning sub-bisections from inside a pool task)
 //     cannot deadlock on a fixed-size pool.
-//   * parallel_for() splits [0, n) into contiguous chunks processed
+//   * parallel_for_chunks() splits [0, n) into contiguous chunks processed
 //     concurrently.  Chunk boundaries are a pure function of (n, chunk
 //     count), and callers merge per-chunk results in chunk order, so any
 //     algorithm built on it produces byte-identical output for every
-//     thread count (see coarsen/contract.cpp for the canonical use).
+//     thread count.
 //   * A pool constructed with 1 thread spawns no workers at all: every
-//     submit and parallel_for runs inline on the caller, which is exactly
-//     the pre-pool sequential behavior.
+//     submit and parallel_for_chunks runs inline on the caller, which is
+//     exactly the pre-pool sequential behavior.
 #pragma once
 
 #include <algorithm>
@@ -89,19 +89,12 @@ class ThreadPool {
     return fut.get();
   }
 
-  /// Runs body(begin, end) over [0, n) split into num_threads() contiguous
-  /// chunks (the caller executes one of them).  Blocks until all chunks
-  /// finish.  Exceptions propagate from the first failing chunk.
-  template <typename Fn>
-  void parallel_for(vid_t n, Fn&& body) {
-    parallel_for_chunks(n, num_threads_,
-                        [&body](int, vid_t begin, vid_t end) { body(begin, end); });
-  }
-
-  /// As parallel_for but with an explicit chunk count and the chunk index
-  /// passed to the body — for algorithms that keep per-chunk scratch state
-  /// and merge it in chunk order (deterministic regardless of scheduling).
-  /// Chunk c covers [c*ceil(n/chunks), min(n, (c+1)*ceil(n/chunks))).
+  /// Runs body(c, begin, end) for each chunk c of [0, n) split into `chunks`
+  /// contiguous ranges (the caller executes chunk 0), for algorithms that
+  /// keep per-chunk scratch state and merge it in chunk order (deterministic
+  /// regardless of scheduling).  Chunk c covers [c*ceil(n/chunks),
+  /// min(n, (c+1)*ceil(n/chunks))).  Blocks until all chunks finish.
+  /// Exceptions propagate from the first failing chunk.
   template <typename Fn>
   void parallel_for_chunks(vid_t n, int chunks, Fn&& body) {
     if (n <= 0) return;

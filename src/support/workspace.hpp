@@ -7,9 +7,11 @@
 // tables and move log, and the projection ping-pong buffer.
 // multilevel_bisect threads it through every kernel, so after the first
 // bisection has warmed the buffers to the subproblem's size, the
-// steady-state serial hot path performs no heap allocations at all (the
-// returned labelling is the one per-call exception; the thread
-// pool's task futures are the parallel-path exception).
+// steady-state hot path performs no heap allocations at all (the returned
+// labelling is the one per-call exception).  Coarsening runs on the calling
+// thread with or without a pool, so a pooled bisection allocates no more
+// than a serial one; the pool's allocations are the bisection tree's task
+// futures (core/split_recursion.hpp).
 //
 // WorkspacePool hands workspaces to the recursive-bisection workers:
 // checkout() pops a free workspace (or creates one — at most one per

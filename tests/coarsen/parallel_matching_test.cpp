@@ -8,9 +8,12 @@
 #include <vector>
 
 #include "coarsen/contract.hpp"
+#include "coarsen/strategy.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "support/parity_families.hpp"
+#include "support/thread_pool.hpp"
+#include "support/workspace.hpp"
 
 namespace mgp {
 namespace {
@@ -20,11 +23,26 @@ namespace {
 // every listed test name.
 using GraphThreads = std::tuple<std::string, int>;
 
-Matching parallel_hem(const Graph& g, ThreadPool& pool) {
+Matching parallel_hem(const Graph& g) {
   Matching m;
   ParallelHemScratch scratch;
-  compute_matching_parallel_hem(g, pool, m, scratch);
+  compute_matching_parallel_hem(g, m, scratch);
   return m;
+}
+
+/// The matching one HEM coarsening level computes with a `threads`-sized
+/// pool attached: the pool selects the proposal matcher, which runs on the
+/// calling thread.
+Matching pooled_level_hem(const Graph& g, int threads) {
+  ThreadPool pool(threads);
+  BisectWorkspace ws;
+  Contraction out;
+  CoarsenLevelStats stats;
+  Rng rng(1);
+  coarsening_strategy(CoarsenStrategy::kMatching)
+      .coarsen_level(g, {}, MatchingScheme::kHeavyEdge, CoarsenOptions{}, 1.0, rng,
+                     &pool, ws, out, stats);
+  return ws.match;
 }
 
 Graph graph_by_name(const std::string& name) {
@@ -55,20 +73,20 @@ class ParallelMatchingTest : public ::testing::TestWithParam<GraphThreads> {};
 TEST_P(ParallelMatchingTest, ProducesMaximalMatching) {
   auto [name, threads] = GetParam();
   Graph g = graph_by_name(name);
-  ThreadPool pool(threads);
-  Matching m = parallel_hem(g, pool);
+  Matching m = pooled_level_hem(g, threads);
   EXPECT_TRUE(is_maximal_matching(g, m)) << name << " threads=" << threads;
 }
 
 TEST_P(ParallelMatchingTest, IdenticalAcrossThreadCounts) {
+  // A pooled HEM level computes exactly the proposal matching, whatever
+  // the pool's size.
   auto [name, threads] = GetParam();
   Graph g = graph_by_name(name);
-  ThreadPool one(1), many(threads);
-  Matching seq = parallel_hem(g, one);
-  Matching par = parallel_hem(g, many);
-  EXPECT_EQ(seq.match, par.match);
-  EXPECT_EQ(seq.pairs, par.pairs);
-  EXPECT_EQ(seq.weight, par.weight);
+  Matching direct = parallel_hem(g);
+  Matching pooled = pooled_level_hem(g, threads);
+  EXPECT_EQ(direct.match, pooled.match);
+  EXPECT_EQ(direct.pairs, pooled.pairs);
+  EXPECT_EQ(direct.weight, pooled.weight);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -92,8 +110,7 @@ TEST(ParallelMatchingTest, GreedyOnHeaviestEdges) {
   b.add_edge(2, 3, 1);
   b.add_edge(3, 4, 9);
   Graph g = std::move(b).build();
-  ThreadPool pool(2);
-  Matching m = parallel_hem(g, pool);
+  Matching m = parallel_hem(g);
   EXPECT_EQ(m.match[1], 2);
   EXPECT_EQ(m.match[3], 4);
   EXPECT_EQ(m.weight, 18);
@@ -103,8 +120,7 @@ TEST(ParallelMatchingTest, WeightCompetitiveWithSerialHem) {
   // Same quality class as the sequential heavy-edge matching: W(M) within
   // 25% on a weighted mesh (proposal matching is in fact >= 1/2-optimal).
   Graph g = randomly_weighted(fem2d_tri(25, 25, 7), 30, 5);
-  ThreadPool pool(4);
-  Matching par = parallel_hem(g, pool);
+  Matching par = parallel_hem(g);
   ewt_t serial_total = 0;
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     Rng rng(seed);
@@ -115,40 +131,34 @@ TEST(ParallelMatchingTest, WeightCompetitiveWithSerialHem) {
 }
 
 // --- Parity suite: the parallel matcher against sequential HEM on every ---
-// --- generator family, and thread-count invariance beyond seed coverage. ---
+// --- generator family, and pool-size invariance beyond seed coverage.    ---
 
 TEST(ParallelMatchingParityTest, ValidMaximalOnAllGeneratorFamilies) {
-  ThreadPool pool(4);
   for (const auto& [name, g] : parity_families()) {
-    Matching m = parallel_hem(g, pool);
+    Matching m = parallel_hem(g);
     EXPECT_TRUE(is_maximal_matching(g, m)) << name;
   }
 }
 
 TEST(ParallelMatchingParityTest, IdenticalAcrossThreadCountsOnAllFamilies) {
-  ThreadPool p1(1), p2(2), p8(8);
   for (const auto& [name, g] : parity_families()) {
-    Matching t1 = parallel_hem(g, p1);
-    Matching t2 = parallel_hem(g, p2);
-    Matching t8 = parallel_hem(g, p8);
-    EXPECT_EQ(t1.match, t2.match) << name;
-    EXPECT_EQ(t1.match, t8.match) << name;
-    EXPECT_EQ(t1.pairs, t8.pairs) << name;
-    EXPECT_EQ(t1.weight, t8.weight) << name;
+    Matching direct = parallel_hem(g);
+    Matching pooled = pooled_level_hem(g, 8);
+    EXPECT_EQ(direct.match, pooled.match) << name;
+    EXPECT_EQ(direct.pairs, pooled.pairs) << name;
+    EXPECT_EQ(direct.weight, pooled.weight) << name;
   }
 }
 
 TEST(ParallelMatchingParityTest, SharedPoolMatchesOwnedPool) {
-  // One pool and one scratch reused across graphs of different sizes (what
-  // the multilevel pipeline does) must agree with a fresh pool and scratch
-  // per call: neither carries matching state from one call to the next.
-  ThreadPool pool(4);
+  // One scratch reused across graphs of different sizes (what the
+  // multilevel pipeline does) must agree with a fresh scratch per call: it
+  // carries no matching state from one call to the next.
   ParallelHemScratch warm;
   Matching shared;
   for (const auto& [name, g] : parity_families()) {
-    ThreadPool fresh(4);
-    Matching owned = parallel_hem(g, fresh);
-    compute_matching_parallel_hem(g, pool, shared, warm);
+    Matching owned = parallel_hem(g);
+    compute_matching_parallel_hem(g, shared, warm);
     EXPECT_EQ(owned.match, shared.match) << name;
     EXPECT_EQ(owned.pairs, shared.pairs) << name;
     EXPECT_EQ(owned.weight, shared.weight) << name;
@@ -158,9 +168,8 @@ TEST(ParallelMatchingParityTest, SharedPoolMatchesOwnedPool) {
 TEST(ParallelMatchingParityTest, WeightWithinToleranceOfSequentialHemEverywhere) {
   // Proposal matching is >= 1/2-optimal; in practice it lands within ~25%
   // of sequential HEM's matched weight.  Assert that on every family.
-  ThreadPool pool(4);
   for (const auto& [name, g] : parity_families()) {
-    Matching par = parallel_hem(g, pool);
+    Matching par = parallel_hem(g);
     ewt_t serial_total = 0;
     constexpr int kTrials = 3;
     for (std::uint64_t seed = 0; seed < kTrials; ++seed) {
@@ -181,8 +190,7 @@ TEST(ParallelMatchingParityTest, WeightWithinToleranceOfSequentialHemEverywhere)
 
 TEST(ParallelMatchingTest, ContractionWorksOnParallelMatching) {
   Graph g = grid3d_27(5, 5, 4);
-  ThreadPool pool(4);
-  Matching m = parallel_hem(g, pool);
+  Matching m = parallel_hem(g);
   Contraction c = contract(g, m, {});
   EXPECT_EQ(c.coarse.validate(), "");
   EXPECT_EQ(c.coarse.total_vertex_weight(), g.total_vertex_weight());
@@ -195,9 +203,8 @@ TEST(ParallelMatchingTest, FullCoarseningPipeline) {
   std::vector<Contraction> levels;
   const Graph* cur = &g;
   int guard = 0;
-  ThreadPool pool(4);
   while (cur->num_vertices() > 50 && guard++ < 40) {
-    Matching m = parallel_hem(*cur, pool);
+    Matching m = parallel_hem(*cur);
     if (m.pairs == 0) break;
     levels.push_back(contract(*cur, m, {}));
     cur = &levels.back().coarse;
@@ -276,8 +283,7 @@ std::vector<std::pair<std::string, Graph>> oracle_graphs() {
     out.emplace_back(name, graph_by_name(name));
   }
   for (auto& family : parity_families()) out.push_back(std::move(family));
-  // The wavefront case: 150 rounds of a few pairs each, and a round 0 large
-  // enough to run on the pool.
+  // The wavefront case: 150 rounds of a few pairs each.
   out.emplace_back("grid3d27_24", grid3d_27(24, 24, 24));
   out.emplace_back("fem2d_200", fem2d_tri(200, 200, 1));
   out.emplace_back("circuit_20000", circuit(20000, 1));
@@ -292,15 +298,13 @@ std::vector<std::pair<std::string, Graph>> oracle_graphs() {
 }
 
 TEST(ParallelMatchingOracleTest, IdenticalToFullSweepOnEveryPoolSize) {
-  ThreadPool p1(1), p2(2), p4(4), p8(8);
+  // The matcher takes no pool, so one call covers every pool size.
   for (const auto& [name, g] : oracle_graphs()) {
     const Matching want = full_sweep_hem(g);
-    for (ThreadPool* pool : {&p1, &p2, &p4, &p8}) {
-      const Matching got = parallel_hem(g, *pool);
-      EXPECT_EQ(got.match, want.match) << name << " threads=" << pool->num_threads();
-      EXPECT_EQ(got.pairs, want.pairs) << name << " threads=" << pool->num_threads();
-      EXPECT_EQ(got.weight, want.weight) << name << " threads=" << pool->num_threads();
-    }
+    const Matching got = parallel_hem(g);
+    EXPECT_EQ(got.match, want.match) << name;
+    EXPECT_EQ(got.pairs, want.pairs) << name;
+    EXPECT_EQ(got.weight, want.weight) << name;
   }
 }
 
@@ -315,12 +319,11 @@ TEST(ParallelMatchingWorkTest, ProposalsStayWithinEightTimesN) {
   // A full sweep per round visits rounds x n vertices (150 rounds on the
   // lattice, 498 on the 2D mesh).  Re-proposing only for the vertices whose
   // target was just matched keeps the proposals at a few n.
-  ThreadPool pool(2);
   for (const std::string name : {"grid3d27_24", "fem2d_200", "circuit_20000"}) {
     const Graph g = work_graph(name);
     Matching m;
     ParallelHemScratch scratch;
-    const ParallelHemStats stats = compute_matching_parallel_hem(g, pool, m, scratch);
+    const ParallelHemStats stats = compute_matching_parallel_hem(g, m, scratch);
     const std::int64_t n = g.num_vertices();
     EXPECT_LE(stats.proposals, 8 * n) << name << " rounds=" << stats.rounds;
     EXPECT_GE(stats.proposals, n) << name;  // round 0 proposes for everyone

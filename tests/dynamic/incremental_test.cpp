@@ -74,7 +74,7 @@ TEST(Incremental, HighChurnFallsBackToScratch) {
   r.step(DeltaBatch{}, 8);
 
   Rng rng(32);
-  DeltaBatch batch;  // 30% of edges rewired >> full_rebuild_ratio (20%)
+  DeltaBatch batch;  // 30% of edges rewired >> kFullRebuildRatio (20%)
   synth_churn_batch(r.g, 0.30, rng, batch);
   const RepartitionResult out = r.step(batch, 8);
   EXPECT_TRUE(out.from_scratch);

@@ -41,6 +41,31 @@ TEST(MetisIoTest, SkipsCommentLines) {
   EXPECT_EQ(g.num_edges(), 1);
 }
 
+TEST(MetisIoTest, BlankLineInVertexSectionIsAnIsolatedVertex) {
+  // Vertex 3's row is empty; blank and comment lines after the last row
+  // are ignored.
+  for (const char* text : {"5 2\n2\n1\n\n5\n4\n", "5 2\n2\n1\n\n5\n4\n\n% end\n\n"}) {
+    std::istringstream in(text);
+    Graph g = read_metis_graph(in);
+    EXPECT_EQ(g.num_vertices(), 5);
+    EXPECT_EQ(g.num_edges(), 2);
+    EXPECT_EQ(g.degree(2), 0);
+    EXPECT_EQ(g.neighbors(3)[0], 4);
+  }
+}
+
+TEST(MetisIoTest, RoundTripInteriorIsolatedVertex) {
+  GraphBuilder b(5);
+  b.add_edge(0, 1);
+  b.add_edge(3, 4);
+  Graph g = std::move(b).build();
+  std::ostringstream out;
+  write_metis_graph(out, g);
+  std::istringstream in(out.str());
+  Graph h = read_metis_graph(in);
+  expect_same_graph(g, h);
+}
+
 TEST(MetisIoTest, ParsesEdgeWeights) {
   std::istringstream in("2 1 001\n2 9\n1 9\n");
   Graph g = read_metis_graph(in);

@@ -19,6 +19,7 @@
 
 #include "coarsen/contract.hpp"
 #include "coarsen/parallel_matching.hpp"
+#include "coarsen/strategy.hpp"
 #include "core/kway_direct.hpp"
 #include "core/multilevel.hpp"
 #include "graph/generators.hpp"
@@ -59,12 +60,11 @@ TEST(AllocRegressionTest, HemContractSteadyStateIsAllocationFree) {
     Rng rng(2024);
     compute_matching(g, MatchingScheme::kHeavyEdge, {}, rng, ws.match,
                      ws.match_order);
-    contract_into(g, ws.match, {}, nullptr, ws.contract, *ws.levels[0]);
+    contract_into(g, ws.match, {}, ws.contract, *ws.levels[0]);
     const Graph& c1 = ws.levels[0]->coarse;
     compute_matching(c1, MatchingScheme::kHeavyEdge, ws.levels[0]->cewgt, rng,
                      ws.match, ws.match_order);
-    contract_into(c1, ws.match, ws.levels[0]->cewgt, nullptr, ws.contract,
-                  *ws.levels[1]);
+    contract_into(c1, ws.match, ws.levels[0]->cewgt, ws.contract, *ws.levels[1]);
   };
 
   run();  // warm the buffers
@@ -78,21 +78,17 @@ TEST(AllocRegressionTest, HemContractSteadyStateIsAllocationFree) {
 }
 
 TEST(AllocRegressionTest, ParallelHemSteadyStateIsAllocationFree) {
-  // The pooled matcher keeps its proposals, candidate lists and stamps in
-  // the workspace.  A one-thread pool runs parallel_for inline (no task
-  // futures), so any counted allocation is the matcher's own.  The graph is
-  // large enough that round 0 goes through parallel_for, and the second
-  // level is a weighted coarse graph.
+  // The proposal matcher keeps its proposals, candidate lists and stamps in
+  // the workspace.  The second level is a weighted coarse graph.
   const Graph g = grid3d_27(20, 20, 20);
-  ThreadPool pool(1);
   BisectWorkspace ws;
   ws.levels.push_back(std::make_unique<Contraction>());
 
   vid_t pairs = 0;
   auto run = [&]() {
-    compute_matching_parallel_hem(g, pool, ws.match, ws.hem);
-    contract_into(g, ws.match, {}, nullptr, ws.contract, *ws.levels[0]);
-    compute_matching_parallel_hem(ws.levels[0]->coarse, pool, ws.match, ws.hem);
+    compute_matching_parallel_hem(g, ws.match, ws.hem);
+    contract_into(g, ws.match, {}, ws.contract, *ws.levels[0]);
+    compute_matching_parallel_hem(ws.levels[0]->coarse, ws.match, ws.hem);
     pairs = ws.match.pairs;
   };
 
@@ -104,6 +100,35 @@ TEST(AllocRegressionTest, ParallelHemSteadyStateIsAllocationFree) {
   EXPECT_EQ(guard.allocations(), 0u)
       << "parallel HEM allocated in steady state (" << guard.bytes() << " bytes)";
   EXPECT_GT(pairs, 0);
+}
+
+TEST(AllocRegressionTest, PooledHemLevelIsAllocationFree) {
+  // With a pool attached, a HEM level selects the proposal matcher, and
+  // both it and the contraction run on the calling thread: a warm level
+  // allocates nothing, on a graph large enough that round 0 alone holds
+  // 8,000 candidates.
+  const Graph g = grid3d_27(20, 20, 20);
+  ThreadPool pool(2);
+  BisectWorkspace ws;
+  Contraction out;
+  const CoarseningStrategy& strategy = coarsening_strategy(CoarsenStrategy::kMatching);
+
+  CoarsenLevelStats stats;
+  auto run = [&]() {
+    Rng rng(7);
+    stats = CoarsenLevelStats{};
+    strategy.coarsen_level(g, {}, MatchingScheme::kHeavyEdge, CoarsenOptions{}, 1.0,
+                           rng, &pool, ws, out, stats);
+  };
+
+  run();
+  run();
+
+  AllocGuard guard;
+  run();
+  EXPECT_EQ(guard.allocations(), 0u)
+      << "pooled HEM level allocated in steady state (" << guard.bytes() << " bytes)";
+  EXPECT_GT(stats.match_rounds, 0);  // the proposal matcher ran
 }
 
 TEST(AllocRegressionTest, GggpSteadyStateIsAllocationFree) {

@@ -6,10 +6,9 @@
 // seed — byte-identical for every pool size in {1, 2, 4, 8}, for every
 // matching scheme × refinement policy, on several generator families.
 //
-// Three layers of the guarantee, each asserted separately:
-//   1. contraction: parallel row assembly == sequential bytes, any pool;
-//   2. coarsening + kway: whole-pipeline partitions identical across pools;
-//   3. config plumbing: cfg.threads = t engages the same algorithms as an
+// Two layers of the guarantee, each asserted separately:
+//   1. coarsening + kway: whole-pipeline partitions identical across pools;
+//   2. config plumbing: cfg.threads = t engages the same algorithms as an
 //      explicit pool, so user-visible runs are invariant too.
 #include <gtest/gtest.h>
 
@@ -19,8 +18,6 @@
 #include <tuple>
 #include <vector>
 
-#include "coarsen/contract.hpp"
-#include "coarsen/parallel_matching.hpp"
 #include "core/kway.hpp"
 #include "core/kway_direct.hpp"
 #include "graph/generators.hpp"
@@ -311,60 +308,6 @@ TEST(DirectKwayDeterminismTest, ObsCollectionDoesNotPerturbPartitions) {
     EXPECT_GT(ob.metrics.snapshot().counter_value("refine.kway_rounds"), 0)
         << "t=" << threads;
   }
-}
-
-TEST(ContractDeterminismTest, ParallelContractionByteIdenticalToSequential) {
-  for (const auto& [name, g] : family_graphs()) {
-    Rng rng(77);
-    Matching m = compute_matching(g, MatchingScheme::kHeavyEdge, {}, rng);
-    Contraction seq = contract(g, m, {});
-    for (int threads : kPoolSizes) {
-      ThreadPool pool(threads);
-      Contraction par = contract(g, m, {}, &pool);
-      ASSERT_EQ(par.coarse.xadj().size(), seq.coarse.xadj().size()) << name;
-      ASSERT_TRUE(std::equal(par.coarse.xadj().begin(), par.coarse.xadj().end(),
-                             seq.coarse.xadj().begin()))
-          << name << " t=" << threads;
-      ASSERT_TRUE(std::equal(par.coarse.adjncy().begin(), par.coarse.adjncy().end(),
-                             seq.coarse.adjncy().begin()))
-          << name << " t=" << threads;
-      ASSERT_TRUE(std::equal(par.coarse.adjwgt().begin(), par.coarse.adjwgt().end(),
-                             seq.coarse.adjwgt().begin()))
-          << name << " t=" << threads;
-      ASSERT_TRUE(std::equal(par.coarse.vwgt().begin(), par.coarse.vwgt().end(),
-                             seq.coarse.vwgt().begin()))
-          << name << " t=" << threads;
-      ASSERT_EQ(par.cmap, seq.cmap) << name << " t=" << threads;
-      ASSERT_EQ(par.cewgt, seq.cewgt) << name << " t=" << threads;
-    }
-  }
-}
-
-TEST(ContractDeterminismTest, ParallelContractionOfDeepHierarchy) {
-  // Byte-equality must hold at every level of a full coarsening hierarchy,
-  // where multinode weights and interior-edge weights have accumulated.
-  Graph g = fem2d_tri(26, 26, 13);
-  ThreadPool pool(4);
-  const Graph* cur = &g;
-  std::vector<Contraction> seq_levels, par_levels;
-  std::span<const ewt_t> cewgt;
-  ParallelHemScratch scratch;
-  Matching m;
-  while (cur->num_vertices() > 60) {
-    compute_matching_parallel_hem(*cur, pool, m, scratch);
-    Contraction s = contract(*cur, m, cewgt);
-    Contraction p = contract(*cur, m, cewgt, &pool);
-    ASSERT_EQ(p.cmap, s.cmap);
-    ASSERT_EQ(p.cewgt, s.cewgt);
-    ASSERT_TRUE(std::equal(p.coarse.adjncy().begin(), p.coarse.adjncy().end(),
-                           s.coarse.adjncy().begin()));
-    ASSERT_TRUE(std::equal(p.coarse.adjwgt().begin(), p.coarse.adjwgt().end(),
-                           s.coarse.adjwgt().begin()));
-    par_levels.push_back(std::move(p));
-    cur = &par_levels.back().coarse;
-    cewgt = par_levels.back().cewgt;
-  }
-  EXPECT_LE(cur->num_vertices(), 60);
 }
 
 }  // namespace

@@ -77,7 +77,6 @@ void expect_matching_consistent(const Graph& g, const Matching& m,
 }
 
 TEST(InvariantsTest, MatchingInvolutionPairsWeightAllSchemes) {
-  ThreadPool pool(4);
   ParallelHemScratch scratch;
   Matching pm;
   for (std::uint64_t seed : {3u, 17u}) {
@@ -87,7 +86,7 @@ TEST(InvariantsTest, MatchingInvolutionPairsWeightAllSchemes) {
         Matching m = compute_matching(g, scheme, {}, rng);
         expect_matching_consistent(g, m, name + "/" + to_string(scheme));
       }
-      compute_matching_parallel_hem(g, pool, pm, scratch);
+      compute_matching_parallel_hem(g, pm, scratch);
       expect_matching_consistent(g, pm, name + "/parallelHEM");
     }
   }
@@ -96,8 +95,7 @@ TEST(InvariantsTest, MatchingInvolutionPairsWeightAllSchemes) {
 TEST(InvariantsTest, ContractionConservesWeightAtEveryLevel) {
   // Full hierarchies down to <= 80 vertices: at every level, vertex weight
   // is conserved, W(E_{i+1}) = W(E_i) - W(M_i), and the coarse graph is
-  // structurally valid.  Exercises both the sequential and parallel paths.
-  ThreadPool pool(4);
+  // structurally valid.
   for (const auto& [name, g] : random_graphs(23)) {
     for (MatchingScheme scheme : {MatchingScheme::kRandom, MatchingScheme::kHeavyEdge}) {
       Rng rng(42);
@@ -110,8 +108,7 @@ TEST(InvariantsTest, ContractionConservesWeightAtEveryLevel) {
         expect_matching_consistent(*cur, m, name + " level " + std::to_string(guard));
         const vwt_t fine_vwgt = cur->total_vertex_weight();
         const ewt_t fine_ewgt = cur->total_edge_weight();
-        Contraction c = contract(*cur, m, cewgt,
-                                 guard % 2 == 0 ? &pool : nullptr);
+        Contraction c = contract(*cur, m, cewgt);
         ASSERT_EQ(c.coarse.validate(), "")
             << name << "/" << to_string(scheme) << " level " << guard;
         ASSERT_EQ(c.coarse.total_vertex_weight(), fine_vwgt)

@@ -48,7 +48,7 @@ TEST_P(ThreadPoolSizeTest, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(GetParam());
   for (vid_t n : {vid_t{0}, vid_t{1}, vid_t{7}, vid_t{64}, vid_t{1000}}) {
     std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
-    pool.parallel_for(n, [&](vid_t begin, vid_t end) {
+    pool.parallel_for_chunks(n, pool.num_threads(), [&](int, vid_t begin, vid_t end) {
       for (vid_t i = begin; i < end; ++i) {
         hits[static_cast<std::size_t>(i)].fetch_add(1, std::memory_order_relaxed);
       }
@@ -114,7 +114,7 @@ TEST(ThreadPoolTest, NestedParallelForInsideTask) {
   ThreadPool pool(4);
   std::atomic<long> sum{0};
   auto fut = pool.submit([&]() {
-    pool.parallel_for(100, [&](vid_t begin, vid_t end) {
+    pool.parallel_for_chunks(100, pool.num_threads(), [&](int, vid_t begin, vid_t end) {
       long local = 0;
       for (vid_t i = begin; i < end; ++i) local += i;
       sum.fetch_add(local);
