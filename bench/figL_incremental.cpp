@@ -134,7 +134,7 @@ int main() {
     // uses), then synthesize one churn batch and its exact inverse.
     dynamic::repartition_after_delta(g, k, icfg, seed, state,
                                      dynamic::graph_fingerprint(g), {}, 0.0,
-                                     iws, &bws, nullptr);
+                                     iws, &bws);
     dynamic::DeltaBatch fwd, bwd;
     {
       Rng rng(seed + 1);
@@ -150,7 +150,7 @@ int main() {
       std::swap(g, spare);
       dynamic::repartition_after_delta(g, k, icfg, seed, state,
                                        res.fingerprint, scratch.touched,
-                                       res.churn_ratio, iws, &bws, nullptr);
+                                       res.churn_ratio, iws, &bws);
     };
 
     // Warm-up: two full A/B cycles reach every buffer's high-water mark.

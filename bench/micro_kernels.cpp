@@ -32,7 +32,6 @@
 #include "support/alloc_guard.hpp"
 #include "support/bucket_queue.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
 namespace {
@@ -129,7 +128,7 @@ BENCHMARK(BM_ParallelMatching);
 /// The k-way propose/commit engine at k=2: one floorless pass under one
 /// ceiling, the heavier entry side or target0 plus one maximum vertex
 /// weight.  Keeps b.cut current; draws no randomness.
-void two_way_refine(const Graph& g, Bisection& b, vwt_t target0, ThreadPool& pool,
+void two_way_refine(const Graph& g, Bisection& b, vwt_t target0,
                     KwayRefineWorkspace& ws) {
   vwt_t max_vwgt = 0;
   for (vid_t v = 0; v < g.num_vertices(); ++v) {
@@ -137,18 +136,17 @@ void two_way_refine(const Graph& g, Bisection& b, vwt_t target0, ThreadPool& poo
   }
   const vwt_t ceiling =
       std::max({b.part_weight[0], b.part_weight[1], target0 + max_vwgt});
-  b.cut -= kway_parallel_refine(g, b.side, 2, b.part_weight, ceiling, 0, 1, &pool, ws)
-               .cut_reduction;
+  b.cut -= kway_refine(g, b.side, 2, b.part_weight, ceiling, 0, 1, ws).cut_reduction;
 }
 
 void BM_ParallelRefine(benchmark::State& state) {
-  // Round-synchronous propose/commit boundary refinement; the partition is
-  // byte-identical across thread counts, so the Arg sweep prices pure
-  // parallel speedup on a fixed workload.
+  // Round-synchronous propose/commit boundary refinement on the calling
+  // thread.  The Arg is a retired thread count: the refiner takes no pool,
+  // and the three rows stay only so that their names match the committed
+  // BENCH_refine.json baseline.
   const Graph& g = bench_graph();
   const vid_t n = g.num_vertices();
   const vwt_t target0 = g.total_vertex_weight() / 2;
-  ThreadPool pool(static_cast<int>(state.range(0)));
   KwayRefineWorkspace ws;
   Bisection b;
   b.side.assign(static_cast<std::size_t>(n), 0);
@@ -159,7 +157,7 @@ void BM_ParallelRefine(benchmark::State& state) {
   for (auto _ : state) {
     b.side = start;
     refresh_bisection(g, b);
-    two_way_refine(g, b, target0, pool, ws);
+    two_way_refine(g, b, target0, ws);
     cut = b.cut;
     benchmark::DoNotOptimize(b.cut);
   }
@@ -169,13 +167,11 @@ void BM_ParallelRefine(benchmark::State& state) {
 BENCHMARK(BM_ParallelRefine)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_ParallelRefineWorkspace(benchmark::State& state) {
-  // Steady-state allocation audit of the parallel refiner.  A one-worker
-  // pool runs the propose sweeps inline (no task futures), so any counted
+  // Steady-state allocation audit of the k-way refiner: any counted
   // allocation is a workspace-reuse bug in the refiner itself.
   const Graph& g = bench_graph();
   const vid_t n = g.num_vertices();
   const vwt_t target0 = g.total_vertex_weight() / 2;
-  ThreadPool pool(1);
   KwayRefineWorkspace ws;
   Bisection b;
   b.side.assign(static_cast<std::size_t>(n), 0);
@@ -185,7 +181,7 @@ void BM_ParallelRefineWorkspace(benchmark::State& state) {
   auto run = [&]() {
     b.side = start;
     refresh_bisection(g, b);
-    two_way_refine(g, b, target0, pool, ws);
+    two_way_refine(g, b, target0, ws);
   };
   run();  // warm the buffers
   run();

@@ -11,7 +11,9 @@
 //   --direct                      direct k-way instead of recursive bisection
 //   --trials=N                    best-of-N partitions       (1)
 //   --seed=S                      RNG seed                   (1995)
-//   --threads=N                   pool workers; 0 = hardware (1)
+//   --threads=N                   recursive-bisection pool workers;
+//                                 0 = hardware (1); --direct and
+//                                 --delta-script ignore it
 //   --report=FILE                 structured JSON run report (obs/report)
 //   --delta-script=FILE           replay a delta script (src/dynamic/
 //                                 delta_script.hpp grammar) through the
@@ -23,7 +25,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,7 +39,6 @@
 #include "graph/partition_io.hpp"
 #include "metrics/partition_metrics.hpp"
 #include "obs/report.hpp"
-#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
 using namespace mgp;
@@ -51,7 +51,8 @@ int usage(const char* argv0) {
                "  --matching=rm|hem|lem|hcm  --coarsen=match|ad|nlevel\n"
                "  --init=ggp|gggp|sbp\n"
                "  --refine=none|gr|klr|bgr|bklr|bklgr  --direct\n"
-               "  --trials=N  --seed=S  --threads=N  --report=FILE\n"
+               "  --trials=N  --seed=S  --report=FILE\n"
+               "  --threads=N  recursive-bisection pool workers (0 = hardware)\n"
                "  --delta-script=FILE\n",
                argv0);
   return 2;
@@ -188,10 +189,9 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    // Exactly the server's per-delta pipeline (threads from --threads; the
-    // result is pool-size-invariant, so the bytes match the server's for
-    // every worker count): patch, then warm-start repartition with default
-    // incremental thresholds.
+    // Exactly the server's per-delta pipeline: patch, then warm-start
+    // repartition with default incremental thresholds.  It takes no pool,
+    // so the bytes match the server's whatever --threads says.
     dynamic::IncrementalConfig icfg;
     icfg.direct.base = cfg;
     dynamic::LabelState state;
@@ -200,9 +200,6 @@ int main(int argc, char** argv) {
     dynamic::DeltaApplyResult res;
     BisectWorkspace bws;
     Graph spare;
-    std::unique_ptr<ThreadPool> pool;
-    const int nthreads = cfg.resolved_threads();
-    if (nthreads > 1) pool = std::make_unique<ThreadPool>(nthreads);
 
     Timer t;
     for (std::size_t bi = 0; bi < batches.size(); ++bi) {
@@ -215,7 +212,7 @@ int main(int argc, char** argv) {
       std::swap(g, spare);
       const dynamic::RepartitionResult rr = dynamic::repartition_after_delta(
           g, k, icfg, seed, state, res.fingerprint, scratch.touched,
-          res.churn_ratio, iws, &bws, pool.get());
+          res.churn_ratio, iws, &bws);
       const char* reason =
           rr.reason == dynamic::RepartitionResult::Reason::kIncremental
               ? "incremental"
@@ -245,8 +242,7 @@ int main(int argc, char** argv) {
       ob.report.tool = "partition_file";
       ob.report.scheme = describe(cfg);
       ob.report.k = k;
-      ob.report.threads = cfg.resolved_threads();
-      ob.report.seed = seed;
+      ob.report.seed = seed;  // threads stays 1: the replay takes no pool
       const obs::MetricsSnapshot snap = ob.metrics.snapshot();
       if (!ob.report.write_json_file(report_path, &snap)) {
         std::fprintf(stderr, "error: could not write report to %s\n",
@@ -293,7 +289,7 @@ int main(int argc, char** argv) {
     ob.report.tool = "partition_file";
     ob.report.scheme = describe(cfg);
     ob.report.k = k;
-    ob.report.threads = cfg.resolved_threads();
+    ob.report.threads = direct ? 1 : cfg.resolved_threads();  // direct: no pool
     ob.report.seed = seed;
     const obs::MetricsSnapshot snap = ob.metrics.snapshot();
     if (!ob.report.write_json_file(report_path, &snap)) {

@@ -47,7 +47,7 @@ std::size_t KwayDirectWorkspace::bytes_reserved() const {
 ewt_t kway_partition_direct_into(const Graph& g, part_t k,
                                  const KwayDirectConfig& cfg, Rng& rng,
                                  KwayDirectWorkspace& dws, BisectWorkspace* ext_ws,
-                                 std::vector<part_t>& out_part, ThreadPool* pool) {
+                                 std::vector<part_t>& out_part) {
   cfg.validate(k);
   const vid_t n = g.num_vertices();
   obs::Span span("kway_partition_direct");
@@ -74,13 +74,13 @@ ewt_t kway_partition_direct_into(const Graph& g, part_t k,
   const vid_t coarsen_to = std::max<vid_t>(
       cfg.coarsen_to_floor, cfg.coarse_vertices_per_part * static_cast<vid_t>(k));
   const std::size_t num_levels = coarsen_ladder(
-      g, coarsen_to, cfg.base, rng, pool, ws, dws.levels, "kway_direct.coarsen",
+      g, coarsen_to, cfg.base, rng, nullptr, ws, dws.levels, "kway_direct.coarsen",
       &obs::Obs::PipelineMetrics::kway_direct_levels);
   const Graph& coarsest = num_levels == 0 ? g : dws.levels[num_levels - 1]->coarse;
 
   // ---- Initial k-way partition of the coarsest graph (recursive
-  //      bisection — the paper's own algorithm, on a tiny input).  Always
-  //      the sequential recursion: draw order must not depend on the pool.
+  //      bisection — the paper's own algorithm, on a tiny input), by the
+  //      sequential recursion.
   {
     obs::PhaseScope init_span(ob, obs::Phase::kInitPart, "kway_direct.initpart");
     init_span.arg("n", coarsest.num_vertices());
@@ -96,7 +96,7 @@ ewt_t kway_partition_direct_into(const Graph& g, part_t k,
         coarsest.vertex_weight(v);
   }
 
-  // ---- Single uncoarsening sweep with parallel k-way refinement. ----
+  // ---- Single uncoarsening sweep with k-way refinement. ----
   for (std::size_t li = num_levels + 1; li-- > 0;) {
     throw_if_cancelled(cfg.base.cancel);
     const Graph& level_graph = (li == 0) ? g : dws.levels[li - 1]->coarse;
@@ -105,7 +105,7 @@ ewt_t kway_partition_direct_into(const Graph& g, part_t k,
       refine_span.arg("level", static_cast<std::int64_t>(li));
       refine_span.arg("n", level_graph.num_vertices());
       kway_refine_level(level_graph, k, cfg.imbalance, kMaxRefinePasses, out_part,
-                        dws.pwgts, pool, dws.refine, ob);
+                        dws.pwgts, dws.refine, ob);
     }
     if (li == 0) break;
     obs::PhaseScope proj_span(ob, obs::Phase::kProject, "kway_direct.project");
@@ -121,7 +121,7 @@ ewt_t kway_partition_direct_into(const Graph& g, part_t k,
 
 KwayRefineResult kway_refine_level(const Graph& g, part_t k, double imbalance,
                                    int max_passes, std::span<part_t> part,
-                                   std::span<vwt_t> pwgts, ThreadPool* pool,
+                                   std::span<vwt_t> pwgts,
                                    KwayRefineWorkspace& ws, obs::Obs* ob,
                                    std::span<char> active) {
   // Ceiling from *this* level's max vertex weight: a coarse multinode can
@@ -141,9 +141,8 @@ KwayRefineResult kway_refine_level(const Graph& g, part_t k, double imbalance,
   // delta) must be drained explicitly; the refiner then recovers the cut
   // without re-breaking the ceiling.
   kway_balance(g, part, k, pwgts, max_part_weight, min_part_weight, ws);
-  const KwayRefineResult rr =
-      kway_parallel_refine_active(g, part, k, pwgts, max_part_weight, min_part_weight,
-                                  max_passes, pool, ws, active);
+  const KwayRefineResult rr = kway_refine(g, part, k, pwgts, max_part_weight,
+                                          min_part_weight, max_passes, ws, active);
   if (ob) {
     ob->metrics.add(ob->pipeline.kway_rounds, rr.rounds);
     ob->metrics.add(ob->pipeline.kway_gathers, rr.gathers);
@@ -153,19 +152,13 @@ KwayRefineResult kway_refine_level(const Graph& g, part_t k, double imbalance,
 }
 
 KwayResult kway_partition_direct(const Graph& g, part_t k,
-                                 const KwayDirectConfig& cfg, Rng& rng,
-                                 ThreadPool* pool) {
-  std::unique_ptr<ThreadPool> local_pool;
-  if (!pool && cfg.base.resolved_threads() > 1) {
-    local_pool = std::make_unique<ThreadPool>(cfg.base.resolved_threads());
-    pool = local_pool.get();
-  }
+                                 const KwayDirectConfig& cfg, Rng& rng) {
   KwayDirectWorkspace dws;
   BisectWorkspace ws;
   KwayResult result;
   result.k = k;
   result.edge_cut =
-      kway_partition_direct_into(g, k, cfg, rng, dws, &ws, result.part, pool);
+      kway_partition_direct_into(g, k, cfg, rng, dws, &ws, result.part);
   return result;
 }
 

@@ -9,16 +9,17 @@
 //
 //   * coarsening: HEM (or any scheme), stopping at max(coarsen_to_floor,
 //     coarse_vertices_per_part * k) vertices so the coarsest graph can hold
-//     k parts; with a pool attached, HEM runs the deterministic parallel
-//     propose/commit matcher (coarsen/parallel_matching.*);
+//     k parts;
 //   * initial partitioning: recursive bisection (the paper's algorithm) on
-//     the tiny coarsest graph, always via the sequential kway_partition_into
-//     recursion so the draw order is independent of the pool;
-//   * refinement: deterministic parallel k-way propose/commit refinement
+//     the tiny coarsest graph, via the sequential kway_partition_into
+//     recursion;
+//   * refinement: deterministic k-way propose/commit refinement
 //     (refine/kway_refine.*) at every level of the single uncoarsening
 //     sweep, honouring a per-part balance ceiling and a uniform minimum
 //     part-weight floor.
 //
+// The path takes no thread pool, so cfg.base.threads never changes its
+// answer: the daemon and the offline CLI agree at every worker count.
 // Cancellation (cfg.base.cancel) is honoured at every level boundary.
 // bench/figK_kway_direct measures the payoff: one coarsening instead of
 // k-1 of them, so run time grows far more slowly with k at comparable cut.
@@ -83,39 +84,33 @@ struct KwayDirectWorkspace {
 /// regression tests).  `ws` lends the matching/contraction scratch and
 /// serves the initial partition's sub-bisections; pass null for a
 /// call-local one.  Honours cfg.base.cancel at every level boundary by
-/// throwing CancelledError.  Draws no randomness beyond the sequential
-/// matcher's stream and the initial partition's single root-seed u64, so
-/// the result is byte-identical across pool sizes (including no pool when
-/// the matching draws are unaffected, i.e. the sequential path).  With
-/// cfg.base.obs attached, the four phases add their times to the phase.*
-/// counters once each: the initial partition's own bisections record only
-/// their spans (obs/phase.hpp).
+/// throwing CancelledError.  Draws no randomness beyond the matcher's
+/// stream and the initial partition's single root-seed u64, and ignores
+/// cfg.base.threads.  With cfg.base.obs attached, the four phases add
+/// their times to the phase.* counters once each: the initial partition's
+/// own bisections record only their spans (obs/phase.hpp).
 ewt_t kway_partition_direct_into(const Graph& g, part_t k,
                                  const KwayDirectConfig& cfg, Rng& rng,
                                  KwayDirectWorkspace& dws, BisectWorkspace* ws,
-                                 std::vector<part_t>& out_part,
-                                 ThreadPool* pool = nullptr);
+                                 std::vector<part_t>& out_part);
 
 /// One level of k-way refinement, shared by the direct path's uncoarsening
 /// sweep and incremental repartitioning (dynamic/incremental.*).  Bounds
 /// come from `g` itself: a ceiling of total/k * (1 + imbalance) plus the
 /// heaviest vertex, a floor of max(1, total/k/2).  Runs kway_balance, then
-/// kway_parallel_refine_active, restricted to `active` when it has one
-/// entry per vertex and unrestricted otherwise; with `ob` attached, adds
+/// kway_refine, restricted to `active` when it has one entry per vertex and
+/// unrestricted otherwise; with `ob` attached, adds
 /// the refiner's rounds, gathers and conflict rejects to the kway_*
 /// counters.  `pwgts` must hold the labelling's part weights.
 KwayRefineResult kway_refine_level(const Graph& g, part_t k, double imbalance,
                                    int max_passes, std::span<part_t> part,
-                                   std::span<vwt_t> pwgts, ThreadPool* pool,
+                                   std::span<vwt_t> pwgts,
                                    KwayRefineWorkspace& ws, obs::Obs* ob,
                                    std::span<char> active = {});
 
 /// One-shot multilevel k-way partitioning.  Byte-identical to
-/// kway_partition_direct_into with the same (graph, k, cfg, rng state) and
-/// pool.  With no `pool` and cfg.base.resolved_threads() > 1, a pool of
-/// that size is created for the call.
+/// kway_partition_direct_into with the same (graph, k, cfg, rng state).
 KwayResult kway_partition_direct(const Graph& g, part_t k,
-                                 const KwayDirectConfig& cfg, Rng& rng,
-                                 ThreadPool* pool = nullptr);
+                                 const KwayDirectConfig& cfg, Rng& rng);
 
 }  // namespace mgp

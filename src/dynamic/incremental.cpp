@@ -28,14 +28,13 @@ RepartitionResult run_scratch(const Graph& g, part_t k,
                               const IncrementalConfig& icfg,
                               std::uint64_t seed, LabelState& state,
                               RepartitionResult::Reason reason,
-                              IncrementalWorkspace& ws, BisectWorkspace* bws,
-                              ThreadPool* pool) {
+                              IncrementalWorkspace& ws, BisectWorkspace* bws) {
   RepartitionResult res;
   res.from_scratch = true;
   res.reason = reason;
   Rng rng(seed);
-  res.cut = kway_partition_direct_into(g, k, icfg.direct, rng, ws.direct, bws,
-                                       state.part, pool);
+  res.cut =
+      kway_partition_direct_into(g, k, icfg.direct, rng, ws.direct, bws, state.part);
   state.cut = res.cut;
   state.cut_estimate = static_cast<double>(res.cut);
   return res;
@@ -120,7 +119,7 @@ RepartitionResult repartition_after_delta(
     const Graph& g, part_t k, const IncrementalConfig& icfg,
     std::uint64_t seed, LabelState& state, std::uint64_t new_fingerprint,
     std::span<const vid_t> touched, double churn_ratio,
-    IncrementalWorkspace& ws, BisectWorkspace* bws, ThreadPool* pool) {
+    IncrementalWorkspace& ws, BisectWorkspace* bws) {
   obs::Obs* ob = icfg.direct.base.obs;
   const auto finish = [&](RepartitionResult res) {
     assert(check_kway_answer(g, state.part, k, res.cut).empty());
@@ -133,8 +132,7 @@ RepartitionResult repartition_after_delta(
     return res;
   };
   const auto scratch = [&](RepartitionResult::Reason why) {
-    return finish(
-        run_scratch(g, k, icfg, seed, state, why, ws, bws, pool));
+    return finish(run_scratch(g, k, icfg, seed, state, why, ws, bws));
   };
 
   if (!state.valid || k <= 0) {
@@ -169,7 +167,7 @@ RepartitionResult repartition_after_delta(
   {
     obs::PhaseScope refine(ob, obs::Phase::kRefine, "dynamic.refine");
     rr = kway_refine_level(g, k, icfg.direct.imbalance, kWarmRefinePasses, part,
-                           ws.pwgts, pool, ws.direct.refine, ob, ws.active);
+                           ws.pwgts, ws.direct.refine, ob, ws.active);
   }
 
   RepartitionResult res;

@@ -18,12 +18,13 @@
 //     observed churn, so slow drift eventually forces a re-anchor).
 //
 // Both sides of the decision — and both compute paths — draw randomness
-// only from a root seed and use the pool-size-invariant refiners, so the
-// same delta sequence yields byte-identical labellings across pool sizes
-// {1, 2, 4, 8} whether replayed by the server or by the offline
-// `partition_file --delta-script` twin.
+// only from a root seed and take no thread pool, so the same delta
+// sequence yields byte-identical labellings whether replayed by the server
+// or by the offline `partition_file --delta-script` twin, whatever the
+// config's thread count.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -94,12 +95,23 @@ struct RepartitionResult {
 /// the delta's dirty-vertex frontier (apply_delta's scratch.touched) and
 /// `churn_ratio` its arcs_changed ratio.
 ///
-/// Deterministic: a fresh Rng is constructed from `seed` per call, and the
-/// result is byte-identical for every pool size, null pool included.
+/// Deterministic: a fresh Rng is constructed from `seed` per call, and
+/// icfg.direct.base.threads does not change the result.
 RepartitionResult repartition_after_delta(
     const Graph& g, part_t k, const IncrementalConfig& icfg,
     std::uint64_t seed, LabelState& state, std::uint64_t new_fingerprint,
     std::span<const vid_t> touched, double churn_ratio,
-    IncrementalWorkspace& ws, BisectWorkspace* bws, ThreadPool* pool);
+    IncrementalWorkspace& ws, BisectWorkspace* bws);
+
+/// The form with a trailing null pool that mgpbench/src/served_mix.cpp
+/// calls; kept until the benchmark is next edited (ROADMAP item 8).
+inline RepartitionResult repartition_after_delta(
+    const Graph& g, part_t k, const IncrementalConfig& icfg,
+    std::uint64_t seed, LabelState& state, std::uint64_t new_fingerprint,
+    std::span<const vid_t> touched, double churn_ratio,
+    IncrementalWorkspace& ws, BisectWorkspace* bws, std::nullptr_t) {
+  return repartition_after_delta(g, k, icfg, seed, state, new_fingerprint,
+                                 touched, churn_ratio, ws, bws);
+}
 
 }  // namespace mgp::dynamic

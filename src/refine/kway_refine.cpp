@@ -1,7 +1,6 @@
 #include "refine/kway_refine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <limits>
 
@@ -10,36 +9,11 @@
 namespace mgp {
 namespace {
 
-/// Shard count for the propose sweeps.  Fixed — chunk boundaries must be a
-/// pure function of |V| so the concatenated proposal list (and with it the
-/// commit order) is identical for every pool size.
-constexpr int kProposeChunks = 16;
-
 /// Safety cap on propose/commit rounds per pass.  Termination is already
 /// guaranteed (every commit locks its vertex for the rest of the pass), but
 /// the tail rounds harvest next to nothing; the cap bounds the worst case
 /// deterministically.
 constexpr int kMaxRounds = 64;
-
-/// Runs `body(c, begin, end)` over the same fixed chunk decomposition with
-/// or without a pool: ThreadPool::parallel_for_chunks and the inline loop
-/// compute identical boundaries, so the refiner's per-chunk proposal slots —
-/// and therefore the commit order — do not depend on whether a pool exists.
-template <typename Fn>
-void for_chunks(vid_t n, ThreadPool* pool, Fn&& body) {
-  if (n <= 0) return;
-  if (pool) {
-    pool->parallel_for_chunks(n, kProposeChunks, body);
-    return;
-  }
-  const vid_t step = (n + kProposeChunks - 1) / kProposeChunks;
-  for (int c = 0; c < kProposeChunks; ++c) {
-    const vid_t begin = std::min<vid_t>(n, static_cast<vid_t>(c) * step);
-    const vid_t end = std::min<vid_t>(n, begin + step);
-    if (begin >= end) break;
-    body(c, begin, end);
-  }
-}
 
 /// Adds v's edge weight towards each part into the zeroed `conn` table and
 /// lists the parts touched; returns their count.  clear_conn re-zeroes them.
@@ -83,72 +57,55 @@ std::size_t vec_bytes(const auto& v) {
 
 std::size_t KwayRefineWorkspace::bytes_reserved() const {
   return vec_bytes(frozen_pwgts) + vec_bytes(conn) + vec_bytes(touched) +
-         vec_bytes(cand) + vec_bytes(cand_to) + vec_bytes(cand_count) +
-         vec_bytes(locked) + vec_bytes(stuck) + vec_bytes(ed) + vec_bytes(id) +
-         vec_bytes(bal);
+         vec_bytes(cand) + vec_bytes(cand_to) + vec_bytes(locked) +
+         vec_bytes(stuck) + vec_bytes(ed) + vec_bytes(id) + vec_bytes(bal);
 }
 
-namespace {
-
-/// Shared body of the full and frontier-restricted refiners.  `active` is
-/// either null (every vertex eligible — the classic refiner, byte-identical
-/// to its pre-mask behaviour) or an n-sized mask; committed moves activate
-/// the moved vertex and its neighbours, growing the frontier.  Activation
-/// happens only in the sequential commit pass, so the active set — like the
-/// labelling — is a pure function of the round history, never of the pool.
-KwayRefineResult kway_refine_impl(const Graph& g, std::span<part_t> part,
-                                  part_t k, std::span<vwt_t> pwgts,
-                                  vwt_t max_part_weight, vwt_t min_part_weight,
-                                  int max_passes, ThreadPool* pool,
-                                  KwayRefineWorkspace& ws, char* active) {
+KwayRefineResult kway_refine(const Graph& g, std::span<part_t> part, part_t k,
+                             std::span<vwt_t> pwgts, vwt_t max_part_weight,
+                             vwt_t min_part_weight, int max_passes,
+                             KwayRefineWorkspace& ws, std::span<char> active_mask) {
   KwayRefineResult res;
   const vid_t n = g.num_vertices();
   if (n == 0 || k <= 1) return res;
   obs::Span span("refine.kway");
   span.arg("n", n);
   span.arg("k", k);
+  // Null means every vertex is eligible; a mask of the wrong size is ignored.
+  char* const active =
+      active_mask.size() == static_cast<std::size_t>(n) ? active_mask.data() : nullptr;
 
   const std::size_t kk = static_cast<std::size_t>(k);
-  const vid_t step = (n + kProposeChunks - 1) / kProposeChunks;
   ws.frozen_pwgts.resize(kk);
-  // Chunk c's connectivity scratch lives at conn[c*k, (c+1)*k); slot
-  // kProposeChunks is the sequential commit pass's own scratch.  Both are
-  // zeroed between vertices via the touched lists, so only a fresh (cold or
+  // Zeroed between vertices via the touched list, so only a fresh (cold or
   // regrown) workspace needs the explicit fill.
-  const std::size_t conn_size = static_cast<std::size_t>(kProposeChunks + 1) * kk;
-  if (ws.conn.size() < conn_size) {
-    ws.conn.assign(conn_size, 0);
-    ws.touched.resize(conn_size);
+  if (ws.conn.size() < kk) {
+    ws.conn.assign(kk, 0);
+    ws.touched.resize(kk);
   }
-  ws.cand.resize(static_cast<std::size_t>(step) * kProposeChunks);
-  ws.cand_to.resize(static_cast<std::size_t>(step) * kProposeChunks);
-  ws.cand_count.resize(kProposeChunks);
+  ewt_t* const conn = ws.conn.data();
+  part_t* const touched = ws.touched.data();
+  ws.cand.resize(static_cast<std::size_t>(n));
+  ws.cand_to.resize(static_cast<std::size_t>(n));
   ws.locked.resize(static_cast<std::size_t>(n));
   // Stuck flags describe the labelling they were gathered from, so a call
   // never trusts flags left by an earlier one.
   ws.stuck.assign(static_cast<std::size_t>(n), char{0});
   ws.ed.resize(static_cast<std::size_t>(n));
   ws.id.resize(static_cast<std::size_t>(n));
-  // A warm workspace may arrive from a larger graph.  Chunks that are empty
-  // here (c * step >= n) are never visited by the chunk loop, so stale
-  // counts from the previous graph would feed out-of-range vertex ids to
-  // the commit pass — zero them all up front.
-  std::fill(ws.cand_count.begin(), ws.cand_count.end(), vid_t{0});
 
   // External/internal degrees for the propose filter; commits keep them current.
-  for_chunks(n, pool, [&](int, vid_t begin, vid_t end) {
-    for (vid_t u = begin; u < end; ++u) {
-      const part_t pu = part[static_cast<std::size_t>(u)];
-      auto nbrs = g.neighbors(u);
-      auto wgts = g.edge_weights(u);
-      ewt_t ed = 0, id = 0;
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        (part[static_cast<std::size_t>(nbrs[i])] == pu ? id : ed) += wgts[i];
-      }
-      ws.ed[static_cast<std::size_t>(u)] = ed;
-      ws.id[static_cast<std::size_t>(u)] = id;
+  for (vid_t u = 0; u < n; ++u) {
+    const part_t pu = part[static_cast<std::size_t>(u)];
+    auto nbrs = g.neighbors(u);
+    auto wgts = g.edge_weights(u);
+    ewt_t ed = 0, id = 0;
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      (part[static_cast<std::size_t>(nbrs[i])] == pu ? id : ed) += wgts[i];
     }
-  });
+    ws.ed[static_cast<std::size_t>(u)] = ed;
+    ws.id[static_cast<std::size_t>(u)] = id;
+  }
 
   for (int pass = 0; pass < max_passes; ++pass) {
     ++res.passes;
@@ -176,97 +133,77 @@ KwayRefineResult kway_refine_impl(const Graph& g, std::span<part_t> part,
       }
       const vwt_t min_light = pwgts[static_cast<std::size_t>(lightest)];
 
-      // --- Propose: each chunk scans its fixed vertex range against the
-      // labelling and part weights frozen at round start, writing its
-      // candidates into a disjoint slot — race-free, and the proposal set
-      // is independent of scheduling.  A chunk also reads and writes only
-      // its own vertices' stuck flags and its own gather counters.
-      std::array<std::int64_t, kProposeChunks> chunk_gathers{};
-      std::array<std::int64_t, kProposeChunks> chunk_arcs{};
+      // --- Propose: one ascending sweep against the labelling and part
+      // weights frozen at round start, so the candidate list is in vertex
+      // order and no proposal sees another's effect.
+      vid_t proposals = 0;
       {
         obs::Span propose_span("refine.kway.propose");
-        for_chunks(n, pool, [&](int c, vid_t begin, vid_t end) {
-          ewt_t* conn = ws.conn.data() + static_cast<std::size_t>(c) * kk;
-          part_t* touched = ws.touched.data() + static_cast<std::size_t>(c) * kk;
-          vid_t* cand = ws.cand.data() + static_cast<std::size_t>(c) * step;
-          part_t* cand_to = ws.cand_to.data() + static_cast<std::size_t>(c) * step;
-          vid_t cnt = 0;
-          std::int64_t gathers = 0, arcs = 0;
-          for (vid_t u = begin; u < end; ++u) {
-            const std::size_t uu = static_cast<std::size_t>(u);
-            if (ws.locked[uu] || ws.stuck[uu]) continue;
-            if (active != nullptr && active[uu] == 0) continue;
-            // Necessary conditions for any admissible move, checked in O(1)
-            // before the O(deg) connectivity scan: an external edge at
-            // least as heavy as the internal ones (every gain is at most
-            // ed - id), the source keeping its floor, room in some other
-            // part, and, when the best gain is 0, a lighter part elsewhere.
-            const ewt_t ed = ws.ed[uu], id = ws.id[uu];
-            if (ed == 0 || ed < id) continue;
-            const part_t from = part[uu];
-            const vwt_t wv = g.vertex_weight(u);
-            const vwt_t from_w = ws.frozen_pwgts[static_cast<std::size_t>(from)];
-            const vwt_t lightest_other = from == lightest ? light_else : min_light;
-            if (from_w - wv < min_part_weight ||
-                lightest_other + wv > max_part_weight ||
-                (ed == id && lightest_other + wv >= from_w)) {
-              continue;
-            }
-            const int num_touched = gather_conn(g, part, u, conn, touched);
-            ++gathers;
-            arcs += g.degree(u);
-            if (no_target(conn, touched, num_touched, from)) {
-              ws.stuck[uu] = 1;
-              clear_conn(conn, touched, num_touched);
-              continue;
-            }
-            const ewt_t internal = conn[static_cast<std::size_t>(from)];
-            part_t best = from;
-            ewt_t best_gain = 0;
-            vwt_t best_w = 0;
-            for (int t = 0; t < num_touched; ++t) {
-              const part_t p = touched[t];
-              if (p == from) continue;
-              const vwt_t pw = ws.frozen_pwgts[static_cast<std::size_t>(p)];
-              if (pw + wv > max_part_weight) continue;
-              const ewt_t gain = conn[static_cast<std::size_t>(p)] - internal;
-              if (gain < 0) continue;
-              // Zero-gain moves are admitted only when they strictly
-              // improve balance: the cut never rises and the sum of
-              // squared part weights strictly falls, so (cut, imbalance)
-              // decreases lexicographically and rounds still terminate.
-              if (gain == 0 && pw + wv >= from_w) continue;
-              // Highest gain, then lighter frozen target, then lower part
-              // id: a total order over frozen state, so the chosen target
-              // never depends on the touched list's traversal order.
-              const bool take =
-                  best == from || gain > best_gain ||
-                  (gain == best_gain &&
-                   (pw < best_w || (pw == best_w && p < best)));
-              if (take) {
-                best = p;
-                best_gain = gain;
-                best_w = pw;
-              }
-            }
+        for (vid_t u = 0; u < n; ++u) {
+          const std::size_t uu = static_cast<std::size_t>(u);
+          if (ws.locked[uu] || ws.stuck[uu]) continue;
+          if (active != nullptr && active[uu] == 0) continue;
+          // Necessary conditions for any admissible move, checked in O(1)
+          // before the O(deg) connectivity scan: an external edge at least
+          // as heavy as the internal ones (every gain is at most ed - id),
+          // the source keeping its floor, room in some other part, and,
+          // when the best gain is 0, a lighter part elsewhere.
+          const ewt_t ed = ws.ed[uu], id = ws.id[uu];
+          if (ed == 0 || ed < id) continue;
+          const part_t from = part[uu];
+          const vwt_t wv = g.vertex_weight(u);
+          const vwt_t from_w = ws.frozen_pwgts[static_cast<std::size_t>(from)];
+          const vwt_t lightest_other = from == lightest ? light_else : min_light;
+          if (from_w - wv < min_part_weight ||
+              lightest_other + wv > max_part_weight ||
+              (ed == id && lightest_other + wv >= from_w)) {
+            continue;
+          }
+          const int num_touched = gather_conn(g, part, u, conn, touched);
+          ++res.gathers;
+          res.gathered_arcs += g.degree(u);
+          if (no_target(conn, touched, num_touched, from)) {
+            ws.stuck[uu] = 1;
             clear_conn(conn, touched, num_touched);
-            if (best != from) {
-              cand[cnt] = u;
-              cand_to[cnt] = best;
-              ++cnt;
+            continue;
+          }
+          const ewt_t internal = conn[static_cast<std::size_t>(from)];
+          part_t best = from;
+          ewt_t best_gain = 0;
+          vwt_t best_w = 0;
+          for (int t = 0; t < num_touched; ++t) {
+            const part_t p = touched[t];
+            if (p == from) continue;
+            const vwt_t pw = ws.frozen_pwgts[static_cast<std::size_t>(p)];
+            if (pw + wv > max_part_weight) continue;
+            const ewt_t gain = conn[static_cast<std::size_t>(p)] - internal;
+            if (gain < 0) continue;
+            // Zero-gain moves are admitted only when they strictly improve
+            // balance: the cut never rises and the sum of squared part
+            // weights strictly falls, so (cut, imbalance) decreases
+            // lexicographically and rounds still terminate.
+            if (gain == 0 && pw + wv >= from_w) continue;
+            // Highest gain, then lighter frozen target, then lower part id:
+            // a total order over frozen state, so the chosen target never
+            // depends on the touched list's traversal order.
+            const bool take =
+                best == from || gain > best_gain ||
+                (gain == best_gain && (pw < best_w || (pw == best_w && p < best)));
+            if (take) {
+              best = p;
+              best_gain = gain;
+              best_w = pw;
             }
           }
-          ws.cand_count[static_cast<std::size_t>(c)] = cnt;
-          chunk_gathers[static_cast<std::size_t>(c)] = gathers;
-          chunk_arcs[static_cast<std::size_t>(c)] = arcs;
-        });
+          clear_conn(conn, touched, num_touched);
+          if (best != from) {
+            ws.cand[static_cast<std::size_t>(proposals)] = u;
+            ws.cand_to[static_cast<std::size_t>(proposals)] = best;
+            ++proposals;
+          }
+        }
       }
-
-      vid_t proposals = 0;
-      for (vid_t c : ws.cand_count) proposals += c;
       res.proposals += proposals;
-      for (std::int64_t c : chunk_gathers) res.gathers += c;
-      for (std::int64_t c : chunk_arcs) res.gathered_arcs += c;
 
       // --- Commit: one deterministic ascending-vertex pass.  Earlier
       // commits may have absorbed a proposal's gain or taken its balance
@@ -275,74 +212,64 @@ KwayRefineResult kway_refine_impl(const Graph& g, std::span<part_t> part,
       vid_t committed = 0;
       {
         obs::Span commit_span("refine.kway.commit");
-        ewt_t* conn =
-            ws.conn.data() + static_cast<std::size_t>(kProposeChunks) * kk;
-        part_t* touched =
-            ws.touched.data() + static_cast<std::size_t>(kProposeChunks) * kk;
-        for (int c = 0; c < kProposeChunks; ++c) {
-          const vid_t* cand = ws.cand.data() + static_cast<std::size_t>(c) * step;
-          const part_t* cand_to =
-              ws.cand_to.data() + static_cast<std::size_t>(c) * step;
-          const vid_t cnt = ws.cand_count[static_cast<std::size_t>(c)];
-          for (vid_t i = 0; i < cnt; ++i) {
-            const vid_t v = cand[i];
-            const std::size_t vv = static_cast<std::size_t>(v);
-            const part_t to = cand_to[i];
-            // v never moved this round (only commits move vertices, and a
-            // commit locks), so `from` still matches the propose sweep.
-            const part_t from = part[vv];
-            const int num_touched = gather_conn(g, part, v, conn, touched);
-            ++res.gathers;
-            res.gathered_arcs += g.degree(v);
-            const ewt_t to_conn = conn[static_cast<std::size_t>(to)];
-            const ewt_t gain = to_conn - conn[static_cast<std::size_t>(from)];
-            clear_conn(conn, touched, num_touched);
-            const vwt_t wv = g.vertex_weight(v);
-            // Same admission rule as propose, against the committed weights:
-            // positive gain, or zero gain with strict balance improvement.
-            if (gain < 0 ||
-                (gain == 0 && pwgts[static_cast<std::size_t>(to)] + wv >=
-                                  pwgts[static_cast<std::size_t>(from)]) ||
-                pwgts[static_cast<std::size_t>(to)] + wv > max_part_weight ||
-                pwgts[static_cast<std::size_t>(from)] - wv < min_part_weight) {
-              ++res.conflict_rejects;
-              continue;
-            }
-            part[vv] = to;
-            pwgts[static_cast<std::size_t>(from)] -= wv;
-            pwgts[static_cast<std::size_t>(to)] += wv;
-            ws.locked[vv] = 1;
-            res.cut_reduction += gain;
-            auto nbrs = g.neighbors(v);
-            auto wgts = g.edge_weights(v);
-            const ewt_t degree = ws.ed[vv] + ws.id[vv];
-            ws.id[vv] = to_conn;
-            ws.ed[vv] = degree - to_conn;
-            // The move turns v's edges into `from` external and its edges
-            // into `to` internal; edges to any third part stay external.  It
-            // also changes what every neighbour could gain, so none of them
-            // stays stuck.  (v itself is not: only a gather that finds no
-            // target flags a vertex, and v's found one.)
-            assert(ws.stuck[vv] == 0);
-            for (std::size_t j = 0; j < nbrs.size(); ++j) {
-              const std::size_t uu = static_cast<std::size_t>(nbrs[j]);
-              ws.stuck[uu] = 0;
-              if (part[uu] == from) {
-                ws.id[uu] -= wgts[j];
-                ws.ed[uu] += wgts[j];
-              } else if (part[uu] == to) {
-                ws.ed[uu] -= wgts[j];
-                ws.id[uu] += wgts[j];
-              }
-            }
-            if (active != nullptr) {
-              // The move changed every neighbour's connectivity profile:
-              // pull them (and v, for the next pass) into the frontier.
-              active[vv] = 1;
-              for (vid_t nb : nbrs) active[static_cast<std::size_t>(nb)] = 1;
-            }
-            ++committed;
+        for (vid_t i = 0; i < proposals; ++i) {
+          const vid_t v = ws.cand[static_cast<std::size_t>(i)];
+          const std::size_t vv = static_cast<std::size_t>(v);
+          const part_t to = ws.cand_to[static_cast<std::size_t>(i)];
+          // v never moved this round (only commits move vertices, and a
+          // commit locks), so `from` still matches the propose sweep.
+          const part_t from = part[vv];
+          const int num_touched = gather_conn(g, part, v, conn, touched);
+          ++res.gathers;
+          res.gathered_arcs += g.degree(v);
+          const ewt_t to_conn = conn[static_cast<std::size_t>(to)];
+          const ewt_t gain = to_conn - conn[static_cast<std::size_t>(from)];
+          clear_conn(conn, touched, num_touched);
+          const vwt_t wv = g.vertex_weight(v);
+          // Same admission rule as propose, against the committed weights:
+          // positive gain, or zero gain with strict balance improvement.
+          if (gain < 0 ||
+              (gain == 0 && pwgts[static_cast<std::size_t>(to)] + wv >=
+                                pwgts[static_cast<std::size_t>(from)]) ||
+              pwgts[static_cast<std::size_t>(to)] + wv > max_part_weight ||
+              pwgts[static_cast<std::size_t>(from)] - wv < min_part_weight) {
+            ++res.conflict_rejects;
+            continue;
           }
+          part[vv] = to;
+          pwgts[static_cast<std::size_t>(from)] -= wv;
+          pwgts[static_cast<std::size_t>(to)] += wv;
+          ws.locked[vv] = 1;
+          res.cut_reduction += gain;
+          auto nbrs = g.neighbors(v);
+          auto wgts = g.edge_weights(v);
+          const ewt_t degree = ws.ed[vv] + ws.id[vv];
+          ws.id[vv] = to_conn;
+          ws.ed[vv] = degree - to_conn;
+          // The move turns v's edges into `from` external and its edges
+          // into `to` internal; edges to any third part stay external.  It
+          // also changes what every neighbour could gain, so none of them
+          // stays stuck.  (v itself is not: only a gather that finds no
+          // target flags a vertex, and v's found one.)
+          assert(ws.stuck[vv] == 0);
+          for (std::size_t j = 0; j < nbrs.size(); ++j) {
+            const std::size_t uu = static_cast<std::size_t>(nbrs[j]);
+            ws.stuck[uu] = 0;
+            if (part[uu] == from) {
+              ws.id[uu] -= wgts[j];
+              ws.ed[uu] += wgts[j];
+            } else if (part[uu] == to) {
+              ws.ed[uu] -= wgts[j];
+              ws.id[uu] += wgts[j];
+            }
+          }
+          if (active != nullptr) {
+            // The move changed every neighbour's connectivity profile:
+            // pull them (and v, for the next pass) into the frontier.
+            active[vv] = 1;
+            for (vid_t nb : nbrs) active[static_cast<std::size_t>(nb)] = 1;
+          }
+          ++committed;
         }
       }
       res.moves += committed;
@@ -355,26 +282,6 @@ KwayRefineResult kway_refine_impl(const Graph& g, std::span<part_t> part,
   return res;
 }
 
-}  // namespace
-
-KwayRefineResult kway_parallel_refine(const Graph& g, std::span<part_t> part,
-                                      part_t k, std::span<vwt_t> pwgts,
-                                      vwt_t max_part_weight, vwt_t min_part_weight,
-                                      int max_passes, ThreadPool* pool,
-                                      KwayRefineWorkspace& ws) {
-  return kway_refine_impl(g, part, k, pwgts, max_part_weight, min_part_weight,
-                          max_passes, pool, ws, nullptr);
-}
-
-KwayRefineResult kway_parallel_refine_active(
-    const Graph& g, std::span<part_t> part, part_t k, std::span<vwt_t> pwgts,
-    vwt_t max_part_weight, vwt_t min_part_weight, int max_passes,
-    ThreadPool* pool, KwayRefineWorkspace& ws, std::span<char> active) {
-  const bool sized = active.size() == static_cast<std::size_t>(g.num_vertices());
-  return kway_refine_impl(g, part, k, pwgts, max_part_weight, min_part_weight,
-                          max_passes, pool, ws, sized ? active.data() : nullptr);
-}
-
 vid_t kway_balance(const Graph& g, std::span<part_t> part, part_t k,
                    std::span<vwt_t> pwgts, vwt_t max_part_weight,
                    vwt_t min_part_weight, KwayRefineWorkspace& ws) {
@@ -382,16 +289,15 @@ vid_t kway_balance(const Graph& g, std::span<part_t> part, part_t k,
   if (n == 0 || k <= 1) return 0;
 
   const std::size_t kk = static_cast<std::size_t>(k);
-  // Uses (and maintains) the commit slot's zero-invariant conn scratch, so
-  // a workspace warmed by kway_parallel_refine costs nothing extra; only a
-  // cold or regrown one allocates.
-  const std::size_t conn_size = static_cast<std::size_t>(kProposeChunks + 1) * kk;
-  if (ws.conn.size() < conn_size) {
-    ws.conn.assign(conn_size, 0);
-    ws.touched.resize(conn_size);
+  // Uses (and maintains) the refiner's zero-invariant conn scratch, so a
+  // workspace warmed by kway_refine costs nothing extra; only a cold or
+  // regrown one allocates.
+  if (ws.conn.size() < kk) {
+    ws.conn.assign(kk, 0);
+    ws.touched.resize(kk);
   }
-  ewt_t* conn = ws.conn.data() + static_cast<std::size_t>(kProposeChunks) * kk;
-  part_t* touched = ws.touched.data() + static_cast<std::size_t>(kProposeChunks) * kk;
+  ewt_t* const conn = ws.conn.data();
+  part_t* const touched = ws.touched.data();
 
   auto any_overweight = [&]() {
     for (std::size_t p = 0; p < kk; ++p) {

@@ -1,4 +1,4 @@
-// Deterministic parallel k-way refinement (extension).
+// Deterministic k-way refinement (extension).
 //
 // The library's one propose/commit refiner: the k-way local search of
 // Sanders & Schulz ("Engineering Multilevel Graph Partitioning Algorithms")
@@ -6,17 +6,15 @@
 // Direct k-way and incremental repartitioning run it (two-way refinement
 // stays on the sequential KL engine, refine/refine.*):
 //
-//   repeat:  (1) PROPOSE — shard the vertex range into *fixed* chunks (a
-//                pure function of |V|, never of the pool size) and, in
-//                parallel, compute each unlocked boundary vertex's best
-//                target part against connectivity tables and part weights
-//                *frozen at round start*; positive-gain candidates land in
-//                their chunk's slot of the proposal table;
-//            (2) COMMIT — walk the proposals in ascending vertex order on
-//                one thread, recompute each gain against the *committed*
-//                labelling, re-check each part's ceiling and the floor
-//                against the committed part weights, and apply the survivors
-//                (locking them; a vertex moves at most once per pass);
+//   repeat:  (1) PROPOSE — one ascending sweep computes each unlocked
+//                boundary vertex's best target part against the labelling
+//                and part weights *frozen at round start*; positive-gain
+//                candidates are listed in vertex order;
+//            (2) COMMIT — walk the proposals in that order, recompute each
+//                gain against the *committed* labelling, re-check each
+//                part's ceiling and the floor against the committed part
+//                weights, and apply the survivors (locking them; a vertex
+//                moves at most once per pass);
 //   until a round commits nothing.
 //
 // A vertex whose gather finds no other part joined to it by at least its
@@ -25,14 +23,12 @@
 // neighbour (labels change only there), so a sweep re-gathers only what a
 // commit may have changed and the proposals are those of a full sweep.
 //
-// Candidate selection is per-vertex over frozen state, so the proposal set
-// is independent of chunk scheduling; fixed contiguous chunks read back in
-// chunk order make the commit order ascending-by-vertex-id; the commit pass
-// is sequential; and no randomness is drawn.  Partitions are therefore
-// byte-identical across pool sizes — a null pool runs the identical rounds
-// inline over the identical chunk boundaries.  Every committed move has
-// strictly positive recomputed gain and locks its vertex, so rounds
-// terminate.  DESIGN.md §10 carries the full argument.
+// No randomness is drawn, so the result is a pure function of the input.
+// Every committed move has strictly positive recomputed gain (or zero gain
+// with strictly better balance) and locks its vertex, so rounds terminate.
+// The refiner takes no thread pool: a pooled propose sweep was measured
+// slower than this one (DESIGN.md §10.2).  DESIGN.md §10 carries the full
+// argument.
 #pragma once
 
 #include <cstddef>
@@ -42,20 +38,18 @@
 #include <vector>
 
 #include "graph/csr.hpp"
-#include "support/thread_pool.hpp"
 
 namespace mgp {
 
-/// Reusable scratch for kway_parallel_refine.  Default-constructed empty;
+/// Reusable scratch for kway_refine and kway_balance.  Default-constructed empty;
 /// warms to the (n, k) high-water size on first use, after which calls of
 /// no-larger shape perform zero heap allocations.
 struct KwayRefineWorkspace {
   std::vector<vwt_t> frozen_pwgts;  ///< k: part weights at round start
-  std::vector<ewt_t> conn;          ///< (chunks+1)*k: per-chunk + commit scratch
-  std::vector<part_t> touched;      ///< (chunks+1)*k: parts seen per vertex
-  std::vector<vid_t> cand;          ///< step*chunks: proposal vertices
-  std::vector<part_t> cand_to;      ///< step*chunks: proposal targets
-  std::vector<vid_t> cand_count;    ///< chunks
+  std::vector<ewt_t> conn;          ///< k: one vertex's connectivity, kept zeroed
+  std::vector<part_t> touched;      ///< k: parts seen per vertex
+  std::vector<vid_t> cand;          ///< n: proposal vertices, ascending
+  std::vector<part_t> cand_to;      ///< n: proposal targets
   std::vector<char> locked;         ///< n: move-at-most-once-per-pass locks
   std::vector<char> stuck;          ///< n: no gain >= 0 target until v or a
                                     ///< neighbour moves (reset every call)
@@ -78,35 +72,25 @@ struct KwayRefineResult {
   std::int64_t gathered_arcs = 0;  ///< arcs those gathers scanned
 };
 
-/// Parallel k-way refinement of `part` in place.  `pwgts` (size k) must hold
-/// the labelling's current part weights on entry and is maintained
+/// k-way refinement of `part` in place.  `pwgts` (size k) must hold the
+/// labelling's current part weights on entry and is maintained
 /// incrementally — never recomputed from scratch.  A move must keep its
 /// target at or below `max_part_weight` and its source at or above
 /// `min_part_weight` (pass 0 to disable the floor).  `max_passes` bounds
 /// the outer unlock passes; each pass runs propose/commit rounds to
 /// quiescence, and the call stops early once a whole pass commits nothing.
 ///
-/// Draws no randomness.  Byte-identical result for every pool size,
-/// including a null `pool` (inline execution of the same rounds).
-KwayRefineResult kway_parallel_refine(const Graph& g, std::span<part_t> part,
-                                      part_t k, std::span<vwt_t> pwgts,
-                                      vwt_t max_part_weight, vwt_t min_part_weight,
-                                      int max_passes, ThreadPool* pool,
-                                      KwayRefineWorkspace& ws);
-
-/// Frontier-restricted variant for incremental repartitioning (DESIGN.md
-/// §11): only vertices with `active[v] != 0` are examined by the propose
+/// With an `active` mask of size n (incremental repartitioning, DESIGN.md
+/// §11), only vertices with `active[v] != 0` are examined by the propose
 /// sweeps, and every committed move activates the moved vertex and its
 /// neighbours — the search grows outward from the seed frontier exactly as
-/// far as it keeps finding improving moves.  Activation happens in the
-/// sequential commit pass, so the mask evolution (and the result) is
-/// byte-identical for every pool size.  `active` must have size n and is
-/// mutated in place; an all-ones mask reproduces kway_parallel_refine byte
-/// for byte (a wrong-sized mask falls back to the unrestricted refiner).
-KwayRefineResult kway_parallel_refine_active(
-    const Graph& g, std::span<part_t> part, part_t k, std::span<vwt_t> pwgts,
-    vwt_t max_part_weight, vwt_t min_part_weight, int max_passes,
-    ThreadPool* pool, KwayRefineWorkspace& ws, std::span<char> active);
+/// far as it keeps finding improving moves.  The mask is mutated in place;
+/// an all-ones mask reproduces the unrestricted refiner byte for byte, and
+/// a mask of any other size means unrestricted.  Draws no randomness.
+KwayRefineResult kway_refine(const Graph& g, std::span<part_t> part, part_t k,
+                             std::span<vwt_t> pwgts, vwt_t max_part_weight,
+                             vwt_t min_part_weight, int max_passes,
+                             KwayRefineWorkspace& ws, std::span<char> active = {});
 
 /// Explicit balance phase: refinement never makes a negative-gain move and
 /// never moves weight out of a part at the floor, so a partition that
@@ -120,8 +104,7 @@ KwayRefineResult kway_parallel_refine_active(
 /// excess strictly decreases.  Then it fills every part below
 /// `min_part_weight`, an empty one included: each fill moves the vertex of
 /// the heaviest part whose move costs the least cut.  Sequential and
-/// randomness-free: byte-deterministic regardless of pool size.  Returns
-/// the move count.
+/// randomness-free.  Returns the move count.
 vid_t kway_balance(const Graph& g, std::span<part_t> part, part_t k,
                    std::span<vwt_t> pwgts, vwt_t max_part_weight,
                    vwt_t min_part_weight, KwayRefineWorkspace& ws);

@@ -214,8 +214,7 @@ void RequestHandler::handle_delta(std::span<const std::uint8_t> payload,
     WorkspacePool::Lease lease = pool_.checkout();
     result = dynamic::repartition_after_delta(
         entry->graph, k, icfg, head.seed, slot, apply_.fingerprint,
-        entry->patch_scratch.touched, apply_.churn_ratio, inc_ws_, lease.get(),
-        nullptr);
+        entry->patch_scratch.touched, apply_.churn_ratio, inc_ws_, lease.get());
   } catch (const CancelledError&) {
     std::swap(entry->graph, entry->spare);  // restore the pre-delta graph
     slot.valid = false;  // part may be half-mutated; force scratch next time

@@ -1,26 +1,20 @@
-// Fixed-size worker pool with work-helping waits and deterministic
-// data-parallel loops (extension; threading model in DESIGN.md).
+// Fixed-size worker pool with work-helping waits (extension; threading
+// model in DESIGN.md §5).
 //
 // The pool runs independent subproblems on workers: the recursive-bisection
-// tree (core/split_recursion.hpp) forks its two halves, and the k-way
-// refiner's propose sweep splits into chunks.  Coarsening runs on the
-// calling thread (DESIGN.md §5.2).
+// tree (core/split_recursion.hpp) forks its two halves, and nothing else
+// uses it.  Coarsening, refinement, direct k-way and incremental
+// repartitioning run on the calling thread (DESIGN.md §5.2, §10.2).
 //
 //   * submit() returns a std::future; wait_help() lets a task block on a
 //     future while executing other queued tasks, so nested fork/join
 //     (recursive bisection spawning sub-bisections from inside a pool task)
 //     cannot deadlock on a fixed-size pool.
-//   * parallel_for_chunks() splits [0, n) into contiguous chunks processed
-//     concurrently.  Chunk boundaries are a pure function of (n, chunk
-//     count), and callers merge per-chunk results in chunk order, so any
-//     algorithm built on it produces byte-identical output for every
-//     thread count.
 //   * A pool constructed with 1 thread spawns no workers at all: every
-//     submit and parallel_for_chunks runs inline on the caller, which is
-//     exactly the pre-pool sequential behavior.
+//     submit runs inline on the caller, which is exactly the pre-pool
+//     sequential behavior.
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -31,8 +25,6 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "support/types.hpp"
 
 namespace mgp {
 
@@ -87,38 +79,6 @@ class ThreadPool {
       if (!run_one()) fut.wait_for(50us);
     }
     return fut.get();
-  }
-
-  /// Runs body(c, begin, end) for each chunk c of [0, n) split into `chunks`
-  /// contiguous ranges (the caller executes chunk 0), for algorithms that
-  /// keep per-chunk scratch state and merge it in chunk order (deterministic
-  /// regardless of scheduling).  Chunk c covers [c*ceil(n/chunks),
-  /// min(n, (c+1)*ceil(n/chunks))).  Blocks until all chunks finish.
-  /// Exceptions propagate from the first failing chunk.
-  template <typename Fn>
-  void parallel_for_chunks(vid_t n, int chunks, Fn&& body) {
-    if (n <= 0) return;
-    chunks = std::max(1, chunks);
-    const vid_t step = (n + static_cast<vid_t>(chunks) - 1) / static_cast<vid_t>(chunks);
-    if (chunks == 1 || workers_.empty() || step >= n) {
-      for (int c = 0; c < chunks; ++c) {
-        const vid_t begin = std::min<vid_t>(n, static_cast<vid_t>(c) * step);
-        const vid_t end = std::min<vid_t>(n, begin + step);
-        if (begin >= end) break;
-        body(c, begin, end);
-      }
-      return;
-    }
-    std::vector<std::future<void>> futs;
-    futs.reserve(static_cast<std::size_t>(chunks) - 1);
-    for (int c = 1; c < chunks; ++c) {
-      const vid_t begin = std::min<vid_t>(n, static_cast<vid_t>(c) * step);
-      const vid_t end = std::min<vid_t>(n, begin + step);
-      if (begin >= end) break;
-      futs.push_back(submit([&body, c, begin, end]() { body(c, begin, end); }));
-    }
-    body(0, vid_t{0}, std::min<vid_t>(n, step));
-    for (auto& f : futs) wait_help(f);
   }
 
  private:

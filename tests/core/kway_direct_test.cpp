@@ -8,7 +8,6 @@
 #include "graph/generators.hpp"
 #include "metrics/partition_metrics.hpp"
 #include "obs/report.hpp"
-#include "support/thread_pool.hpp"
 #include "support/workspace.hpp"
 
 namespace mgp {
@@ -67,7 +66,7 @@ TEST(KwayDirectTest, GreedyRefineNeverWorsensCut) {
   std::vector<vwt_t> pwgts = part_weights(g, part, k);
   KwayRefineWorkspace ws;
   const KwayRefineResult r =
-      kway_parallel_refine(g, part, k, pwgts, limit, 0, 8, nullptr, ws);
+      kway_refine(g, part, k, pwgts, limit, 0, 8, ws);
   const ewt_t after = compute_kway_cut(g, part);
   EXPECT_LE(after, before);
   EXPECT_EQ(before - after, r.cut_reduction);
@@ -88,7 +87,7 @@ TEST(KwayDirectTest, GreedyRefineRespectsWeightCeiling) {
   std::vector<vwt_t> pwgts = part_weights(g, part, k);
   KwayRefineWorkspace ws;
   const KwayRefineResult r =
-      kway_parallel_refine(g, part, k, pwgts, ceiling, floor, 8, nullptr, ws);
+      kway_refine(g, part, k, pwgts, ceiling, floor, 8, ws);
   EXPECT_GT(r.moves, 0);
   const std::vector<vwt_t> after = part_weights(g, part, k);
   EXPECT_EQ(pwgts, after);
@@ -116,7 +115,7 @@ TEST(KwayDirectTest, RefineFixesPlantedNoise) {
   ASSERT_GT(compute_kway_cut(g, part), planted);
   std::vector<vwt_t> pwgts = part_weights(g, part, 4);
   KwayRefineWorkspace ws;
-  kway_parallel_refine(g, part, 4, pwgts, 110, 1, 8, nullptr, ws);
+  kway_refine(g, part, 4, pwgts, 110, 1, 8, ws);
   EXPECT_LE(compute_kway_cut(g, part), planted + 10);
 }
 
@@ -224,7 +223,7 @@ TEST(KwayDirectTest, ConfigValidationRejectsNonsense) {
 
 TEST(KwayDirectTest, IntoMatchesWrapper) {
   // The workspace-threaded entry point is the wrapper's implementation:
-  // same bytes, warm or cold, with or without a pool.
+  // same bytes, warm or cold, whatever cfg.base.threads says.
   Graph g = fem2d_tri(24, 24, 5);
   KwayDirectConfig cfg;
   Rng r1(17);
@@ -240,19 +239,14 @@ TEST(KwayDirectTest, IntoMatchesWrapper) {
     EXPECT_EQ(part, wrapped.part) << "repeat=" << repeat;
   }
 
-  // Pooled runs engage parallel HEM, so compare against the pooled wrapper
-  // (cfg.base.threads > 1 makes it build its own pool); any two pool sizes
-  // are byte-identical, so 2 here vs the wrapper's 4 still must match.
-  KwayDirectConfig pooled_cfg = cfg;
-  pooled_cfg.base.threads = 4;
+  // The wrapper builds no pool from cfg.base.threads, so a threads=4 call
+  // must equal the poolless _into call.
+  KwayDirectConfig threaded_cfg = cfg;
+  threaded_cfg.base.threads = 4;
   Rng r3(17);
-  KwayResult pooled_wrapped = kway_partition_direct(g, 12, pooled_cfg, r3);
-  ThreadPool pool(2);
-  Rng r4(17);
-  const ewt_t pooled =
-      kway_partition_direct_into(g, 12, cfg, r4, dws, &bws, part, &pool);
-  EXPECT_EQ(pooled, pooled_wrapped.edge_cut);
-  EXPECT_EQ(part, pooled_wrapped.part);
+  KwayResult threaded_wrapped = kway_partition_direct(g, 12, threaded_cfg, r3);
+  EXPECT_EQ(threaded_wrapped.edge_cut, wrapped.edge_cut);
+  EXPECT_EQ(threaded_wrapped.part, part);
 }
 
 TEST(KwayDirectTest, KOneTrivial) {

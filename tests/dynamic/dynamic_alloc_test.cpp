@@ -58,8 +58,7 @@ TEST(DynamicAllocTest, WarmDeltaLibraryPathIsAllocationFree) {
     ASSERT_EQ(apply_delta(g, batch, scratch, spare, res), "");
     std::swap(g, spare);
     repartition_after_delta(g, k, icfg, 4242, state, res.fingerprint,
-                            scratch.touched, res.churn_ratio, iws, &bws,
-                            nullptr);
+                            scratch.touched, res.churn_ratio, iws, &bws);
   };
 
   // Warm-up: two full A/B cycles (the first from-scratch anchor included),

@@ -1,8 +1,8 @@
 // Warm-start repartitioning tests: fallback policy (no-previous, churn
 // ratio, quality bound), projection/placement correctness, and the
 // subsystem's central determinism claim — the same churn sequence yields
-// byte-identical labellings for every pool size in {1, 2, 4, 8}, at both
-// ends of the k range the server serves.
+// byte-identical labellings whatever the config's thread count in
+// {1, 2, 4, 8}, at both ends of the k range the server serves.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,7 +14,6 @@
 #include "dynamic/incremental.hpp"
 #include "graph/generators.hpp"
 #include "metrics/partition_metrics.hpp"
-#include "support/thread_pool.hpp"
 
 namespace mgp::dynamic {
 namespace {
@@ -32,14 +31,12 @@ struct Replayer {
 
   explicit Replayer(Graph initial) : g(std::move(initial)) {}
 
-  RepartitionResult step(const DeltaBatch& batch, part_t k,
-                         ThreadPool* pool = nullptr) {
+  RepartitionResult step(const DeltaBatch& batch, part_t k) {
     const std::string err = apply_delta(g, batch, scratch, spare, res);
     EXPECT_EQ(err, "");
     std::swap(g, spare);
     return repartition_after_delta(g, k, icfg, seed, state, res.fingerprint,
-                                   scratch.touched, res.churn_ratio, iws, &bws,
-                                   pool);
+                                   scratch.touched, res.churn_ratio, iws, &bws);
   }
 };
 
@@ -159,33 +156,33 @@ TEST(Incremental, WarmCutStaysWithinQualityBoundOfScratch) {
   }
 }
 
-// --- The determinism wall: same churn script, every pool size, both k ends.
+// --- The determinism wall: same churn script, every thread count, both k ends.
 
 class ChurnDeterminismTest : public ::testing::TestWithParam<part_t> {};
 
 TEST_P(ChurnDeterminismTest, ByteIdenticalAcrossPoolSizes) {
   const part_t k = GetParam();
-  constexpr int kPoolSizes[] = {1, 2, 4, 8};
+  constexpr int kThreadCounts[] = {1, 2, 4, 8};
   constexpr int kBatches = 6;
 
   std::vector<std::vector<part_t>> ref_parts;
   std::vector<std::uint64_t> ref_fps;
-  for (int threads : kPoolSizes) {
-    ThreadPool pool(threads);
+  for (int threads : kThreadCounts) {
     Replayer r(circuit(900, 7));
-    Rng churn_rng(555);  // identical script for every pool size
+    r.icfg.direct.base.threads = threads;
+    Rng churn_rng(555);  // identical script for every thread count
     DeltaBatch batch;
     std::vector<std::vector<part_t>> parts;
     std::vector<std::uint64_t> fps;
     for (int b = 0; b < kBatches; ++b) {
       synth_churn_batch(r.g, 0.01, churn_rng, batch);
-      r.step(batch, k, &pool);
+      r.step(batch, k);
       ASSERT_EQ(check_partition(r.g, r.state.part, k), "")
           << "k=" << k << " threads=" << threads << " batch=" << b;
       parts.push_back(r.state.part);
       fps.push_back(r.state.fingerprint);
     }
-    if (threads == kPoolSizes[0]) {
+    if (threads == kThreadCounts[0]) {
       ref_parts = std::move(parts);
       ref_fps = std::move(fps);
     } else {

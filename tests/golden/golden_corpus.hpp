@@ -158,7 +158,7 @@ inline GoldenResult run_entry(const GoldenEntry& e) {
     // Anchor: empty batch computes the from-scratch starting labelling.
     dynamic::repartition_after_delta(g, e.k, icfg, e.seed, state,
                                      dynamic::graph_fingerprint(g), {}, 0.0,
-                                     iws, &bws, nullptr);
+                                     iws, &bws);
     for (int bi = 0; bi < e.churn_batches; ++bi) {
       dynamic::synth_churn_batch(g, e.churn_fraction, churn_rng, batch);
       if (!dynamic::apply_delta(g, batch, scratch, spare, res).empty()) {
@@ -167,7 +167,7 @@ inline GoldenResult run_entry(const GoldenEntry& e) {
       std::swap(g, spare);
       dynamic::repartition_after_delta(g, e.k, icfg, e.seed, state,
                                        res.fingerprint, scratch.touched,
-                                       res.churn_ratio, iws, &bws, nullptr);
+                                       res.churn_ratio, iws, &bws);
     }
     return {state.cut, fnv1a64(state.part)};
   }

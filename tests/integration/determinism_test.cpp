@@ -10,6 +10,8 @@
 //   1. coarsening + kway: whole-pipeline partitions identical across pools;
 //   2. config plumbing: cfg.threads = t engages the same algorithms as an
 //      explicit pool, so user-visible runs are invariant too.
+// Direct k-way takes no pool: its rows assert that cfg.base.threads changes
+// no partition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -257,18 +259,17 @@ TEST(PipelineDeterminismTest, TracingDoesNotPerturbPartitions) {
 }
 
 TEST(DirectKwayDeterminismTest, PartitionsByteIdenticalAcrossPoolSizes) {
-  // Direct k-way shares the pipeline's central guarantee: the propose/commit
-  // k-way refiner draws no randomness and commits in a traversal-independent
-  // order, so for a fixed seed the partition is byte-identical for every
-  // pool size — the refiner merely proposes in parallel.
-  KwayDirectConfig cfg;
+  // Direct k-way takes no pool, so for a fixed seed the partition is
+  // byte-identical whatever cfg.base.threads says: the daemon (which never
+  // passes a pool) and the offline CLI agree at every worker count.
   for (part_t k : {part_t{4}, part_t{16}}) {
     for (const auto& [name, g] : family_graphs()) {
       std::vector<part_t> reference;
       for (int threads : kPoolSizes) {
-        ThreadPool pool(threads);
+        KwayDirectConfig cfg;
+        cfg.base.threads = threads;
         Rng rng(1234);
-        KwayResult r = kway_partition_direct(g, k, cfg, rng, &pool);
+        KwayResult r = kway_partition_direct(g, k, cfg, rng);
         ASSERT_EQ(check_partition(g, r.part, k), "")
             << name << " k=" << k << " t=" << threads;
         if (threads == kPoolSizes[0]) {
@@ -284,14 +285,14 @@ TEST(DirectKwayDeterminismTest, PartitionsByteIdenticalAcrossPoolSizes) {
 
 TEST(DirectKwayDeterminismTest, ObsCollectionDoesNotPerturbPartitions) {
   // Obs composes with the direct path too: collection draws no randomness
-  // and alters no control flow, at every pool size.
+  // and alters no control flow, at every thread count.
   Graph g = fem2d_tri(48, 48, 3);
-  KwayDirectConfig cfg;
   std::vector<part_t> reference;
   for (int threads : kPoolSizes) {
-    ThreadPool pool(threads);
+    KwayDirectConfig cfg;
+    cfg.base.threads = threads;
     Rng plain_rng(555);
-    KwayResult plain = kway_partition_direct(g, 16, cfg, plain_rng, &pool);
+    KwayResult plain = kway_partition_direct(g, 16, cfg, plain_rng);
     if (reference.empty()) reference = plain.part;
     ASSERT_EQ(plain.part, reference) << "plain run diverged, t=" << threads;
 
@@ -299,7 +300,7 @@ TEST(DirectKwayDeterminismTest, ObsCollectionDoesNotPerturbPartitions) {
     KwayDirectConfig with_obs = cfg;
     with_obs.base.obs = &ob;
     Rng obs_rng(555);
-    KwayResult traced = kway_partition_direct(g, 16, with_obs, obs_rng, &pool);
+    KwayResult traced = kway_partition_direct(g, 16, with_obs, obs_rng);
     ASSERT_EQ(traced.part, reference) << "obs run diverged, t=" << threads;
     // The direct pipeline actually ran: it coarsened and its k-way refiner
     // iterated at least one round.

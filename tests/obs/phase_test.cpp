@@ -199,7 +199,7 @@ TEST(PhaseScopeTest, RepartitionAfterDeltaFeedsWarmAndFallbackPhases) {
   Obs fallback;
   icfg.direct.base.obs = &fallback;
   const RepartitionResult first =
-      repartition_after_delta(g, 8, icfg, 1, state, 11, touched, 0.0, iws, nullptr, nullptr);
+      repartition_after_delta(g, 8, icfg, 1, state, 11, touched, 0.0, iws, nullptr);
   ASSERT_TRUE(first.from_scratch);
   EXPECT_GT(phase_ns(fallback, Phase::kCoarsen), 0);
   EXPECT_GT(phase_ns(fallback, Phase::kInitPart), 0);
@@ -209,7 +209,7 @@ TEST(PhaseScopeTest, RepartitionAfterDeltaFeedsWarmAndFallbackPhases) {
   Obs warm;
   icfg.direct.base.obs = &warm;
   const RepartitionResult second =
-      repartition_after_delta(g, 8, icfg, 1, state, 12, touched, 0.0, iws, nullptr, nullptr);
+      repartition_after_delta(g, 8, icfg, 1, state, 12, touched, 0.0, iws, nullptr);
   ASSERT_FALSE(second.from_scratch);
   EXPECT_GT(phase_ns(warm, Phase::kProject), 0);
   EXPECT_GT(phase_ns(warm, Phase::kRefine), 0);

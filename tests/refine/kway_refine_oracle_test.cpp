@@ -1,10 +1,9 @@
 // Oracle for the k-way refiner's stuck flags: the engine must produce what
 // the full-sweep refiner produces — the one that re-gathers every vertex
-// passing the O(1) filter in every round — for every pool size and every
-// caller shape (direct k-way, the frontier-restricted incremental variant,
-// and a single floorless pass at k=2), while gathering no more.
-// The reference below is a test-local copy of that full-sweep refiner with
-// gather counters added; it runs inline (its rounds do not depend on a pool).
+// passing the O(1) filter in every round — for every caller shape (direct
+// k-way, the frontier-restricted incremental variant, and a single
+// floorless pass at k=2), while gathering no more.  The reference below is
+// a test-local copy of that full-sweep refiner with gather counters added.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,12 +17,10 @@
 #include "refine/kway_refine.hpp"
 #include "support/parity_families.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 
 namespace mgp {
 namespace {
 
-constexpr int kChunks = 16;
 constexpr int kMaxRounds = 64;
 
 int gather(const Graph& g, std::span<const part_t> part, vid_t v, ewt_t* conn,
@@ -43,9 +40,8 @@ void clear(ewt_t* conn, const part_t* touched, int num_touched) {
   for (int t = 0; t < num_touched; ++t) conn[static_cast<std::size_t>(touched[t])] = 0;
 }
 
-/// The full-sweep refiner: the propose/commit rounds of kway_parallel_refine
-/// without stuck flags, run over the same 16 fixed chunks on one thread.
-/// Its propose filter keeps the per-part "most room" form, which under the
+/// The full-sweep refiner: the propose/commit rounds of kway_refine without
+/// stuck flags, proposing in one ascending sweep.  Its propose filter keeps the per-part "most room" form, which under the
 /// one ceiling must pick exactly what the engine's lightest-part form picks.
 KwayRefineResult full_sweep_refine(const Graph& g, std::span<part_t> part,
                                    part_t k, std::span<vwt_t> pwgts,
@@ -55,7 +51,6 @@ KwayRefineResult full_sweep_refine(const Graph& g, std::span<part_t> part,
   const vid_t n = g.num_vertices();
   if (n == 0 || k <= 1) return res;
   const std::size_t kk = static_cast<std::size_t>(k);
-  const vid_t step = (n + kChunks - 1) / kChunks;
   std::vector<vwt_t> frozen(kk);
   std::vector<ewt_t> conn(kk, 0);
   std::vector<part_t> touched(kk);
@@ -98,50 +93,46 @@ KwayRefineResult full_sweep_refine(const Graph& g, std::span<part_t> part,
       const vwt_t max_room = room(roomiest);
       const vwt_t min_light = pwgts[static_cast<std::size_t>(lightest)];
 
-      // Propose: every chunk in order, so `cands` is in ascending vertex order.
+      // Propose: one ascending sweep, so `cands` is in vertex order.
       cands.clear();
-      for (int c = 0; c < kChunks; ++c) {
-        const vid_t begin = std::min<vid_t>(n, static_cast<vid_t>(c) * step);
-        const vid_t end = std::min<vid_t>(n, begin + step);
-        for (vid_t u = begin; u < end; ++u) {
-          const std::size_t uu = static_cast<std::size_t>(u);
-          if (locked[uu]) continue;
-          if (active != nullptr && active[uu] == 0) continue;
-          if (ed[uu] == 0 || ed[uu] < id[uu]) continue;
-          const part_t from = part[uu];
-          const vwt_t wv = g.vertex_weight(u);
-          const vwt_t from_w = frozen[static_cast<std::size_t>(from)];
-          const vwt_t lightest_other = from == lightest ? light_else : min_light;
-          if (from_w - wv < min_part_weight ||
-              wv > (from == roomiest ? room_else : max_room) ||
-              (ed[uu] == id[uu] && lightest_other + wv >= from_w)) {
-            continue;
-          }
-          const int num_touched = gather(g, part, u, conn.data(), touched.data());
-          ++res.gathers;
-          res.gathered_arcs += g.degree(u);
-          const ewt_t internal = conn[static_cast<std::size_t>(from)];
-          part_t best = from;
-          ewt_t best_gain = 0;
-          vwt_t best_w = 0;
-          for (int t = 0; t < num_touched; ++t) {
-            const part_t p = touched[static_cast<std::size_t>(t)];
-            if (p == from) continue;
-            const vwt_t pw = frozen[static_cast<std::size_t>(p)];
-            if (pw + wv > max_part_weight) continue;
-            const ewt_t gain = conn[static_cast<std::size_t>(p)] - internal;
-            if (gain < 0) continue;
-            if (gain == 0 && pw + wv >= from_w) continue;
-            if (best == from || gain > best_gain ||
-                (gain == best_gain && (pw < best_w || (pw == best_w && p < best)))) {
-              best = p;
-              best_gain = gain;
-              best_w = pw;
-            }
-          }
-          clear(conn.data(), touched.data(), num_touched);
-          if (best != from) cands.emplace_back(u, best);
+      for (vid_t u = 0; u < n; ++u) {
+        const std::size_t uu = static_cast<std::size_t>(u);
+        if (locked[uu]) continue;
+        if (active != nullptr && active[uu] == 0) continue;
+        if (ed[uu] == 0 || ed[uu] < id[uu]) continue;
+        const part_t from = part[uu];
+        const vwt_t wv = g.vertex_weight(u);
+        const vwt_t from_w = frozen[static_cast<std::size_t>(from)];
+        const vwt_t lightest_other = from == lightest ? light_else : min_light;
+        if (from_w - wv < min_part_weight ||
+            wv > (from == roomiest ? room_else : max_room) ||
+            (ed[uu] == id[uu] && lightest_other + wv >= from_w)) {
+          continue;
         }
+        const int num_touched = gather(g, part, u, conn.data(), touched.data());
+        ++res.gathers;
+        res.gathered_arcs += g.degree(u);
+        const ewt_t internal = conn[static_cast<std::size_t>(from)];
+        part_t best = from;
+        ewt_t best_gain = 0;
+        vwt_t best_w = 0;
+        for (int t = 0; t < num_touched; ++t) {
+          const part_t p = touched[static_cast<std::size_t>(t)];
+          if (p == from) continue;
+          const vwt_t pw = frozen[static_cast<std::size_t>(p)];
+          if (pw + wv > max_part_weight) continue;
+          const ewt_t gain = conn[static_cast<std::size_t>(p)] - internal;
+          if (gain < 0) continue;
+          if (gain == 0 && pw + wv >= from_w) continue;
+          if (best == from || gain > best_gain ||
+              (gain == best_gain && (pw < best_w || (pw == best_w && p < best)))) {
+            best = p;
+            best_gain = gain;
+            best_w = pw;
+          }
+        }
+        clear(conn.data(), touched.data(), num_touched);
+        if (best != from) cands.emplace_back(u, best);
       }
       res.proposals += static_cast<vid_t>(cands.size());
 
@@ -253,40 +244,30 @@ std::vector<std::pair<std::string, Graph>> oracle_graphs() {
   return out;
 }
 
-/// Every pool size the engine must be invariant to, a null pool first.
-struct Pools {
-  ThreadPool p1{1}, p2{2}, p4{4}, p8{8};
-  std::vector<ThreadPool*> all() { return {nullptr, &p1, &p2, &p4, &p8}; }
-};
-
-std::string tag_of(const std::string& name, part_t k, ThreadPool* pool) {
-  return name + " k=" + std::to_string(k) +
-         " threads=" + std::to_string(pool ? pool->num_threads() : 0);
+std::string tag_of(const std::string& name, part_t k) {
+  return name + " k=" + std::to_string(k);
 }
 
 TEST(KwayRefineOracleTest, IdenticalToFullSweepOnEveryPoolSize) {
-  Pools pools;
   std::int64_t gathers = 0, ref_gathers = 0;
   for (const auto& [name, g] : oracle_graphs()) {
     for (part_t k : {2, 8, 64}) {
+      const std::string tag = tag_of(name, k);
       const Case c = make_case(g, k, 7 + static_cast<std::uint64_t>(k));
       Case want = c;
       const KwayRefineResult ref = full_sweep_refine(
           g, want.part, k, want.pwgts, want.ceiling, want.floor, want.max_passes,
           nullptr);
-      EXPECT_GT(ref.moves, 0) << name << " k=" << k;
-      for (ThreadPool* pool : pools.all()) {
-        const std::string tag = tag_of(name, k, pool);
-        Case got = c;
-        KwayRefineWorkspace ws;
-        const KwayRefineResult r = kway_parallel_refine(
-            g, got.part, k, got.pwgts, got.ceiling, got.floor, got.max_passes, pool, ws);
-        EXPECT_EQ(got.part, want.part) << tag;
-        EXPECT_EQ(got.pwgts, want.pwgts) << tag;
-        expect_same_run(r, ref, tag);
-        gathers += r.gathers;
-        ref_gathers += ref.gathers;
-      }
+      EXPECT_GT(ref.moves, 0) << tag;
+      Case got = c;
+      KwayRefineWorkspace ws;
+      const KwayRefineResult r = kway_refine(g, got.part, k, got.pwgts, got.ceiling,
+                                             got.floor, got.max_passes, ws);
+      EXPECT_EQ(got.part, want.part) << tag;
+      EXPECT_EQ(got.pwgts, want.pwgts) << tag;
+      expect_same_run(r, ref, tag);
+      gathers += r.gathers;
+      ref_gathers += ref.gathers;
     }
   }
   // The flags must skip something, or this suite tests nothing.
@@ -294,7 +275,6 @@ TEST(KwayRefineOracleTest, IdenticalToFullSweepOnEveryPoolSize) {
 }
 
 TEST(KwayRefineOracleTest, ActiveMaskIdenticalToFullSweep) {
-  Pools pools;
   for (const auto& [name, g] : oracle_graphs()) {
     const part_t k = 8;
     const Case c = make_case(g, k, 3);
@@ -305,25 +285,22 @@ TEST(KwayRefineOracleTest, ActiveMaskIdenticalToFullSweep) {
     std::vector<char> want_mask = mask;
     const KwayRefineResult ref = full_sweep_refine(
         g, want.part, k, want.pwgts, want.ceiling, want.floor, 4, want_mask.data());
-    for (ThreadPool* pool : pools.all()) {
-      const std::string tag = tag_of(name, k, pool);
-      Case got = c;
-      std::vector<char> got_mask = mask;
-      KwayRefineWorkspace ws;
-      const KwayRefineResult r = kway_parallel_refine_active(
-          g, got.part, k, got.pwgts, got.ceiling, got.floor, 4, pool, ws, got_mask);
-      EXPECT_EQ(got.part, want.part) << tag;
-      EXPECT_EQ(got.pwgts, want.pwgts) << tag;
-      EXPECT_EQ(got_mask, want_mask) << tag;
-      expect_same_run(r, ref, tag);
-    }
+    const std::string tag = tag_of(name, k);
+    Case got = c;
+    std::vector<char> got_mask = mask;
+    KwayRefineWorkspace ws;
+    const KwayRefineResult r = kway_refine(g, got.part, k, got.pwgts, got.ceiling,
+                                           got.floor, 4, ws, got_mask);
+    EXPECT_EQ(got.part, want.part) << tag;
+    EXPECT_EQ(got.pwgts, want.pwgts) << tag;
+    EXPECT_EQ(got_mask, want_mask) << tag;
+    expect_same_run(r, ref, tag);
   }
 }
 
 TEST(KwayRefineOracleTest, TwoWaySinglePassIdenticalToFullSweep) {
   // k=2, one pass, no floor, and one ceiling a little above 55% of the
   // weight.
-  Pools pools;
   for (const auto& [name, g] : oracle_graphs()) {
     Case c = make_case(g, 2, 5);
     const vwt_t total = g.total_vertex_weight();
@@ -333,16 +310,14 @@ TEST(KwayRefineOracleTest, TwoWaySinglePassIdenticalToFullSweep) {
     Case want = c;
     const KwayRefineResult ref = full_sweep_refine(
         g, want.part, 2, want.pwgts, want.ceiling, want.floor, want.max_passes, nullptr);
-    for (ThreadPool* pool : pools.all()) {
-      const std::string tag = tag_of(name, 2, pool);
-      Case got = c;
-      KwayRefineWorkspace ws;
-      const KwayRefineResult r = kway_parallel_refine(
-          g, got.part, 2, got.pwgts, got.ceiling, got.floor, got.max_passes, pool, ws);
-      EXPECT_EQ(got.part, want.part) << tag;
-      EXPECT_EQ(got.pwgts, want.pwgts) << tag;
-      expect_same_run(r, ref, tag);
-    }
+    const std::string tag = tag_of(name, 2);
+    Case got = c;
+    KwayRefineWorkspace ws;
+    const KwayRefineResult r = kway_refine(g, got.part, 2, got.pwgts, got.ceiling,
+                                           got.floor, got.max_passes, ws);
+    EXPECT_EQ(got.part, want.part) << tag;
+    EXPECT_EQ(got.pwgts, want.pwgts) << tag;
+    expect_same_run(r, ref, tag);
   }
 }
 
@@ -352,23 +327,21 @@ TEST(KwayRefineOracleTest, WarmWorkspaceWithStaleFlagsMatchesFreshOne) {
   // them.
   const Graph g = circuit(3000, 4);
   const part_t k = 16;
-  ThreadPool pool(4);
   KwayRefineWorkspace warm;
   Case first = make_case(g, k, 21);
-  kway_parallel_refine(g, first.part, k, first.pwgts, first.ceiling, first.floor,
-                       first.max_passes, &pool, warm);
+  kway_refine(g, first.part, k, first.pwgts, first.ceiling, first.floor,
+              first.max_passes, warm);
   ASSERT_TRUE(std::count(warm.stuck.begin(), warm.stuck.end(), char{1}) > 0)
       << "the first call must leave flags behind for this case to test anything";
 
   const Case second = make_case(g, k, 22);
   Case want = second;
   KwayRefineWorkspace fresh;
-  const KwayRefineResult ref = kway_parallel_refine(
-      g, want.part, k, want.pwgts, want.ceiling, want.floor, want.max_passes, &pool,
-      fresh);
+  const KwayRefineResult ref = kway_refine(g, want.part, k, want.pwgts, want.ceiling,
+                                           want.floor, want.max_passes, fresh);
   Case got = second;
-  const KwayRefineResult r = kway_parallel_refine(
-      g, got.part, k, got.pwgts, got.ceiling, got.floor, got.max_passes, &pool, warm);
+  const KwayRefineResult r = kway_refine(g, got.part, k, got.pwgts, got.ceiling,
+                                         got.floor, got.max_passes, warm);
   EXPECT_EQ(got.part, want.part);
   EXPECT_EQ(got.pwgts, want.pwgts);
   expect_same_run(r, ref, "warm");

@@ -1,8 +1,8 @@
 // Unit tests for the propose/commit engine (refine/kway_refine.*) at k=2:
 // one floorless pass under a single ceiling, the shape BM_ParallelRefine
-// times.  Pool-size invariance, a monotone cut under the ceiling,
-// move-at-most-once semantics, round accounting, degenerate inputs, and
-// warm-workspace safety.  Two-way refinement itself (refine_bisection)
+// times.  Repeatability, a monotone cut under the ceiling, move-at-most-once
+// semantics, round accounting, degenerate inputs, and warm-workspace
+// safety.  Two-way refinement itself (refine_bisection)
 // always runs sequential KL; these cases exercise the engine directly.
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "initpart/bisection_state.hpp"
 #include "refine/kway_refine.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 
 namespace mgp {
 namespace {
@@ -43,41 +42,39 @@ vwt_t ceiling_of(const Graph& g, const Bisection& b) {
 }
 
 /// One floorless pass of the engine at k=2; keeps b.cut current.
-KwayRefineResult refine_two_way(const Graph& g, Bisection& b, ThreadPool* pool,
+KwayRefineResult refine_two_way(const Graph& g, Bisection& b,
                                 KwayRefineWorkspace& ws) {
   const KwayRefineResult r =
-      kway_parallel_refine(g, b.side, 2, b.part_weight, ceiling_of(g, b), 0, 1, pool, ws);
+      kway_refine(g, b.side, 2, b.part_weight, ceiling_of(g, b), 0, 1, ws);
   b.cut -= r.cut_reduction;
   return r;
 }
 
-KwayRefineResult refine_two_way(const Graph& g, Bisection& b, ThreadPool* pool) {
+KwayRefineResult refine_two_way(const Graph& g, Bisection& b) {
   KwayRefineWorkspace ws;
-  return refine_two_way(g, b, pool, ws);
+  return refine_two_way(g, b, ws);
 }
 
 TEST(ParallelRefineTest, ByteIdenticalAcrossPoolSizes) {
+  // The refiner takes no pool, so this checks that a repeated call on the
+  // same input repeats every byte and counter.
   const Graph g = fem2d_tri(40, 40, 5);
   const Bisection start = random_bisection(g, 11);
 
   Bisection reference = start;
-  const KwayRefineResult ref = refine_two_way(g, reference, nullptr);
+  const KwayRefineResult ref = refine_two_way(g, reference);
   ASSERT_EQ(check_bisection(g, reference), "");
   EXPECT_GT(ref.moves, 0);  // a random start must be improvable
-  for (int threads : {1, 2, 4, 8}) {
-    ThreadPool pool(threads);
-    Bisection b = start;
-    const KwayRefineResult r = refine_two_way(g, b, &pool);
-    EXPECT_EQ(b.side, reference.side) << "threads=" << threads;
-    EXPECT_EQ(b.cut, reference.cut) << "threads=" << threads;
-    EXPECT_EQ(r.moves, ref.moves) << "threads=" << threads;
-    EXPECT_EQ(r.rounds, ref.rounds) << "threads=" << threads;
-    EXPECT_EQ(r.conflict_rejects, ref.conflict_rejects) << "threads=" << threads;
-  }
+  Bisection b = start;
+  const KwayRefineResult r = refine_two_way(g, b);
+  EXPECT_EQ(b.side, reference.side);
+  EXPECT_EQ(b.cut, reference.cut);
+  EXPECT_EQ(r.moves, ref.moves);
+  EXPECT_EQ(r.rounds, ref.rounds);
+  EXPECT_EQ(r.conflict_rejects, ref.conflict_rejects);
 }
 
 TEST(ParallelRefineTest, NeverWorsensCutAndRespectsBalanceBound) {
-  ThreadPool pool(4);
   for (std::uint64_t seed : {1u, 7u, 23u}) {
     for (const auto& [name, g] :
          {std::pair<std::string, Graph>{"fem2d", fem2d_tri(24, 24, seed)},
@@ -88,7 +85,7 @@ TEST(ParallelRefineTest, NeverWorsensCutAndRespectsBalanceBound) {
       const vwt_t ceiling = ceiling_of(g, b);
       const std::vector<part_t> side_before = b.side;
 
-      const KwayRefineResult r = refine_two_way(g, b, &pool);
+      const KwayRefineResult r = refine_two_way(g, b);
 
       ASSERT_EQ(check_bisection(g, b), "") << name;  // weights kept current
       EXPECT_LE(b.cut, cut_before) << name << ": refiner worsened the cut";
@@ -108,8 +105,7 @@ TEST(ParallelRefineTest, RoundAccountingIsConsistent) {
   const ewt_t cut_before = b.cut;
   const std::vector<part_t> side_before = b.side;
 
-  ThreadPool pool(4);
-  const KwayRefineResult r = refine_two_way(g, b, &pool);
+  const KwayRefineResult r = refine_two_way(g, b);
 
   // One pass, run as one or more propose/commit rounds; every proposal is
   // either committed or rejected at commit.
@@ -121,11 +117,10 @@ TEST(ParallelRefineTest, RoundAccountingIsConsistent) {
 }
 
 TEST(ParallelRefineTest, DegenerateInputs) {
-  ThreadPool pool(4);
   // Empty graph: no work, no crash.
   Graph empty;
   Bisection be;
-  const KwayRefineResult r0 = refine_two_way(empty, be, &pool);
+  const KwayRefineResult r0 = refine_two_way(empty, be);
   EXPECT_EQ(r0.moves, 0);
   EXPECT_EQ(r0.rounds, 0);
 
@@ -137,34 +132,33 @@ TEST(ParallelRefineTest, DegenerateInputs) {
   }
   Bisection b = make_bisection(g, side);
   const ewt_t cut_before = b.cut;
-  const KwayRefineResult r = refine_two_way(g, b, &pool);
+  const KwayRefineResult r = refine_two_way(g, b);
   EXPECT_LE(b.cut, cut_before);
   EXPECT_EQ(check_bisection(g, b), "");
   EXPECT_GE(r.rounds, 1);
 }
 
 TEST(ParallelRefineTest, WarmWorkspaceFromLargerGraphIsSafeOnSmallGraph) {
-  // Regression: with 16 fixed propose chunks, a graph with n <= 225 has
-  // step * 16 > n, so trailing chunks are empty and parallel_for_chunks
-  // never runs their bodies.  A workspace still warm from a larger graph
-  // must not leak its old per-chunk proposal counts into the commit pass
-  // (stale candidate ids can be >= n — out-of-bounds).
-  ThreadPool pool(4);
+  // Regression: a workspace still warm from a larger graph holds that
+  // graph's proposal list, flags and degrees.  None of it may leak into a
+  // call on a smaller graph (stale candidate ids can be >= n — out of
+  // bounds).  The propose sweep once ran in 16 fixed chunks and the commit
+  // pass read every chunk's count, so an empty trailing chunk (n <= 225)
+  // kept the larger graph's count.
   KwayRefineWorkspace ws;
   {
-    // Populate every chunk's count with something large.
     const Graph big = fem2d_tri(40, 40, 5);
     Bisection b = random_bisection(big, 11);
-    refine_two_way(big, b, &pool, ws);
+    refine_two_way(big, b, ws);
   }
-  const Graph small = grid2d(7, 7);  // n = 49: chunks 13..15 are empty
+  const Graph small = grid2d(7, 7);
   ASSERT_LE(small.num_vertices(), 225);
   const Bisection start = random_bisection(small, 3);
 
   Bisection fresh = start;
-  const KwayRefineResult fresh_r = refine_two_way(small, fresh, &pool);
+  const KwayRefineResult fresh_r = refine_two_way(small, fresh);
   Bisection warm = start;
-  const KwayRefineResult warm_r = refine_two_way(small, warm, &pool, ws);
+  const KwayRefineResult warm_r = refine_two_way(small, warm, ws);
 
   ASSERT_EQ(check_bisection(small, warm), "");
   EXPECT_EQ(warm.side, fresh.side);
@@ -175,13 +169,12 @@ TEST(ParallelRefineTest, WarmWorkspaceFromLargerGraphIsSafeOnSmallGraph) {
 
 TEST(ParallelRefineTest, WarmWorkspaceIsByteIdenticalToFresh) {
   const Graph g = fem2d_tri(28, 28, 2);
-  ThreadPool pool(2);
   KwayRefineWorkspace ws;
   for (int run = 0; run < 3; ++run) {
     Bisection fresh = random_bisection(g, 31);
     Bisection warm = fresh;
-    refine_two_way(g, fresh, &pool);
-    refine_two_way(g, warm, &pool, ws);
+    refine_two_way(g, fresh);
+    refine_two_way(g, warm, ws);
     ASSERT_EQ(warm.side, fresh.side) << "run " << run;
     ASSERT_EQ(warm.cut, fresh.cut) << "run " << run;
   }

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <semaphore>
@@ -504,6 +505,112 @@ TEST(ServerLoopbackTest, FinishedConnectionThreadsAreReaped) {
   EXPECT_TRUE(bounded) << "slots: " << server.connection_slots();
 }
 
+std::int64_t requests_served(Server& server) {
+  return server.metrics().snapshot().counter_value("server.requests");
+}
+
+/// A whole PARTITION_REQUEST frame, header included, for tests that put it
+/// on the wire piece by piece.
+std::vector<std::uint8_t> partition_request_frame(const Graph& g,
+                                                  const RequestOptions& opts) {
+  std::vector<std::uint8_t> payload;
+  encode_partition_request(g, opts, payload);
+  FrameHeader h;
+  h.type = MsgType::kPartitionRequest;
+  h.payload_len = static_cast<std::uint32_t>(payload.size());
+  std::vector<std::uint8_t> frame(kFrameHeaderBytes);
+  encode_frame_header(h, frame.data());
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  return frame;
+}
+
+TEST(ServerLoopbackTest, TornFrameFromADisconnectedClientIsDropped) {
+  // A client declares a whole request in its frame header, sends half the
+  // payload and disconnects.  The daemon must drop the torn frame without
+  // counting a request, release the connection's slot, and keep serving.
+  ServerConfig cfg;
+  cfg.unix_path = socket_path("torn");
+  Server server(cfg);
+  std::string err;
+  ASSERT_TRUE(server.start(err)) << err;
+  ServerGuard guard(server);
+
+  const Graph g = grid2d(32, 32);  // the size of data/ci_smoke.graph
+  RequestOptions opts;
+  opts.k = 8;
+  const std::vector<std::uint8_t> frame = partition_request_frame(g, opts);
+  {
+    Fd fd = connect_unix(cfg.unix_path, err);
+    ASSERT_TRUE(fd.valid()) << err;
+    ASSERT_TRUE(send_all(fd.get(), frame.data(), frame.size() / 2));
+    // Hold the connection until the daemon has accepted it.
+    for (int i = 0; i < 1000 && server.connection_slots() == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(server.connection_slots(), 1u);
+  }  // disconnect mid-frame
+
+  // Each accept reaps finished connections, so probes bring the count back
+  // to the probe's own slot once the torn connection's thread has ended.
+  bool reaped = false;
+  for (int attempt = 0; attempt < 200 && !reaped; ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    Client probe = Client::connect_unix(cfg.unix_path, err);
+    ASSERT_TRUE(probe.connected()) << err;
+    std::string json;
+    ASSERT_TRUE(probe.stats(json, err)) << err;
+    reaped = server.connection_slots() <= 1;
+  }
+  EXPECT_TRUE(reaped) << "slots: " << server.connection_slots();
+  EXPECT_EQ(requests_served(server), 0);
+
+  Client client = Client::connect_unix(cfg.unix_path, err);
+  ASSERT_TRUE(client.connected()) << err;
+  const PartitionOutcome out = client.partition(g, opts);
+  ASSERT_TRUE(out.ok()) << out.error;
+  const KwayResult expect = offline(g, opts.k, opts.seed);
+  EXPECT_EQ(out.part, expect.part);
+  EXPECT_EQ(out.edge_cut, expect.edge_cut);
+  EXPECT_EQ(requests_served(server), 1);
+}
+
+TEST(ServerLoopbackTest, SlowWriterIsAnsweredCorrectly) {
+  // A valid request trickles in as small pieces with pauses between them;
+  // the daemon must assemble the frame and answer it like any other.
+  ServerConfig cfg;
+  cfg.unix_path = socket_path("slow");
+  Server server(cfg);
+  std::string err;
+  ASSERT_TRUE(server.start(err)) << err;
+  ServerGuard guard(server);
+
+  const Graph g = grid2d(32, 32);
+  RequestOptions opts;
+  opts.k = 8;
+  const std::vector<std::uint8_t> frame = partition_request_frame(g, opts);
+
+  Fd fd = connect_unix(cfg.unix_path, err);
+  ASSERT_TRUE(fd.valid()) << err;
+  constexpr std::size_t kPiece = 1000;
+  ASSERT_GT(frame.size(), 10 * kPiece);
+  for (std::size_t at = 0; at < frame.size(); at += kPiece) {
+    const std::size_t len = std::min(kPiece, frame.size() - at);
+    ASSERT_TRUE(send_all(fd.get(), frame.data() + at, len));
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+
+  FrameHeader rh;
+  std::vector<std::uint8_t> reply;
+  ASSERT_EQ(read_frame(fd.get(), rh, reply, 1 << 24), ReadFrameResult::kOk);
+  ASSERT_EQ(rh.type, MsgType::kPartitionResponse);
+  const KwayResult expect = offline(g, opts.k, opts.seed);
+  std::vector<std::uint8_t> want;
+  encode_partition_response(expect.part, opts.k, expect.edge_cut, /*cache_hit=*/false,
+                            want);
+  EXPECT_EQ(reply, want);
+  EXPECT_EQ(requests_served(server), 1);
+}
+
 TEST(ServerLoopbackTest, MalformedPayloadAnswersBadRequest) {
   ServerConfig cfg;
   cfg.unix_path = socket_path("badreq");
@@ -662,7 +769,7 @@ TEST(ServerLoopbackTest, PinDeltaMatchesOfflineTwin) {
     std::swap(g, spare);
     dynamic::repartition_after_delta(g, kParts, icfg, kSeed, state,
                                      res.fingerprint, scratch.touched,
-                                     res.churn_ratio, iws, &bws, nullptr);
+                                     res.churn_ratio, iws, &bws);
 
     ASSERT_EQ(out.fingerprint, res.fingerprint) << "batch " << bi;
     ASSERT_EQ(out.part, state.part) << "labelling diverged at batch " << bi;

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <mutex>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -44,44 +42,6 @@ TEST(ThreadPoolTest, ExceptionPropagatesThroughFuture) {
 
 class ThreadPoolSizeTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(ThreadPoolSizeTest, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(GetParam());
-  for (vid_t n : {vid_t{0}, vid_t{1}, vid_t{7}, vid_t{64}, vid_t{1000}}) {
-    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
-    pool.parallel_for_chunks(n, pool.num_threads(), [&](int, vid_t begin, vid_t end) {
-      for (vid_t i = begin; i < end; ++i) {
-        hits[static_cast<std::size_t>(i)].fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-    for (vid_t i = 0; i < n; ++i) {
-      ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
-          << "n=" << n << " i=" << i << " threads=" << GetParam();
-    }
-  }
-}
-
-TEST_P(ThreadPoolSizeTest, ChunkBoundariesAreAPureFunctionOfNAndChunks) {
-  // The deterministic static partitioning contract: chunk c covers
-  // [c*ceil(n/chunks), min(n, (c+1)*ceil(n/chunks))) regardless of pool size.
-  ThreadPool pool(GetParam());
-  const vid_t n = 103;
-  const int chunks = 5;
-  const vid_t step = (n + chunks - 1) / chunks;
-  std::vector<std::pair<vid_t, vid_t>> ranges(chunks, {-1, -1});
-  std::mutex mu;
-  pool.parallel_for_chunks(n, chunks, [&](int c, vid_t begin, vid_t end) {
-    std::lock_guard<std::mutex> lock(mu);
-    ranges[static_cast<std::size_t>(c)] = {begin, end};
-  });
-  for (int c = 0; c < chunks; ++c) {
-    const vid_t begin = std::min<vid_t>(n, static_cast<vid_t>(c) * step);
-    const vid_t end = std::min<vid_t>(n, begin + step);
-    if (begin >= end) continue;  // empty trailing chunk never runs
-    EXPECT_EQ(ranges[static_cast<std::size_t>(c)].first, begin);
-    EXPECT_EQ(ranges[static_cast<std::size_t>(c)].second, end);
-  }
-}
-
 TEST_P(ThreadPoolSizeTest, ManySmallTasksAllComplete) {
   ThreadPool pool(GetParam());
   std::atomic<int> done{0};
@@ -108,20 +68,6 @@ TEST(ThreadPoolTest, NestedForkJoinDoesNotDeadlock) {
   // creates far more simultaneous joins than workers.
   ThreadPool pool(2);
   EXPECT_EQ(parallel_fib(pool, 14), 377);
-}
-
-TEST(ThreadPoolTest, NestedParallelForInsideTask) {
-  ThreadPool pool(4);
-  std::atomic<long> sum{0};
-  auto fut = pool.submit([&]() {
-    pool.parallel_for_chunks(100, pool.num_threads(), [&](int, vid_t begin, vid_t end) {
-      long local = 0;
-      for (vid_t i = begin; i < end; ++i) local += i;
-      sum.fetch_add(local);
-    });
-  });
-  pool.wait_help(fut);
-  EXPECT_EQ(sum.load(), 4950);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsOutstandingTasks) {
