@@ -70,10 +70,12 @@ void write_coarsen_json(const std::string& path, const Graph& g, vid_t gen_nx,
                "  \"num_edges\": %lld,\n"
                "  \"k\": %d,\n"
                "  \"seed\": %llu,\n"
+               "  \"host\": %s,\n"
                "  \"counting_allocator\": %s,\n"
                "  \"rows\": [\n",
                gen_nx, g.num_vertices(), static_cast<long long>(g.num_edges()),
                static_cast<int>(k), static_cast<unsigned long long>(seed),
+               host_json().c_str(),
                mgp::testing::counting_allocator_active() ? "true" : "false");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SRow& r = rows[i];

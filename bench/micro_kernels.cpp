@@ -125,7 +125,7 @@ void BM_ParallelMatching(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelMatching);
 
-/// The k-way propose/commit engine at k=2: one floorless pass under one
+/// The k-way refiner at k=2: one floorless pass under one
 /// ceiling, the heavier entry side or target0 plus one maximum vertex
 /// weight.  Keeps b.cut current; draws no randomness.
 void two_way_refine(const Graph& g, Bisection& b, vwt_t target0,
@@ -140,10 +140,7 @@ void two_way_refine(const Graph& g, Bisection& b, vwt_t target0,
 }
 
 void BM_ParallelRefine(benchmark::State& state) {
-  // Round-synchronous propose/commit boundary refinement on the calling
-  // thread.  The Arg is a retired thread count: the refiner takes no pool,
-  // and the three rows stay only so that their names match the committed
-  // BENCH_refine.json baseline.
+  // Move-on-sight k-way boundary refinement at k=2 from a random start.
   const Graph& g = bench_graph();
   const vid_t n = g.num_vertices();
   const vwt_t target0 = g.total_vertex_weight() / 2;
@@ -164,7 +161,7 @@ void BM_ParallelRefine(benchmark::State& state) {
   state.counters["final_cut"] = static_cast<double>(cut);
   state.SetItemsProcessed(state.iterations() * g.num_arcs());
 }
-BENCHMARK(BM_ParallelRefine)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_ParallelRefine);
 
 void BM_ParallelRefineWorkspace(benchmark::State& state) {
   // Steady-state allocation audit of the k-way refiner: any counted

@@ -10,7 +10,9 @@ JSON Schema the checked-in schema uses:
 Beyond the schema, a handful of cross-field invariants that a type system
 cannot express are checked directly (weight conservation across levels,
 utime_s = itime_s + rtime_s + ptime_s, initial_cut present among the
-candidate cuts, histogram counts summing to count).
+candidate cuts, histogram counts summing to count, and each kway_direct
+field equal to the counter it mirrors: levels to kway.direct.levels,
+refine_rounds to refine.kway_rounds, gathers to refine.kway_gathers).
 
 A phase the run performed must also have been timed: ctime_s > 0 when the
 metrics count coarsening levels (pipeline.coarsen_levels +
@@ -90,6 +92,14 @@ def validate(value, schema, path, errors):
             validate(item, schema["items"], f"{path}[{i}]", errors)
 
 
+# The report's kway_direct fields and the metrics counters they mirror.
+KWAY_DIRECT_COUNTERS = {
+    "levels": "kway.direct.levels",
+    "refine_rounds": "refine.kway_rounds",
+    "gathers": "refine.kway_gathers",
+}
+
+
 def check_invariants(report, errors):
     """Cross-field consistency the schema's types cannot express."""
     pt = report.get("phase_times", {})
@@ -128,6 +138,14 @@ def check_invariants(report, errors):
                     errors.append(
                         f"{bp}.levels[{li + 1}]: coarser level did not shrink "
                         f"({lv.get('vertices')} -> {nxt.get('vertices')})")
+
+    counters = report.get("metrics", {}).get("counters", {})
+    for field, counter in KWAY_DIRECT_COUNTERS.items():
+        value = report.get("kway_direct", {}).get(field)
+        if value is not None and value != counters.get(counter, 0):
+            errors.append(
+                f"$.kway_direct.{field}: {value} but counter {counter} = "
+                f"{counters.get(counter, 0)}")
 
     hists = report.get("metrics", {}).get("histograms", {})
     for name, h in hists.items():

@@ -14,8 +14,8 @@
 
 namespace mgp {
 
-/// Unlock passes of k-way refinement per level (each pass runs
-/// propose/commit rounds to quiescence; stops early on no gain).
+/// Unlock passes of k-way refinement per level (each pass sweeps until a
+/// sweep moves nothing; stops early on no gain).
 constexpr int kMaxRefinePasses = 8;
 
 void KwayDirectConfig::validate(part_t k) const {
@@ -146,7 +146,6 @@ KwayRefineResult kway_refine_level(const Graph& g, part_t k, double imbalance,
   if (ob) {
     ob->metrics.add(ob->pipeline.kway_rounds, rr.rounds);
     ob->metrics.add(ob->pipeline.kway_gathers, rr.gathers);
-    ob->metrics.add(ob->pipeline.kway_conflict_rejects, rr.conflict_rejects);
   }
   return rr;
 }

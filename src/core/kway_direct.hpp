@@ -13,7 +13,7 @@
 //   * initial partitioning: recursive bisection (the paper's algorithm) on
 //     the tiny coarsest graph, via the sequential kway_partition_into
 //     recursion;
-//   * refinement: deterministic k-way propose/commit refinement
+//   * refinement: deterministic sequential k-way local search
 //     (refine/kway_refine.*) at every level of the single uncoarsening
 //     sweep, honouring a per-part balance ceiling and a uniform minimum
 //     part-weight floor.
@@ -99,9 +99,9 @@ ewt_t kway_partition_direct_into(const Graph& g, part_t k,
 /// come from `g` itself: a ceiling of total/k * (1 + imbalance) plus the
 /// heaviest vertex, a floor of max(1, total/k/2).  Runs kway_balance, then
 /// kway_refine, restricted to `active` when it has one entry per vertex and
-/// unrestricted otherwise; with `ob` attached, adds
-/// the refiner's rounds, gathers and conflict rejects to the kway_*
-/// counters.  `pwgts` must hold the labelling's part weights.
+/// unrestricted otherwise; with `ob` attached, adds the refiner's sweeps
+/// and gathers to the kway_* counters.  `pwgts` must hold the labelling's
+/// part weights.
 KwayRefineResult kway_refine_level(const Graph& g, part_t k, double imbalance,
                                    int max_passes, std::span<part_t> part,
                                    std::span<vwt_t> pwgts,

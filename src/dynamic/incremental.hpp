@@ -83,7 +83,7 @@ struct RepartitionResult {
   ewt_t cut = 0;
   bool from_scratch = false;
   Reason reason = Reason::kIncremental;
-  int refine_rounds = 0;  ///< propose/commit rounds of the warm-start path
+  int refine_rounds = 0;  ///< refiner sweeps of the warm-start path
 };
 
 /// Repartitions the post-delta graph `g` into k parts, warm-starting from

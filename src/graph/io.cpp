@@ -1,5 +1,6 @@
 #include "graph/io.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -206,26 +207,19 @@ Graph read_matrix_market(std::istream& in) {
     if (i < 1 || i > rows || j < 1 || j > cols) fail(line_no, "index out of range");
     if (i != j) {
       vid_t u = static_cast<vid_t>(i - 1), v = static_cast<vid_t>(j - 1);
-      // Symmetric files store one triangle; general files may store both.
-      // GraphBuilder accumulates duplicates, so normalise to (min,max) and
-      // let build() merge — but merging would *sum* weights of (u,v) and
-      // (v,u) duplicates.  Since all weights are 1 here, clamp via a final
-      // unit-weight rebuild instead: record only u>j direction... simplest
-      // correct approach: add every off-diagonal once; duplicates merge to
-      // weight >= 1 and we reset weights to 1 afterwards.
+      // Symmetric files store one triangle; general files may store both,
+      // and build() sums the duplicates' weights, so they are reset to 1
+      // below.
       b.add_edge(u, v, 1);
     }
   }
   if (next_data_line(in, line, line_no)) {
     fail(line_no, "more entries than the size line declared");
   }
-  Graph g = std::move(b).build();
-  // Normalise accumulated duplicate weights back to unit weights.
-  std::vector<eid_t> xadj(g.xadj().begin(), g.xadj().end());
-  std::vector<vid_t> adjncy(g.adjncy().begin(), g.adjncy().end());
-  std::vector<vwt_t> vwgt(g.vwgt().begin(), g.vwgt().end());
-  std::vector<ewt_t> adjwgt(adjncy.size(), 1);
-  return Graph(std::move(xadj), std::move(adjncy), std::move(vwgt), std::move(adjwgt));
+  Graph::Storage st = std::move(b).build().take_storage();
+  std::fill(st.adjwgt.begin(), st.adjwgt.end(), ewt_t{1});
+  return Graph(std::move(st.xadj), std::move(st.adjncy), std::move(st.vwgt),
+               std::move(st.adjwgt));
 }
 
 Graph read_matrix_market_file(const std::string& path) {

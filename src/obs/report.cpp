@@ -161,8 +161,7 @@ void RunReport::write_json(std::ostream& os, const MetricsSnapshot* metrics) con
     w.begin_object();
     w.kv("levels", metrics->counter_value("kway.direct.levels"));
     w.kv("refine_rounds", metrics->counter_value("refine.kway_rounds"));
-    w.kv("conflict_rejects",
-         metrics->counter_value("refine.kway_conflict_rejects"));
+    w.kv("gathers", metrics->counter_value("refine.kway_gathers"));
     w.end_object();
   }
   w.key("bisections");
@@ -201,7 +200,6 @@ Obs::PipelineMetrics::PipelineMetrics(MetricsRegistry& reg)
       kway_direct_levels(reg.counter("kway.direct.levels")),
       kway_rounds(reg.counter("refine.kway_rounds")),
       kway_gathers(reg.counter("refine.kway_gathers")),
-      kway_conflict_rejects(reg.counter("refine.kway_conflict_rejects")),
       shrink_pct(reg.histogram("coarsen.shrink_pct",
                                {50, 55, 60, 65, 70, 75, 80, 85, 90, 95})),
       coarsen_strategy(reg.max_gauge("coarsen.strategy")),

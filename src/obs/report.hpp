@@ -139,9 +139,8 @@ struct Obs {
     MetricsRegistry::Id kl_early_exits;    ///< counter: window-terminated passes
     MetricsRegistry::Id queue_peak;        ///< max gauge: bucket-queue occupancy
     MetricsRegistry::Id kway_direct_levels;       ///< counter: direct-kway ladder levels
-    MetricsRegistry::Id kway_rounds;              ///< counter: k-way refine rounds
+    MetricsRegistry::Id kway_rounds;              ///< counter: k-way refine sweeps
     MetricsRegistry::Id kway_gathers;             ///< counter: k-way connectivity gathers
-    MetricsRegistry::Id kway_conflict_rejects;    ///< counter: k-way stale rejects
     MetricsRegistry::Id shrink_pct;        ///< histogram: coarse/fine * 100 per level
     MetricsRegistry::Id coarsen_strategy;  ///< max gauge: CoarsenStrategy last used
     MetricsRegistry::Id coarsen_ad_iters;  ///< counter: AD Jacobi sweeps performed

@@ -1,7 +1,6 @@
 #include "refine/kway_refine.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 
 #include "obs/trace.hpp"
@@ -9,9 +8,9 @@
 namespace mgp {
 namespace {
 
-/// Safety cap on propose/commit rounds per pass.  Termination is already
-/// guaranteed (every commit locks its vertex for the rest of the pass), but
-/// the tail rounds harvest next to nothing; the cap bounds the worst case
+/// Safety cap on sweeps per pass.  Termination is already guaranteed
+/// (every move locks its vertex for the rest of the pass), but the tail
+/// sweeps harvest next to nothing; the cap bounds the worst case
 /// deterministically.
 constexpr int kMaxRounds = 64;
 
@@ -36,9 +35,9 @@ void clear_conn(ewt_t* conn, const part_t* touched, int num_touched) {
 
 /// True iff a gathered table offers v no target of gain >= 0: no part other
 /// than `from` is joined to v by at least as much weight as `from` is.  Such
-/// a vertex cannot be proposed whatever the part weights, because negative
-/// gains are never admitted, and it stays that way until v or a neighbour
-/// changes label.
+/// a vertex cannot move whatever the part weights, because negative gains
+/// are never admitted, and it stays that way until v or a neighbour changes
+/// label.
 bool no_target(const ewt_t* conn, const part_t* touched, int num_touched,
                part_t from) {
   const ewt_t internal = conn[static_cast<std::size_t>(from)];
@@ -56,8 +55,7 @@ std::size_t vec_bytes(const auto& v) {
 }  // namespace
 
 std::size_t KwayRefineWorkspace::bytes_reserved() const {
-  return vec_bytes(frozen_pwgts) + vec_bytes(conn) + vec_bytes(touched) +
-         vec_bytes(cand) + vec_bytes(cand_to) + vec_bytes(locked) +
+  return vec_bytes(conn) + vec_bytes(touched) + vec_bytes(locked) +
          vec_bytes(stuck) + vec_bytes(ed) + vec_bytes(id) + vec_bytes(bal);
 }
 
@@ -76,7 +74,6 @@ KwayRefineResult kway_refine(const Graph& g, std::span<part_t> part, part_t k,
       active_mask.size() == static_cast<std::size_t>(n) ? active_mask.data() : nullptr;
 
   const std::size_t kk = static_cast<std::size_t>(k);
-  ws.frozen_pwgts.resize(kk);
   // Zeroed between vertices via the touched list, so only a fresh (cold or
   // regrown) workspace needs the explicit fill.
   if (ws.conn.size() < kk) {
@@ -85,8 +82,6 @@ KwayRefineResult kway_refine(const Graph& g, std::span<part_t> part, part_t k,
   }
   ewt_t* const conn = ws.conn.data();
   part_t* const touched = ws.touched.data();
-  ws.cand.resize(static_cast<std::size_t>(n));
-  ws.cand_to.resize(static_cast<std::size_t>(n));
   ws.locked.resize(static_cast<std::size_t>(n));
   // Stuck flags describe the labelling they were gathered from, so a call
   // never trusts flags left by an earlier one.
@@ -94,7 +89,7 @@ KwayRefineResult kway_refine(const Graph& g, std::span<part_t> part, part_t k,
   ws.ed.resize(static_cast<std::size_t>(n));
   ws.id.resize(static_cast<std::size_t>(n));
 
-  // External/internal degrees for the propose filter; commits keep them current.
+  // External/internal degrees for the sweep filter; moves keep them current.
   for (vid_t u = 0; u < n; ++u) {
     const part_t pu = part[static_cast<std::size_t>(u)];
     auto nbrs = g.neighbors(u);
@@ -107,6 +102,28 @@ KwayRefineResult kway_refine(const Graph& g, std::span<part_t> part, part_t k,
     ws.id[static_cast<std::size_t>(u)] = id;
   }
 
+  // Filter input: the lightest part, its weight, and the lightest weight of
+  // the others, so "the lightest part but u's own" (which also has the most
+  // room under the one ceiling) is O(1) per vertex.  Rescanned after every
+  // move, so the filter always sees the live weights.
+  part_t lightest = 0;
+  vwt_t min_light = 0, light_else = 0;
+  auto find_lightest = [&] {
+    lightest = 0;
+    for (part_t p = 1; p < k; ++p) {
+      if (pwgts[static_cast<std::size_t>(p)] <
+          pwgts[static_cast<std::size_t>(lightest)]) {
+        lightest = p;
+      }
+    }
+    min_light = pwgts[static_cast<std::size_t>(lightest)];
+    light_else = std::numeric_limits<vwt_t>::max();
+    for (part_t p = 0; p < k; ++p) {
+      if (p != lightest) light_else = std::min(light_else, pwgts[static_cast<std::size_t>(p)]);
+    }
+  };
+  find_lightest();
+
   for (int pass = 0; pass < max_passes; ++pass) {
     ++res.passes;
     std::fill(ws.locked.begin(), ws.locked.end(), char{0});
@@ -114,167 +131,106 @@ KwayRefineResult kway_refine(const Graph& g, std::span<part_t> part, part_t k,
 
     for (int round = 0; round < kMaxRounds; ++round) {
       ++res.rounds;
-      std::copy(pwgts.begin(), pwgts.end(), ws.frozen_pwgts.begin());
-      // Filter input for the propose sweep: the lightest part, plus the
-      // lightest of the others, so "the lightest part but u's own" (which
-      // also has the most room under the one ceiling) is O(1) per vertex.
-      part_t lightest = 0;
-      for (part_t p = 1; p < k; ++p) {
-        if (pwgts[static_cast<std::size_t>(p)] <
-            pwgts[static_cast<std::size_t>(lightest)]) {
-          lightest = p;
+      // One ascending sweep: each vertex is gathered once, against the
+      // labelling and part weights as earlier moves of this sweep left them,
+      // and moved at once if it has an admissible target.
+      vid_t moved = 0;
+      for (vid_t u = 0; u < n; ++u) {
+        const std::size_t uu = static_cast<std::size_t>(u);
+        if (ws.locked[uu] || ws.stuck[uu]) continue;
+        if (active != nullptr && active[uu] == 0) continue;
+        // Necessary conditions for any admissible move, checked in O(1)
+        // before the O(deg) connectivity scan: an external edge at least
+        // as heavy as the internal ones (every gain is at most ed - id),
+        // the source keeping its floor, room in some other part, and,
+        // when the best gain is 0, a lighter part elsewhere.
+        const ewt_t ed = ws.ed[uu], id = ws.id[uu];
+        if (ed == 0 || ed < id) continue;
+        const part_t from = part[uu];
+        const vwt_t wv = g.vertex_weight(u);
+        const vwt_t from_w = pwgts[static_cast<std::size_t>(from)];
+        const vwt_t lightest_other = from == lightest ? light_else : min_light;
+        if (from_w - wv < min_part_weight ||
+            lightest_other + wv > max_part_weight ||
+            (ed == id && lightest_other + wv >= from_w)) {
+          continue;
         }
-      }
-      vwt_t light_else = std::numeric_limits<vwt_t>::max();
-      for (part_t p = 0; p < k; ++p) {
-        if (p != lightest) {
-          light_else = std::min(light_else, pwgts[static_cast<std::size_t>(p)]);
-        }
-      }
-      const vwt_t min_light = pwgts[static_cast<std::size_t>(lightest)];
-
-      // --- Propose: one ascending sweep against the labelling and part
-      // weights frozen at round start, so the candidate list is in vertex
-      // order and no proposal sees another's effect.
-      vid_t proposals = 0;
-      {
-        obs::Span propose_span("refine.kway.propose");
-        for (vid_t u = 0; u < n; ++u) {
-          const std::size_t uu = static_cast<std::size_t>(u);
-          if (ws.locked[uu] || ws.stuck[uu]) continue;
-          if (active != nullptr && active[uu] == 0) continue;
-          // Necessary conditions for any admissible move, checked in O(1)
-          // before the O(deg) connectivity scan: an external edge at least
-          // as heavy as the internal ones (every gain is at most ed - id),
-          // the source keeping its floor, room in some other part, and,
-          // when the best gain is 0, a lighter part elsewhere.
-          const ewt_t ed = ws.ed[uu], id = ws.id[uu];
-          if (ed == 0 || ed < id) continue;
-          const part_t from = part[uu];
-          const vwt_t wv = g.vertex_weight(u);
-          const vwt_t from_w = ws.frozen_pwgts[static_cast<std::size_t>(from)];
-          const vwt_t lightest_other = from == lightest ? light_else : min_light;
-          if (from_w - wv < min_part_weight ||
-              lightest_other + wv > max_part_weight ||
-              (ed == id && lightest_other + wv >= from_w)) {
-            continue;
-          }
-          const int num_touched = gather_conn(g, part, u, conn, touched);
-          ++res.gathers;
-          res.gathered_arcs += g.degree(u);
-          if (no_target(conn, touched, num_touched, from)) {
-            ws.stuck[uu] = 1;
-            clear_conn(conn, touched, num_touched);
-            continue;
-          }
-          const ewt_t internal = conn[static_cast<std::size_t>(from)];
-          part_t best = from;
-          ewt_t best_gain = 0;
-          vwt_t best_w = 0;
-          for (int t = 0; t < num_touched; ++t) {
-            const part_t p = touched[t];
-            if (p == from) continue;
-            const vwt_t pw = ws.frozen_pwgts[static_cast<std::size_t>(p)];
-            if (pw + wv > max_part_weight) continue;
-            const ewt_t gain = conn[static_cast<std::size_t>(p)] - internal;
-            if (gain < 0) continue;
-            // Zero-gain moves are admitted only when they strictly improve
-            // balance: the cut never rises and the sum of squared part
-            // weights strictly falls, so (cut, imbalance) decreases
-            // lexicographically and rounds still terminate.
-            if (gain == 0 && pw + wv >= from_w) continue;
-            // Highest gain, then lighter frozen target, then lower part id:
-            // a total order over frozen state, so the chosen target never
-            // depends on the touched list's traversal order.
-            const bool take =
-                best == from || gain > best_gain ||
-                (gain == best_gain && (pw < best_w || (pw == best_w && p < best)));
-            if (take) {
-              best = p;
-              best_gain = gain;
-              best_w = pw;
-            }
-          }
+        const int num_touched = gather_conn(g, part, u, conn, touched);
+        ++res.gathers;
+        res.gathered_arcs += g.degree(u);
+        if (no_target(conn, touched, num_touched, from)) {
+          ws.stuck[uu] = 1;
           clear_conn(conn, touched, num_touched);
-          if (best != from) {
-            ws.cand[static_cast<std::size_t>(proposals)] = u;
-            ws.cand_to[static_cast<std::size_t>(proposals)] = best;
-            ++proposals;
+          continue;
+        }
+        const ewt_t internal = conn[static_cast<std::size_t>(from)];
+        part_t to = from;
+        ewt_t best_gain = 0;
+        vwt_t best_w = 0;
+        for (int t = 0; t < num_touched; ++t) {
+          const part_t p = touched[t];
+          if (p == from) continue;
+          const vwt_t pw = pwgts[static_cast<std::size_t>(p)];
+          if (pw + wv > max_part_weight) continue;
+          const ewt_t gain = conn[static_cast<std::size_t>(p)] - internal;
+          if (gain < 0) continue;
+          // Zero-gain moves are admitted only when they strictly improve
+          // balance: the cut never rises and the sum of squared part
+          // weights strictly falls, so (cut, imbalance) decreases
+          // lexicographically and sweeps still terminate.
+          if (gain == 0 && pw + wv >= from_w) continue;
+          // Highest gain, then lighter target, then lower part id: a total
+          // order, so the chosen target never depends on the touched
+          // list's traversal order.
+          const bool take =
+              to == from || gain > best_gain ||
+              (gain == best_gain && (pw < best_w || (pw == best_w && p < to)));
+          if (take) {
+            to = p;
+            best_gain = gain;
+            best_w = pw;
           }
         }
-      }
-      res.proposals += proposals;
+        const ewt_t to_conn = conn[static_cast<std::size_t>(to)];
+        clear_conn(conn, touched, num_touched);
+        if (to == from) continue;
 
-      // --- Commit: one deterministic ascending-vertex pass.  Earlier
-      // commits may have absorbed a proposal's gain or taken its balance
-      // headroom, so the gain and both weight bounds are recomputed against
-      // the committed state; stale proposals count as conflict rejects.
-      vid_t committed = 0;
-      {
-        obs::Span commit_span("refine.kway.commit");
-        for (vid_t i = 0; i < proposals; ++i) {
-          const vid_t v = ws.cand[static_cast<std::size_t>(i)];
-          const std::size_t vv = static_cast<std::size_t>(v);
-          const part_t to = ws.cand_to[static_cast<std::size_t>(i)];
-          // v never moved this round (only commits move vertices, and a
-          // commit locks), so `from` still matches the propose sweep.
-          const part_t from = part[vv];
-          const int num_touched = gather_conn(g, part, v, conn, touched);
-          ++res.gathers;
-          res.gathered_arcs += g.degree(v);
-          const ewt_t to_conn = conn[static_cast<std::size_t>(to)];
-          const ewt_t gain = to_conn - conn[static_cast<std::size_t>(from)];
-          clear_conn(conn, touched, num_touched);
-          const vwt_t wv = g.vertex_weight(v);
-          // Same admission rule as propose, against the committed weights:
-          // positive gain, or zero gain with strict balance improvement.
-          if (gain < 0 ||
-              (gain == 0 && pwgts[static_cast<std::size_t>(to)] + wv >=
-                                pwgts[static_cast<std::size_t>(from)]) ||
-              pwgts[static_cast<std::size_t>(to)] + wv > max_part_weight ||
-              pwgts[static_cast<std::size_t>(from)] - wv < min_part_weight) {
-            ++res.conflict_rejects;
-            continue;
+        part[uu] = to;
+        pwgts[static_cast<std::size_t>(from)] -= wv;
+        pwgts[static_cast<std::size_t>(to)] += wv;
+        find_lightest();
+        ws.locked[uu] = 1;
+        res.cut_reduction += best_gain;
+        auto nbrs = g.neighbors(u);
+        auto wgts = g.edge_weights(u);
+        ws.id[uu] = to_conn;
+        ws.ed[uu] = ed + id - to_conn;
+        // The move turns u's edges into `from` external and its edges into
+        // `to` internal; edges to any third part stay external.  It also
+        // changes what every neighbour could gain, so none of them stays
+        // stuck.
+        for (std::size_t j = 0; j < nbrs.size(); ++j) {
+          const std::size_t vv = static_cast<std::size_t>(nbrs[j]);
+          ws.stuck[vv] = 0;
+          if (part[vv] == from) {
+            ws.id[vv] -= wgts[j];
+            ws.ed[vv] += wgts[j];
+          } else if (part[vv] == to) {
+            ws.ed[vv] -= wgts[j];
+            ws.id[vv] += wgts[j];
           }
-          part[vv] = to;
-          pwgts[static_cast<std::size_t>(from)] -= wv;
-          pwgts[static_cast<std::size_t>(to)] += wv;
-          ws.locked[vv] = 1;
-          res.cut_reduction += gain;
-          auto nbrs = g.neighbors(v);
-          auto wgts = g.edge_weights(v);
-          const ewt_t degree = ws.ed[vv] + ws.id[vv];
-          ws.id[vv] = to_conn;
-          ws.ed[vv] = degree - to_conn;
-          // The move turns v's edges into `from` external and its edges
-          // into `to` internal; edges to any third part stay external.  It
-          // also changes what every neighbour could gain, so none of them
-          // stays stuck.  (v itself is not: only a gather that finds no
-          // target flags a vertex, and v's found one.)
-          assert(ws.stuck[vv] == 0);
-          for (std::size_t j = 0; j < nbrs.size(); ++j) {
-            const std::size_t uu = static_cast<std::size_t>(nbrs[j]);
-            ws.stuck[uu] = 0;
-            if (part[uu] == from) {
-              ws.id[uu] -= wgts[j];
-              ws.ed[uu] += wgts[j];
-            } else if (part[uu] == to) {
-              ws.ed[uu] -= wgts[j];
-              ws.id[uu] += wgts[j];
-            }
-          }
-          if (active != nullptr) {
-            // The move changed every neighbour's connectivity profile:
-            // pull them (and v, for the next pass) into the frontier.
-            active[vv] = 1;
-            for (vid_t nb : nbrs) active[static_cast<std::size_t>(nb)] = 1;
-          }
-          ++committed;
         }
+        if (active != nullptr) {
+          // The move changed every neighbour's connectivity profile: pull
+          // them (and u, for the next pass) into the frontier.
+          active[uu] = 1;
+          for (vid_t nb : nbrs) active[static_cast<std::size_t>(nb)] = 1;
+        }
+        ++moved;
       }
-      res.moves += committed;
-      pass_moves += committed;
-      if (committed == 0) break;  // no proposal survived: a local minimum
+      res.moves += moved;
+      pass_moves += moved;
+      if (moved == 0) break;  // a sweep with no admissible move: a local minimum
     }
 
     if (pass_moves == 0) break;  // unlocking found nothing new to harvest

@@ -1,34 +1,30 @@
 // Deterministic k-way refinement (extension).
 //
-// The library's one propose/commit refiner: the k-way local search of
-// Sanders & Schulz ("Engineering Multilevel Graph Partitioning Algorithms")
-// run under the round-synchronous shape of Holtgrewe et al. (PAPERS.md).
-// Direct k-way and incremental repartitioning run it (two-way refinement
-// stays on the sequential KL engine, refine/refine.*):
+// The library's k-way local search, after Sanders & Schulz ("Engineering
+// Multilevel Graph Partitioning Algorithms", PAPERS.md).  Direct k-way and
+// incremental repartitioning run it (two-way refinement stays on the
+// sequential KL engine, refine/refine.*):
 //
-//   repeat:  (1) PROPOSE — one ascending sweep computes each unlocked
-//                boundary vertex's best target part against the labelling
-//                and part weights *frozen at round start*; positive-gain
-//                candidates are listed in vertex order;
-//            (2) COMMIT — walk the proposals in that order, recompute each
-//                gain against the *committed* labelling, re-check each
-//                part's ceiling and the floor against the committed part
-//                weights, and apply the survivors (locking them; a vertex
-//                moves at most once per pass);
-//   until a round commits nothing.
+//   repeat:  one ascending sweep gathers each unlocked boundary vertex's
+//            connectivity once, picks its best target part against the
+//            *live* labelling and part weights (positive gain, or zero gain
+//            with strictly better balance; the ceiling and the floor both
+//            hold), and moves and locks it at once (a vertex moves at most
+//            once per pass);
+//   until a sweep moves nothing.
 //
 // A vertex whose gather finds no other part joined to it by at least its
 // internal weight cannot gain from any move, whatever the part weights; it is
-// flagged *stuck* and skipped by later sweeps until a commit moves it or a
-// neighbour (labels change only there), so a sweep re-gathers only what a
-// commit may have changed and the proposals are those of a full sweep.
+// flagged *stuck* and skipped by later sweeps until a neighbour moves (its
+// gains read only its own and its neighbours' labels), so a sweep
+// re-gathers only what a move may have changed and moves exactly what a
+// full sweep would.
 //
 // No randomness is drawn, so the result is a pure function of the input.
-// Every committed move has strictly positive recomputed gain (or zero gain
-// with strictly better balance) and locks its vertex, so rounds terminate.
-// The refiner takes no thread pool: a pooled propose sweep was measured
-// slower than this one (DESIGN.md §10.2).  DESIGN.md §10 carries the full
-// argument.
+// Every move has strictly positive gain (or zero gain with strictly better
+// balance) and locks its vertex, so sweeps terminate.  The refiner runs on
+// the calling thread and takes no pool (DESIGN.md §10.2), which carries the
+// full argument.
 #pragma once
 
 #include <cstddef>
@@ -45,11 +41,8 @@ namespace mgp {
 /// warms to the (n, k) high-water size on first use, after which calls of
 /// no-larger shape perform zero heap allocations.
 struct KwayRefineWorkspace {
-  std::vector<vwt_t> frozen_pwgts;  ///< k: part weights at round start
   std::vector<ewt_t> conn;          ///< k: one vertex's connectivity, kept zeroed
   std::vector<part_t> touched;      ///< k: parts seen per vertex
-  std::vector<vid_t> cand;          ///< n: proposal vertices, ascending
-  std::vector<part_t> cand_to;      ///< n: proposal targets
   std::vector<char> locked;         ///< n: move-at-most-once-per-pass locks
   std::vector<char> stuck;          ///< n: no gain >= 0 target until v or a
                                     ///< neighbour moves (reset every call)
@@ -63,12 +56,10 @@ struct KwayRefineWorkspace {
 
 struct KwayRefineResult {
   int passes = 0;             ///< outer unlock passes run
-  int rounds = 0;             ///< propose/commit rounds across all passes
-  vid_t proposals = 0;        ///< candidates emitted by propose sweeps
-  vid_t moves = 0;            ///< commits applied
-  vid_t conflict_rejects = 0; ///< proposals rejected at commit re-validation
-  ewt_t cut_reduction = 0;    ///< total gain of committed moves
-  std::int64_t gathers = 0;        ///< connectivity gathers (propose + commit)
+  int rounds = 0;             ///< sweeps across all passes
+  vid_t moves = 0;            ///< moves applied
+  ewt_t cut_reduction = 0;    ///< total gain of the moves
+  std::int64_t gathers = 0;        ///< connectivity gathers
   std::int64_t gathered_arcs = 0;  ///< arcs those gathers scanned
 };
 
@@ -77,14 +68,14 @@ struct KwayRefineResult {
 /// incrementally — never recomputed from scratch.  A move must keep its
 /// target at or below `max_part_weight` and its source at or above
 /// `min_part_weight` (pass 0 to disable the floor).  `max_passes` bounds
-/// the outer unlock passes; each pass runs propose/commit rounds to
-/// quiescence, and the call stops early once a whole pass commits nothing.
+/// the outer unlock passes; each pass runs sweeps until one moves nothing,
+/// and the call stops early once a whole pass moves nothing.
 ///
 /// With an `active` mask of size n (incremental repartitioning, DESIGN.md
-/// §11), only vertices with `active[v] != 0` are examined by the propose
-/// sweeps, and every committed move activates the moved vertex and its
-/// neighbours — the search grows outward from the seed frontier exactly as
-/// far as it keeps finding improving moves.  The mask is mutated in place;
+/// §11), only vertices with `active[v] != 0` are examined by the sweeps,
+/// and every move activates the moved vertex and its neighbours — the
+/// search grows outward from the seed frontier exactly as far as it keeps
+/// finding improving moves.  The mask is mutated in place;
 /// an all-ones mask reproduces the unrestricted refiner byte for byte, and
 /// a mask of any other size means unrestricted.  Draws no randomness.
 KwayRefineResult kway_refine(const Graph& g, std::span<part_t> part, part_t k,

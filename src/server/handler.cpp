@@ -116,6 +116,7 @@ void RequestHandler::handle_pin(std::span<const std::uint8_t> payload,
   const std::uint64_t fp = fnv1a64(payload);
   if (store_.checkout(fp) != nullptr) {
     reg_.add(ids_.pins_total);
+    reg_.add(ids_.responses_ok);
     encode_pin_response(fp, head.n, head.arcs, /*already_pinned=*/true, body_);
     return frame_body(MsgType::kPinGraphResponse, frame_out);
   }
@@ -128,6 +129,7 @@ void RequestHandler::handle_pin(std::span<const std::uint8_t> payload,
     return fail(Status::kOverloaded, "graph store byte budget exhausted", frame_out);
   }
   reg_.add(ids_.pins_total);
+  reg_.add(ids_.responses_ok);
   encode_pin_response(fp, head.n, head.arcs, outcome.already_pinned, body_);
   frame_body(MsgType::kPinGraphResponse, frame_out);
 }

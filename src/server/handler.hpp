@@ -36,7 +36,7 @@ namespace mgp::server {
 /// Pre-registered server metrics (hot paths never intern names).
 struct ServerMetrics {
   obs::MetricsRegistry::Id requests_total;      ///< counter: partition requests seen
-  obs::MetricsRegistry::Id responses_ok;        ///< counter: successful partitions
+  obs::MetricsRegistry::Id responses_ok;        ///< counter: successful answers (pins too)
   obs::MetricsRegistry::Id cache_hits;          ///< counter
   obs::MetricsRegistry::Id cache_misses;        ///< counter
   obs::MetricsRegistry::Id rejected_overloaded; ///< counter: queue-full rejects

@@ -170,7 +170,10 @@ TEST(MatrixMarketTest, GeneralFileWithBothTriangles) {
       "2 2 1\n");
   Graph g = read_matrix_market(in);
   EXPECT_EQ(g.num_edges(), 1);
-  EXPECT_EQ(g.edge_weights(0)[0], 1);  // duplicates collapse to unit weight
+  // Both directions' entries merge into one edge of unit weight, not 2.
+  EXPECT_EQ(g.edge_weights(0)[0], 1);
+  EXPECT_EQ(g.edge_weights(1)[0], 1);
+  EXPECT_EQ(g.total_edge_weight(), 1);
 }
 
 TEST(MatrixMarketTest, RejectsNonSquare) {

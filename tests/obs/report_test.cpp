@@ -166,6 +166,23 @@ TEST(RunReportTest, EmbedsMetricsSnapshotWhenGiven) {
   EXPECT_NE(json.find("\"sum\": 3"), std::string::npos);
 }
 
+TEST(RunReportTest, KwayDirectObjectMirrorsTheRefinerCounters) {
+  RunReport rep;
+  MetricsRegistry reg;
+  reg.add(reg.counter("kway.direct.levels"), 4);
+  reg.add(reg.counter("refine.kway_rounds"), 9);
+  reg.add(reg.counter("refine.kway_gathers"), 1234);
+  const MetricsSnapshot snap = reg.snapshot();
+  const std::string json = rep.to_json(&snap);
+  const std::size_t at = json.find("\"kway_direct\"");
+  ASSERT_NE(at, std::string::npos);
+  const std::string obj = json.substr(at, json.find('}', at) - at);
+  EXPECT_NE(obj.find("\"levels\": 4"), std::string::npos) << obj;
+  EXPECT_NE(obj.find("\"refine_rounds\": 9"), std::string::npos) << obj;
+  EXPECT_NE(obj.find("\"gathers\": 1234"), std::string::npos) << obj;
+  EXPECT_EQ(json.find("conflict_rejects"), std::string::npos);
+}
+
 TEST(RunReportTest, WriteJsonFileRoundTrips) {
   RunReport rep;
   rep.tool = "file_test";

@@ -1,4 +1,4 @@
-// Unit tests for the propose/commit engine (refine/kway_refine.*) at k=2:
+// Unit tests for the k-way refiner (refine/kway_refine.*) at k=2:
 // one floorless pass under a single ceiling, the shape BM_ParallelRefine
 // times.  Repeatability, a monotone cut under the ceiling, move-at-most-once
 // semantics, round accounting, degenerate inputs, and warm-workspace
@@ -71,7 +71,7 @@ TEST(ParallelRefineTest, ByteIdenticalAcrossPoolSizes) {
   EXPECT_EQ(b.cut, reference.cut);
   EXPECT_EQ(r.moves, ref.moves);
   EXPECT_EQ(r.rounds, ref.rounds);
-  EXPECT_EQ(r.conflict_rejects, ref.conflict_rejects);
+  EXPECT_EQ(r.gathers, ref.gathers);
 }
 
 TEST(ParallelRefineTest, NeverWorsensCutAndRespectsBalanceBound) {
@@ -107,11 +107,11 @@ TEST(ParallelRefineTest, RoundAccountingIsConsistent) {
 
   const KwayRefineResult r = refine_two_way(g, b);
 
-  // One pass, run as one or more propose/commit rounds; every proposal is
-  // either committed or rejected at commit.
+  // One pass, run as one or more sweeps; every move is one changed label,
+  // and the gains credited add up to the cut change recomputed from scratch.
   EXPECT_EQ(r.passes, 1);
-  EXPECT_GE(r.rounds, 2);  // the last round certifies quiescence
-  EXPECT_EQ(r.proposals, r.moves + r.conflict_rejects);
+  EXPECT_GE(r.rounds, 2);  // the last sweep certifies quiescence
+  EXPECT_GT(r.moves, 0);
   EXPECT_EQ(count_diff(side_before, b.side), r.moves);
   EXPECT_EQ(cut_before - compute_cut(g, b.side), r.cut_reduction);
 }
@@ -140,11 +140,8 @@ TEST(ParallelRefineTest, DegenerateInputs) {
 
 TEST(ParallelRefineTest, WarmWorkspaceFromLargerGraphIsSafeOnSmallGraph) {
   // Regression: a workspace still warm from a larger graph holds that
-  // graph's proposal list, flags and degrees.  None of it may leak into a
-  // call on a smaller graph (stale candidate ids can be >= n — out of
-  // bounds).  The propose sweep once ran in 16 fixed chunks and the commit
-  // pass read every chunk's count, so an empty trailing chunk (n <= 225)
-  // kept the larger graph's count.
+  // graph's flags and degrees, sized for more vertices.  None of it may
+  // leak into a call on a smaller graph.
   KwayRefineWorkspace ws;
   {
     const Graph big = fem2d_tri(40, 40, 5);
@@ -164,7 +161,7 @@ TEST(ParallelRefineTest, WarmWorkspaceFromLargerGraphIsSafeOnSmallGraph) {
   EXPECT_EQ(warm.side, fresh.side);
   EXPECT_EQ(warm.cut, fresh.cut);
   EXPECT_EQ(warm_r.moves, fresh_r.moves);
-  EXPECT_EQ(warm_r.conflict_rejects, fresh_r.conflict_rejects);
+  EXPECT_EQ(warm_r.gathers, fresh_r.gathers);
 }
 
 TEST(ParallelRefineTest, WarmWorkspaceIsByteIdenticalToFresh) {

@@ -879,6 +879,76 @@ TEST(ServerLoopbackTest, MalformedDeltaAnswersBadRequest) {
   EXPECT_TRUE(ok.ok()) << ok.error;
 }
 
+TEST(ServerLoopbackTest, RequestsBalanceOutcomesWithCacheAndStoreAtCapacity) {
+  // A one-entry result cache and a store that holds one graph: every answer
+  // still matches the offline pipeline, and every request the handler
+  // counts lands in exactly one outcome counter.
+  const Graph a = fem2d_tri(20, 20, 1);
+  const Graph b = fem2d_tri(20, 20, 2);
+  ServerConfig cfg;
+  cfg.unix_path = socket_path("capacity");
+  cfg.cache_capacity = 1;
+  cfg.store_max_bytes = std::max(a.memory_bytes(), b.memory_bytes()) * 3 / 2;
+  Server server(cfg);
+  std::string err;
+  ASSERT_TRUE(server.start(err)) << err;
+  ServerGuard guard(server);
+  Client client = Client::connect_unix(cfg.unix_path, err);
+  ASSERT_TRUE(client.connected()) << err;
+
+  const Client::PinOutcome pin_a = client.pin(a);
+  ASSERT_TRUE(pin_a.ok()) << pin_a.error;
+  const Client::PinOutcome repin_a = client.pin(a);
+  ASSERT_TRUE(repin_a.ok()) << repin_a.error;
+  EXPECT_TRUE(repin_a.already_pinned);
+  const Client::PinOutcome pin_b = client.pin(b);  // over budget: evicts a
+  ASSERT_TRUE(pin_b.ok()) << pin_b.error;
+
+  dynamic::DeltaBatch batch;
+  batch.weight_upd.push_back({0, 5});
+  RequestOptions opts;
+  opts.k = 4;
+  const Client::DeltaOutcome evicted = client.delta(pin_a.fingerprint, batch, opts);
+  EXPECT_EQ(evicted.status, Status::kNotFound);
+  const Client::PinOutcome pin_a_again = client.pin(a);  // over budget: evicts b
+  ASSERT_TRUE(pin_a_again.ok()) << pin_a_again.error;
+  EXPECT_FALSE(pin_a_again.already_pinned);
+
+  // Alternating graphs through a one-entry cache: every call is a miss.
+  for (const Graph* g : {&a, &b, &a, &b}) {
+    const PartitionOutcome out = client.partition(*g, opts);
+    ASSERT_TRUE(out.ok()) << out.error;
+    const KwayResult expect = offline(*g, opts.k, opts.seed);
+    EXPECT_EQ(out.part, expect.part);
+    EXPECT_EQ(out.edge_cut, expect.edge_cut);
+    EXPECT_FALSE(out.cache_hit);
+  }
+
+  Fd fd = connect_unix(cfg.unix_path, err);
+  ASSERT_TRUE(fd.valid()) << err;
+  const std::uint8_t garbage[10] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  ASSERT_TRUE(write_frame(fd.get(), MsgType::kPartitionRequest, garbage));
+  FrameHeader h;
+  std::vector<std::uint8_t> payload;
+  ASSERT_EQ(read_frame(fd.get(), h, payload, 1 << 20), ReadFrameResult::kOk);
+  Status st = Status::kOk;
+  std::string msg;
+  ASSERT_TRUE(decode_error_response(payload, st, msg));
+  EXPECT_EQ(st, Status::kBadRequest);
+
+  const obs::MetricsSnapshot s = server.metrics().snapshot();
+  const auto count = [&](const char* name) { return s.counter_value(name); };
+  EXPECT_EQ(count("server.requests"), 10);
+  EXPECT_EQ(count("server.rejected_overloaded"), 0);  // no queue-full answer
+  EXPECT_EQ(count("server.delta_not_found"), 1);
+  EXPECT_EQ(count("server.bad_requests"), 1);
+  EXPECT_EQ(count("server.requests"),
+            count("server.responses_ok") + count("server.bad_requests") +
+                count("server.deadline_expired") +
+                count("server.rejected_overloaded") +
+                count("server.delta_not_found"));
+}
+
 TEST(ServerLoopbackTest, ShutdownUnlinksTheSocketFile) {
   ServerConfig cfg;
   cfg.unix_path = socket_path("shutdown");
