@@ -17,20 +17,27 @@
 //                      ~110k vertices)
 //   MGP_BENCH_SEED     RNG seed (default 1995)
 //
-// Each row also reports the heap-allocation count of its timed k-way run
+// Each row times kTimingReps warm calls per cell, alternating the cells
+// (the sequential baseline and every thread count) round by round, and
+// records the median, the interquartile range and the number of calls:
+// single calls swing more than the speedups they measure on a shared host.
+// Each row also reports the heap-allocation count of its first k-way run
 // (the binary links the counting allocator from tests/support/alloc_guard).
 // The workspace-arena subsystem keeps the serial rows orders of magnitude
-// below |V|; multi-thread rows additionally pay a future and a function
-// node per forked subproblem.  Each row also records the pooled matcher's
-// work, match_rounds and match_proposals, read from one extra untimed run
-// with an obs::Obs attached: pure functions of the input and the code, so
-// CI gates them exactly.  The whole table, with a host block naming the
+// below |V|, and forking a subproblem to the pool allocates nothing; the
+// multi-thread rows' extra allocations are the workspaces and frame stacks
+// the concurrently running subproblems warm.  Each row also records the
+// pooled matcher's work, match_rounds and match_proposals, read from one
+// extra untimed run with an obs::Obs attached: pure functions of the input
+// and the code, so CI gates them exactly.  The whole table, with a host block naming the
 // machine and commit it ran on, is emitted as machine-readable JSON
 // (default BENCH_arena.json, override with MGP_BENCH_ARENA_OUT; see
 // README for how to read it).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,7 +46,6 @@
 #include "obs/report.hpp"
 #include "support/alloc_guard.hpp"
 #include "support/thread_pool.hpp"
-#include "support/timer.hpp"
 
 namespace {
 
@@ -47,7 +53,7 @@ using namespace mgp;
 
 struct SweepRow {
   int threads;
-  double kway_s;
+  bench::RepTiming kway;
   ewt_t cut;
   std::uint64_t allocs;
   std::uint64_t alloc_bytes;
@@ -57,7 +63,7 @@ struct SweepRow {
 
 /// Writes the sweep as a machine-readable artifact next to the run.
 void write_arena_json(const std::string& path, const Graph& g, vid_t side,
-                      part_t k, std::uint64_t seed, double seq_kway,
+                      part_t k, std::uint64_t seed, const bench::RepTiming& seq_kway,
                       ewt_t seq_cut, std::uint64_t seq_allocs,
                       const std::vector<SweepRow>& rows) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -75,26 +81,27 @@ void write_arena_json(const std::string& path, const Graph& g, vid_t side,
                "  \"seed\": %llu,\n"
                "  \"host\": %s,\n"
                "  \"counting_allocator\": %s,\n"
-               "  \"sequential\": {\"kway_seconds\": %.6f, \"cut\": %lld, "
-               "\"allocations\": %llu},\n"
+               "  \"sequential\": {\"kway_seconds\": %.6f, \"kway_iqr_seconds\": %.6f, "
+               "\"reps\": %d, \"cut\": %lld, \"allocations\": %llu},\n"
                "  \"rows\": [\n",
                side, g.num_vertices(), static_cast<long long>(g.num_edges()),
                static_cast<int>(k), static_cast<unsigned long long>(seed),
                bench::host_json().c_str(),
                mgp::testing::counting_allocator_active() ? "true" : "false",
-               seq_kway, static_cast<long long>(seq_cut),
+               seq_kway.median, seq_kway.iqr, seq_kway.reps,
+               static_cast<long long>(seq_cut),
                static_cast<unsigned long long>(seq_allocs));
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SweepRow& r = rows[i];
     std::fprintf(f,
                  "    {\"threads\": %d, "
-                 "\"kway_seconds\": %.6f, \"speedup_vs_1t\": %.3f, "
-                 "\"speedup_vs_seq\": %.3f, \"cut\": %lld, "
+                 "\"kway_seconds\": %.6f, \"kway_iqr_seconds\": %.6f, \"reps\": %d, "
+                 "\"speedup_vs_1t\": %.3f, \"speedup_vs_seq\": %.3f, \"cut\": %lld, "
                  "\"cut_vs_seq\": %.4f, "
                  "\"allocations\": %llu, \"alloc_bytes\": %llu, "
                  "\"match_rounds\": %lld, \"match_proposals\": %lld}%s\n",
-                 r.threads, r.kway_s,
-                 rows[0].kway_s / r.kway_s, seq_kway / r.kway_s,
+                 r.threads, r.kway.median, r.kway.iqr, r.kway.reps,
+                 rows[0].kway.median / r.kway.median, seq_kway.median / r.kway.median,
                  static_cast<long long>(r.cut),
                  seq_cut > 0 ? static_cast<double>(r.cut) /
                                    static_cast<double>(seq_cut)
@@ -139,48 +146,35 @@ int main(int argc, char** argv) {
   session.describe_run(describe(cfg), k, max_threads, seed);
 
   // Sequential baseline: the pre-pool code path (threads = 1, no pool).
-  double seq_kway;
+  const auto run_seq = [&] {
+    Rng rng(seed);
+    return kway_partition(g, k, cfg, rng);
+  };
   ewt_t seq_cut;
   std::uint64_t seq_allocs;
   {
-    Rng rng(seed);
     mgp::testing::AllocGuard alloc_guard;
-    Timer t;
-    KwayResult r = kway_partition(g, k, cfg, rng);
-    seq_kway = t.seconds();
-    seq_cut = r.edge_cut;
+    seq_cut = run_seq().edge_cut;
     seq_allocs = alloc_guard.allocations();
   }
-  std::printf("sequential baseline:        kway %s   cut %lld   allocs %llu\n\n",
-              bench::fmt_time(seq_kway, 9).c_str(),
-              static_cast<long long>(seq_cut),
-              static_cast<unsigned long long>(seq_allocs));
 
-  std::printf("%s %s %s %s %s %s\n", bench::pad("threads", 8).c_str(),
-              bench::pad("kway", 9).c_str(), bench::pad("speedup", 8).c_str(),
-              bench::pad("vs-seq", 8).c_str(), bench::pad("cut", 10).c_str(),
-              bench::pad("allocs", 9).c_str());
-
+  // One pool per thread count, all alive, so the timed calls can alternate.
+  std::vector<std::unique_ptr<ThreadPool>> pools;
   std::vector<SweepRow> rows;
-  double kway1 = 0;
-  ewt_t cut1 = 0;
-  for (int threads = 1; threads <= max_threads; threads *= 2) {
-    ThreadPool pool(threads);
+  const auto run_pooled = [&](ThreadPool& pool) {
     Rng rng(seed);
+    return kway_partition(g, k, cfg, rng, &pool);
+  };
+  for (int threads = 1; threads <= max_threads; threads *= 2) {
+    ThreadPool& pool = *pools.emplace_back(std::make_unique<ThreadPool>(threads));
     mgp::testing::AllocGuard alloc_guard;
-    Timer t;
-    KwayResult r = kway_partition(g, k, cfg, rng, &pool);
-    const double kway_s = t.seconds();
+    const KwayResult r = run_pooled(pool);
     const std::uint64_t allocs = alloc_guard.allocations();
     const std::uint64_t alloc_bytes = alloc_guard.bytes();
-
-    if (threads == 1) {
-      kway1 = kway_s;
-      cut1 = r.edge_cut;
-    } else if (r.edge_cut != cut1) {
+    if (!rows.empty() && r.edge_cut != rows[0].cut) {
       std::printf("DETERMINISM VIOLATION: cut %lld at %d threads != %lld\n",
                   static_cast<long long>(r.edge_cut), threads,
-                  static_cast<long long>(cut1));
+                  static_cast<long long>(rows[0].cut));
       return 1;
     }
 
@@ -193,24 +187,45 @@ int main(int argc, char** argv) {
     kway_partition(g, k, counted, counted_rng, &pool);
     const obs::MetricsSnapshot snap = ob.metrics.snapshot();
 
-    rows.push_back({threads, kway_s, r.edge_cut, allocs, alloc_bytes,
+    rows.push_back({threads, {}, r.edge_cut, allocs, alloc_bytes,
                     snap.counter_value("coarsen.match_rounds"),
                     snap.counter_value("coarsen.match_proposals")});
-    std::printf("%s %s %s %s %s %s\n", bench::fmt_int(threads, 8).c_str(),
-                bench::fmt_time(kway_s, 9).c_str(),
-                bench::fmt_ratio(kway1 / kway_s, 8).c_str(),
-                bench::fmt_ratio(seq_kway / kway_s, 8).c_str(),
-                bench::fmt_int(r.edge_cut, 10).c_str(),
-                bench::fmt_int(static_cast<long long>(allocs), 9).c_str());
+  }
+
+  std::vector<std::function<void()>> cells{[&] { run_seq(); }};
+  for (const auto& pool : pools) cells.push_back([&] { run_pooled(*pool); });
+  const std::vector<bench::RepTiming> timed =
+      bench::time_alternating(bench::kTimingReps, cells);
+  const bench::RepTiming& seq_kway = timed[0];
+  for (std::size_t i = 0; i < rows.size(); ++i) rows[i].kway = timed[i + 1];
+
+  std::printf("sequential baseline:        kway %s   cut %lld   allocs %llu\n\n",
+              bench::fmt_time(seq_kway.median, 9).c_str(),
+              static_cast<long long>(seq_cut),
+              static_cast<unsigned long long>(seq_allocs));
+  std::printf("%s %s %s %s %s %s %s\n", bench::pad("threads", 8).c_str(),
+              bench::pad("kway", 9).c_str(), bench::pad("iqr", 9).c_str(),
+              bench::pad("speedup", 8).c_str(), bench::pad("vs-seq", 8).c_str(),
+              bench::pad("cut", 10).c_str(), bench::pad("allocs", 9).c_str());
+  for (const SweepRow& r : rows) {
+    std::printf("%s %s %s %s %s %s %s\n", bench::fmt_int(r.threads, 8).c_str(),
+                bench::fmt_time(r.kway.median, 9).c_str(),
+                bench::fmt_time(r.kway.iqr, 9).c_str(),
+                bench::fmt_ratio(rows[0].kway.median / r.kway.median, 8).c_str(),
+                bench::fmt_ratio(seq_kway.median / r.kway.median, 8).c_str(),
+                bench::fmt_int(r.cut, 10).c_str(),
+                bench::fmt_int(static_cast<long long>(r.allocs), 9).c_str());
   }
 
   std::printf(
-      "\n(speedup = 1-thread parallel pipeline / this row; vs-seq = "
-      "sequential baseline / this row.  Rows share one partition: the cut "
-      "column is constant by the determinism guarantee.  allocs counts every "
-      "heap allocation inside the timed k-way run; serial rows stay orders of "
-      "magnitude below |V| thanks to the workspace pool, multi-thread rows "
-      "add a future and a function node per forked subproblem.)\n");
+      "\n(kway = median of %d warm calls per row, alternated across rows; iqr "
+      "= their interquartile range.  speedup = 1-thread parallel pipeline / "
+      "this row; vs-seq = sequential baseline / this row.  Rows share one "
+      "partition: the cut column is constant by the determinism guarantee.  "
+      "allocs counts every heap allocation inside the row's first k-way run; "
+      "serial rows stay orders of magnitude below |V| thanks to the workspace "
+      "pool, and a fork allocates nothing.)\n",
+      bench::kTimingReps);
 
   std::string out = "BENCH_arena.json";
   if (const char* e = std::getenv("MGP_BENCH_ARENA_OUT")) out = e;

@@ -1,5 +1,6 @@
 #include "common.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -8,6 +9,7 @@
 #include <thread>
 
 #include "obs/trace.hpp"
+#include "support/timer.hpp"
 
 namespace mgp::bench {
 
@@ -23,6 +25,37 @@ std::uint64_t seed_from_env() {
   const char* s = std::getenv("MGP_BENCH_SEED");
   if (!s) return 1995;
   return static_cast<std::uint64_t>(std::strtoull(s, nullptr, 10));
+}
+
+std::vector<RepTiming> time_alternating(int reps,
+                                        const std::vector<std::function<void()>>& cells) {
+  std::vector<std::vector<double>> seconds(cells.size());
+  for (int r = 0; r < reps; ++r) {
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      Timer t;
+      cells[c]();
+      seconds[c].push_back(t.seconds());
+    }
+  }
+  // Quantile q of sorted samples, interpolated linearly between ranks.
+  const auto quantile = [](const std::vector<double>& v, double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  std::vector<RepTiming> out;
+  for (std::vector<double>& v : seconds) {
+    RepTiming t;
+    t.reps = reps;
+    if (!v.empty()) {
+      std::sort(v.begin(), v.end());
+      t.median = quantile(v, 0.5);
+      t.iqr = quantile(v, 0.75) - quantile(v, 0.25);
+    }
+    out.push_back(t);
+  }
+  return out;
 }
 
 std::vector<NamedGraph> load_suite(SuiteKind kind, double default_scale) {

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,6 +57,24 @@ std::string fmt_ratio(double r, int width);
 /// The " | <cut> <seconds>" cell shared by the per-scheme sweep tables
 /// (Table 4, Table A): an 8-wide edge-cut and an 8-wide phase time.
 std::string fmt_cut_time_cell(long long cut, double seconds);
+
+/// Wall-clock spread of repeated calls of one cell, in seconds per call.
+struct RepTiming {
+  double median = 0;
+  double iqr = 0;  ///< interquartile range: third minus first quartile
+  int reps = 0;
+};
+
+/// Calls per cell that time_alternating is given by the benches.
+inline constexpr int kTimingReps = 15;
+
+/// Runs `reps` rounds, each calling every cell once in order and timing
+/// each call, and returns each cell's median and IQR.  Alternating the
+/// cells spreads the host's speed drift over all of them alike, so ratios
+/// between cells hold still where single calls swing.  Warm the cells
+/// first: every call is counted.
+std::vector<RepTiming> time_alternating(int reps,
+                                        const std::vector<std::function<void()>>& cells);
 
 /// The paper's phase times of one call, in seconds.
 struct PhaseSeconds {

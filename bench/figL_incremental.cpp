@@ -18,7 +18,9 @@
 //   * steady_allocs — heap allocations of one warm delta cycle (gated
 //     exactly at zero);
 //   * speedup_vs_scratch — scratch_seconds / incr_seconds (ratio-gated);
-//   * incr_seconds / scratch_seconds — informational wall times.
+//   * incr_seconds / scratch_seconds — informational wall times: medians of
+//     kTimingReps warm calls, the two legs alternated call by call, with
+//     their interquartile ranges (*_iqr_seconds) and the call count (reps).
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -31,7 +33,6 @@
 #include "dynamic/delta.hpp"
 #include "dynamic/incremental.hpp"
 #include "support/alloc_guard.hpp"
-#include "support/timer.hpp"
 #include "support/workspace.hpp"
 
 using namespace mgp;
@@ -43,8 +44,8 @@ struct ChurnRow {
   double churn_pct;
   ewt_t cut;
   ewt_t cut_scratch;
-  double incr_seconds;
-  double scratch_seconds;
+  RepTiming incr;  ///< per delta service
+  RepTiming scratch;
   std::uint64_t steady_allocs;
 };
 
@@ -77,16 +78,17 @@ void write_incr_json(const std::string& path, const Graph& g, vid_t gen_n,
                  "    {\"churn_pct\": %.1f, \"cut\": %lld, "
                  "\"cut_scratch\": %lld, \"cut_vs_scratch\": %.4f, "
                  "\"speedup_vs_scratch\": %.2f, \"steady_allocs\": %llu, "
-                 "\"incr_seconds\": %.6f, \"scratch_seconds\": %.6f}%s\n",
+                 "\"incr_seconds\": %.6f, \"incr_iqr_seconds\": %.6f, "
+                 "\"scratch_seconds\": %.6f, \"scratch_iqr_seconds\": %.6f, "
+                 "\"reps\": %d}%s\n",
                  r.churn_pct, static_cast<long long>(r.cut),
                  static_cast<long long>(r.cut_scratch),
                  r.cut_scratch > 0 ? static_cast<double>(r.cut) /
                                          static_cast<double>(r.cut_scratch)
                                    : 1.0,
-                 r.incr_seconds > 0.0 ? r.scratch_seconds / r.incr_seconds
-                                      : 0.0,
-                 static_cast<unsigned long long>(r.steady_allocs),
-                 r.incr_seconds, r.scratch_seconds,
+                 r.incr.median > 0.0 ? r.scratch.median / r.incr.median : 0.0,
+                 static_cast<unsigned long long>(r.steady_allocs), r.incr.median,
+                 r.incr.iqr, r.scratch.median, r.scratch.iqr, r.incr.reps,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -161,34 +163,46 @@ int main() {
       cycle(bwd);
     }
 
-    // Steady state: one guarded, timed A/B pair (two delta services).
-    mgp::testing::AllocGuard guard;
-    Timer t;
-    cycle(fwd);
-    cycle(bwd);
-    const double t_incr = t.seconds() / 2.0;
-    const std::uint64_t allocs = guard.allocations();
+    // Steady state: one guarded A/B pair (two delta services).
+    std::uint64_t allocs;
+    {
+      mgp::testing::AllocGuard guard;
+      cycle(fwd);
+      cycle(bwd);
+      allocs = guard.allocations();
+    }
 
     // The quality/time comparator: a full direct k-way run on the identical
     // post-delta graph (warm workspaces, so it is not paying first-call
-    // allocation costs the incremental path already amortized).
+    // allocation costs the incremental path already amortized).  It runs on
+    // a copy, so the incremental leg can keep cycling the original.
     cycle(fwd);
     const ewt_t cut_incr = state.cut;
+    const Graph post = g;
+    cycle(bwd);
     KwayDirectConfig dcfg;
     dcfg.base = icfg.direct.base;
     KwayDirectWorkspace dws;
     std::vector<part_t> part;
     ewt_t cut_scr = 0;
-    for (int warm = 0; warm < 2; ++warm) {
-      Rng rw(seed);
-      cut_scr = kway_partition_direct_into(g, k, dcfg, rw, dws, &bws, part);
-    }
-    Timer ts;
-    {
-      Rng r2(seed);
-      cut_scr = kway_partition_direct_into(g, k, dcfg, r2, dws, &bws, part);
-    }
-    const double t_scr = ts.seconds();
+    const auto scratch_run = [&] {
+      Rng rng(seed);
+      cut_scr = kway_partition_direct_into(post, k, dcfg, rng, dws, &bws, part);
+    };
+    scratch_run();
+    scratch_run();
+
+    // Timed: one incremental A/B pair, then one scratch run, per round.
+    const std::vector<RepTiming> timed = time_alternating(
+        kTimingReps, {[&] {
+                        cycle(fwd);
+                        cycle(bwd);
+                      },
+                      scratch_run});
+    RepTiming t_incr = timed[0];
+    t_incr.median /= 2.0;  // two delta services per call
+    t_incr.iqr /= 2.0;
+    const RepTiming& t_scr = timed[1];
 
     rows.push_back({pct, cut_incr, cut_scr, t_incr, t_scr, allocs});
     std::printf("%s %9lld %9lld %9.4f %9.2f %9.4f %9.4f %8llu\n",
@@ -198,7 +212,8 @@ int main() {
                 cut_scr > 0 ? static_cast<double>(cut_incr) /
                                   static_cast<double>(cut_scr)
                             : 1.0,
-                t_incr > 0.0 ? t_scr / t_incr : 0.0, t_incr, t_scr,
+                t_incr.median > 0.0 ? t_scr.median / t_incr.median : 0.0,
+                t_incr.median, t_scr.median,
                 static_cast<unsigned long long>(allocs));
     std::fflush(stdout);
   }

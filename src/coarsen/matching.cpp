@@ -1,6 +1,7 @@
 #include "coarsen/matching.hpp"
 
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
@@ -28,6 +29,16 @@ double hcm_density(vwt_t vu, vwt_t vv, ewt_t cu, ewt_t cv, ewt_t w) {
   return 2.0 * static_cast<double>(cu + cv + w) / (verts * (verts - 1.0));
 }
 
+/// Sum over the coordinate vectors of |x_r[u] - x_r[v]|.
+double coord_distance(std::span<const double> coords, std::size_t n, vid_t u, vid_t v) {
+  double d = 0.0;
+  for (std::size_t base = 0; base < coords.size(); base += n) {
+    d += std::fabs(coords[base + static_cast<std::size_t>(u)] -
+                   coords[base + static_cast<std::size_t>(v)]);
+  }
+  return d;
+}
+
 }  // namespace
 
 Matching compute_matching(const Graph& g, MatchingScheme scheme,
@@ -40,7 +51,7 @@ Matching compute_matching(const Graph& g, MatchingScheme scheme,
 
 void compute_matching(const Graph& g, MatchingScheme scheme,
                       std::span<const ewt_t> cewgt, Rng& rng, Matching& result,
-                      std::vector<vid_t>& order) {
+                      std::vector<vid_t>& order, std::span<const double> coords) {
   const vid_t n = g.num_vertices();
   // An empty span means "level 0: all zeros"; a non-empty span must cover
   // every vertex, or HCM would silently read stale densities (or out of
@@ -49,6 +60,7 @@ void compute_matching(const Graph& g, MatchingScheme scheme,
     throw std::invalid_argument(
         "compute_matching: cewgt must be empty or have one entry per vertex");
   }
+  const std::size_t un = static_cast<std::size_t>(n);
   obs::Span span("match");
   span.arg("n", n);
   result.match.assign(static_cast<std::size_t>(n), kInvalidVid);
@@ -85,12 +97,20 @@ void compute_matching(const Graph& g, MatchingScheme scheme,
       }
       case MatchingScheme::kHeavyEdge: {
         ewt_t best = -1;
+        double best_d = 0.0;
         for (std::size_t i = 0; i < nbrs.size(); ++i) {
           vid_t v = nbrs[i];
           if (matched(v)) continue;
           if (wgts[i] > best) {
             best = wgts[i];
             chosen = v;
+            if (!coords.empty()) best_d = coord_distance(coords, un, u, v);
+          } else if (!coords.empty() && wgts[i] == best) {
+            const double d = coord_distance(coords, un, u, v);
+            if (d < best_d) {
+              best_d = d;
+              chosen = v;
+            }
           }
         }
         break;

@@ -51,9 +51,15 @@ Matching compute_matching(const Graph& g, MatchingScheme scheme,
 /// across calls (no heap traffic once their capacity has warmed).  Draws the
 /// identical RNG stream and produces byte-identical results to the form
 /// above, which is now a thin wrapper over this one.
+///
+/// `coords`, when not empty, holds R vectors of one coordinate per vertex
+/// (vector r at [r·n, (r+1)·n)), and HEM breaks a tie between equally heavy
+/// edges toward the neighbour closest in the L1 distance over them: the
+/// algebraic-distance tie-break (CoarsenStrategy::kAlgebraicDistance).
 void compute_matching(const Graph& g, MatchingScheme scheme,
                       std::span<const ewt_t> cewgt, Rng& rng, Matching& out,
-                      std::vector<vid_t>& order_scratch);
+                      std::vector<vid_t>& order_scratch,
+                      std::span<const double> coords = {});
 
 /// True iff `m` is a valid maximal matching of g: an involution, every
 /// matched pair is an edge, and no unmatched vertex has an unmatched

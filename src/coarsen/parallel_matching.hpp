@@ -49,8 +49,8 @@
 namespace mgp {
 
 /// Reusable scratch of the proposal matcher.  It lives in the caller's
-/// BisectWorkspace and must never be thread_local: ThreadPool::wait_help
-/// runs other queued subproblems on a waiting thread, which would overwrite
+/// BisectWorkspace and must never be thread_local: ThreadPool::fork_join
+/// runs other queued subproblems on a joining thread, which would overwrite
 /// shared per-thread scratch in the middle of a matching.
 struct ParallelHemScratch {
   /// Carved per call into four n-slices: v's proposal (current while v is

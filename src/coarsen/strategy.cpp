@@ -1,7 +1,6 @@
 #include "coarsen/strategy.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "coarsen/parallel_matching.hpp"
 #include "core/cancel.hpp"
@@ -115,19 +114,6 @@ constexpr int kAdTestVectors = 3;  ///< R: independent relaxation vectors
 constexpr int kAdIterations = 8;   ///< fixed JOR sweep count per level
 constexpr double kAdOmega = 0.5;   ///< JOR damping factor in (0, 1]
 
-/// Sum over test vectors of |x_r[u] - x_r[v]|: small when u and v settle to
-/// similar values under relaxation, i.e. when they sit in the same tightly
-/// coupled region.
-double ad_distance(const std::vector<double>& x, std::size_t n, vid_t u, vid_t v) {
-  double d = 0.0;
-  for (int r = 0; r < kAdTestVectors; ++r) {
-    const std::size_t base = static_cast<std::size_t>(r) * n;
-    d += std::fabs(x[base + static_cast<std::size_t>(u)] -
-                   x[base + static_cast<std::size_t>(v)]);
-  }
-  return d;
-}
-
 class AlgebraicDistanceCoarsening final : public CoarseningStrategy {
  public:
   bool coarsen_level(const Graph& fine, std::span<const ewt_t> fine_cewgt,
@@ -184,50 +170,14 @@ class AlgebraicDistanceCoarsening final : public CoarseningStrategy {
     stats.ad_sweeps = n > 0 ? kAdIterations : 0;
 
     // HEM with AD tie-breaking: heaviest edge first, algebraically closest
-    // endpoint among equally-heavy candidates.  On unit-weight graphs the
-    // weight never discriminates and the distance chooses every partner.
-    Matching& m = ws.match;
-    m.match.assign(un, kInvalidVid);
-    m.pairs = 0;
-    m.weight = 0;
-    rng.permutation_into(n, ws.match_order);
-    auto matched = [&](vid_t v) {
-      return m.match[static_cast<std::size_t>(v)] != kInvalidVid;
-    };
-    for (vid_t u : ws.match_order) {
-      if (matched(u)) continue;
-      auto nbrs = fine.neighbors(u);
-      auto wgts = fine.edge_weights(u);
-      vid_t chosen = kInvalidVid;
-      ewt_t best_w = -1;
-      double best_d = 0.0;
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        const vid_t v = nbrs[i];
-        if (matched(v)) continue;
-        if (wgts[i] > best_w) {
-          best_w = wgts[i];
-          best_d = ad_distance(cw.ad_x, un, u, v);
-          chosen = v;
-        } else if (wgts[i] == best_w) {
-          const double d = ad_distance(cw.ad_x, un, u, v);
-          if (d < best_d) {
-            best_d = d;
-            chosen = v;
-          }
-        }
-      }
-      if (chosen != kInvalidVid) {
-        m.match[static_cast<std::size_t>(u)] = chosen;
-        m.match[static_cast<std::size_t>(chosen)] = u;
-        m.weight += best_w;
-        ++m.pairs;
-      } else {
-        m.match[static_cast<std::size_t>(u)] = u;
-      }
-    }
-
-    contract_into(fine, m, fine_cewgt, ws.contract, out);
-    stats.matched_pairs = m.pairs;
+    // endpoint among equally-heavy candidates (small distance: u and v
+    // settled to similar values, so they sit in one tightly coupled
+    // region).  On unit-weight graphs the weight never discriminates and
+    // the distance chooses every partner.
+    compute_matching(fine, MatchingScheme::kHeavyEdge, fine_cewgt, rng, ws.match,
+                     ws.match_order, cw.ad_x);
+    contract_into(fine, ws.match, fine_cewgt, ws.contract, out);
+    stats.matched_pairs = ws.match.pairs;
     return accept_level(fine, out, min_shrink_factor);
   }
 };

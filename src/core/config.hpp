@@ -44,12 +44,13 @@ struct MultilevelConfig {
   FiedlerOptions fiedler;  ///< for InitPartScheme::kSpectral
 
   // Parallel execution (DESIGN.md "Threading model & determinism").
-  /// Worker threads for the parallel pipeline (coarsening, contraction, and
-  /// the recursive-bisection tree).  0 = hardware_concurrency();
-  /// 1 = the fully sequential path.  Partitions are byte-identical for
-  /// every value > 1 (parallel algorithms are thread-count-invariant and
-  /// every subproblem draws from its own seeded RNG stream); threads == 1
-  /// differs only in using sequential HEM instead of proposal HEM.
+  /// Threads for the recursive-bisection tree: a pool of this many forks
+  /// its large subproblems (core/split_recursion.hpp); each bisection's
+  /// coarsening and refinement run on the thread that owns it.
+  /// 0 = hardware_concurrency(); 1 = the fully sequential path.
+  /// Partitions are byte-identical for every value > 1 (every subproblem
+  /// draws from its own seeded RNG stream); threads == 1 differs only in
+  /// using sequential HEM instead of proposal HEM.
   int threads = 1;
   /// `threads` with 0 resolved to the machine's hardware concurrency.
   int resolved_threads() const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
+#include <stdexcept>
 
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -97,6 +98,9 @@ KwayResult kway_partition(const Graph& g, part_t k, const MultilevelConfig& cfg,
 KwayResult kway_partition_best_of(const Graph& g, part_t k,
                                   const MultilevelConfig& cfg, int trials,
                                   Rng& rng) {
+  if (trials < 1) {
+    throw std::invalid_argument("kway_partition_best_of: trials must be >= 1");
+  }
   // One pool shared by every trial (constructing per trial would churn
   // threads); null when the config asks for sequential execution.
   std::optional<ThreadPool> owned;

@@ -107,6 +107,7 @@ ewt_t kway_partition_into(const Graph& g, part_t k, const MultilevelConfig& cfg,
 /// Best of `trials` independent k-way partitions (smallest edge-cut).  The
 /// paper notes multiple trials are how randomized partitioners (geometric
 /// ones especially) buy quality with time; the same lever applies here.
+/// Throws std::invalid_argument when trials < 1.
 KwayResult kway_partition_best_of(const Graph& g, part_t k,
                                   const MultilevelConfig& cfg, int trials,
                                   Rng& rng);

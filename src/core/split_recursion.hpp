@@ -11,8 +11,6 @@
 // splits are direct calls, not std::function hops.
 #pragma once
 
-#include <exception>
-#include <future>
 #include <memory>
 #include <numeric>
 #include <span>
@@ -101,25 +99,15 @@ struct Driver {
     // runs other queued subproblems meanwhile).  The extraction stays on
     // this thread: extracting on the worker measured ~10% more peak RSS on
     // a pooled 8-way partition.  The fork reads this frame's graph, labels
-    // and child tasks, so a throw from the inline side (a CancelledError
-    // from an expired deadline, say) still joins it before unwinding.
+    // and child tasks; fork_join joins it before a throw from the inline
+    // side (a CancelledError from an expired deadline, say) unwinds them.
     if (!fr.fork) fr.fork = std::make_unique<Stack>();
     Frame& side0 = extract(g, ids, labels, 0, *fr.fork, 0);
-    std::future<void> fut =
-        pool->submit([&] { descend(side0.graph, side0.ids, child[0], *fr.fork, 0); });
-    std::exception_ptr error;
-    try {
-      Frame& side1 = extract(g, ids, labels, 1, st, depth + 1);
-      descend(side1.graph, side1.ids, child[1], st, depth + 1);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    try {
-      pool->wait_help(fut);
-    } catch (...) {
-      if (!error) error = std::current_exception();
-    }
-    if (error) std::rethrow_exception(error);
+    pool->fork_join([&] { descend(side0.graph, side0.ids, child[0], *fr.fork, 0); },
+                    [&] {
+                      Frame& side1 = extract(g, ids, labels, 1, st, depth + 1);
+                      descend(side1.graph, side1.ids, child[1], st, depth + 1);
+                    });
   }
 
   /// Extracts side `s` of (g, labels) into frame `depth` of `st`, its ids

@@ -24,11 +24,10 @@ ServerMetrics::ServerMetrics(obs::MetricsRegistry& reg)
       delta_fallbacks(reg.counter("server.delta_fallbacks")),
       delta_not_found(reg.counter("server.delta_not_found")) {}
 
-RequestHandler::RequestHandler(WorkspacePool& pool, ResultCache& cache,
-                               dynamic::GraphStore& store, obs::MetricsRegistry& reg,
-                               const ServerMetrics& ids, int direct_min_k)
-    : pool_(pool),
-      cache_(cache),
+RequestHandler::RequestHandler(ResultCache& cache, dynamic::GraphStore& store,
+                               obs::MetricsRegistry& reg, const ServerMetrics& ids,
+                               int direct_min_k)
+    : cache_(cache),
       store_(store),
       reg_(reg),
       ids_(ids),
@@ -78,14 +77,12 @@ void RequestHandler::handle(std::span<const std::uint8_t> payload,
       mode == KwayMode::kDirect ||
       (mode == KwayMode::kAuto && static_cast<int>(k) >= direct_min_k_);
   try {
-    WorkspacePool::Lease lease = pool_.checkout();
     if (use_direct) {
       KwayDirectConfig dcfg;
       dcfg.base = cfg;
-      cut_ = kway_partition_direct_into(graph_, k, dcfg, rng, direct_ws_,
-                                        lease.get(), part_);
+      cut_ = kway_partition_direct_into(graph_, k, dcfg, rng, direct_ws_, &ws_, part_);
     } else {
-      cut_ = kway_partition_into(graph_, k, cfg, rng, scratch_, lease.get(), part_);
+      cut_ = kway_partition_into(graph_, k, cfg, rng, scratch_, &ws_, part_);
     }
   } catch (const CancelledError&) {
     return fail(Status::kDeadlineExceeded, "deadline expired during partitioning",
@@ -213,10 +210,9 @@ void RequestHandler::handle_delta(std::span<const std::uint8_t> payload,
 
   dynamic::RepartitionResult result;
   try {
-    WorkspacePool::Lease lease = pool_.checkout();
     result = dynamic::repartition_after_delta(
         entry->graph, k, icfg, head.seed, slot, apply_.fingerprint,
-        entry->patch_scratch.touched, apply_.churn_ratio, inc_ws_, lease.get());
+        entry->patch_scratch.touched, apply_.churn_ratio, inc_ws_, &ws_);
   } catch (const CancelledError&) {
     std::swap(entry->graph, entry->spare);  // restore the pre-delta graph
     slot.valid = false;  // part may be half-mutated; force scratch next time

@@ -2,12 +2,11 @@
 //
 // One RequestHandler belongs to one worker thread and owns every buffer a
 // request needs — the decoded graph (CSR storage recycled request to
-// request), the recursion scratch of kway_partition_into, the labelling,
-// and the outgoing frame.  After the first few requests have warmed those
-// capacities, handling a request of no-larger size performs zero heap
-// allocations on the compute path (asserted by tests/server/
-// server_alloc_test.cpp); the shared WorkspacePool supplies the bisection
-// workspace the same way it does for the offline driver.
+// request), the recursion scratch of kway_partition_into, the bisection
+// workspace, the labelling, and the outgoing frame.  After the first few
+// requests have warmed those capacities, handling a request of no-larger
+// size performs zero heap allocations on the compute path (asserted by
+// tests/server/server_alloc_test.cpp).
 //
 // Determinism: the handler runs the exact offline pipeline (same config
 // mapping, same single root-seed draw), so a response's bytes equal the
@@ -58,9 +57,8 @@ inline constexpr int kDefaultDirectMinK = 64;
 
 class RequestHandler {
  public:
-  RequestHandler(WorkspacePool& pool, ResultCache& cache, dynamic::GraphStore& store,
-                 obs::MetricsRegistry& reg, const ServerMetrics& ids,
-                 int direct_min_k = kDefaultDirectMinK);
+  RequestHandler(ResultCache& cache, dynamic::GraphStore& store, obs::MetricsRegistry& reg,
+                 const ServerMetrics& ids, int direct_min_k = kDefaultDirectMinK);
 
   RequestHandler(const RequestHandler&) = delete;
   RequestHandler& operator=(const RequestHandler&) = delete;
@@ -96,7 +94,6 @@ class RequestHandler {
   /// The one frame writer: wraps body_ in a frame of the given type.
   void frame_body(MsgType type, std::vector<std::uint8_t>& frame_out);
 
-  WorkspacePool& pool_;
   ResultCache& cache_;
   dynamic::GraphStore& store_;
   obs::MetricsRegistry& reg_;
@@ -106,6 +103,7 @@ class RequestHandler {
   // Warm per-worker state (the zero-allocation steady state).
   Graph graph_;
   KwayScratch scratch_;
+  BisectWorkspace ws_;
   KwayDirectWorkspace direct_ws_;
   std::vector<part_t> part_;
   ewt_t cut_ = 0;

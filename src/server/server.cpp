@@ -206,7 +206,7 @@ void Server::connection_loop(std::shared_ptr<Connection> conn) {
 }
 
 void Server::worker_loop() {
-  RequestHandler handler(wpool_, cache_, store_, registry_, ids_, cfg_.direct_min_k);
+  RequestHandler handler(cache_, store_, registry_, ids_, cfg_.direct_min_k);
   std::vector<std::uint8_t> frame;
   while (std::optional<Job> job = queue_.pop()) {
     // Exception barrier: a throw escaping a thread is std::terminate, so

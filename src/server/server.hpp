@@ -10,9 +10,9 @@
 // Admission control: a PartitionRequest either enters the bounded queue or
 // is answered OVERLOADED on the spot — the server never buffers unbounded
 // work and a full queue never hangs a client.  Each worker owns a
-// RequestHandler (warm decode/partition/encode buffers) and they share one
-// WorkspacePool and one ResultCache, so concurrency across requests costs
-// no per-request allocation on the compute path.
+// RequestHandler (warm decode/partition/encode buffers and bisection
+// workspace) and they share one ResultCache, so concurrency across requests
+// costs no per-request allocation on the compute path.
 //
 // Deadlines: requests carry a millisecond budget anchored at arrival.
 // Expiry is checked at dequeue (answered without computing) and during
@@ -47,7 +47,6 @@
 #include "server/handler.hpp"
 #include "server/net.hpp"
 #include "server/result_cache.hpp"
-#include "support/workspace.hpp"
 
 namespace mgp::server {
 
@@ -142,7 +141,6 @@ class Server {
   ServerConfig cfg_;
   obs::MetricsRegistry registry_;
   ServerMetrics ids_;
-  WorkspacePool wpool_;
   ResultCache cache_;
   dynamic::GraphStore store_;
   BoundedQueue<Job> queue_;

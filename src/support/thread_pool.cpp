@@ -18,7 +18,10 @@ ThreadPool::ThreadPool(int num_threads) {
   const int workers = num_threads - 1;
   workers_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i]() { worker_loop(i); });
+    workers_.emplace_back([this, i]() {
+      obs::set_thread_name("pool-worker-" + std::to_string(i));
+      help(nullptr);
+    });
   }
 }
 
@@ -29,43 +32,43 @@ ThreadPool::~ThreadPool() {
   }
   cv_.notify_all();
   for (auto& w : workers_) w.join();
-  // Tasks still queued at destruction run on the destructing thread so
-  // their futures never dangle in a broken-promise state.
-  while (run_one()) {
-  }
 }
 
-bool ThreadPool::run_one() {
-  std::function<void()> task;
+void ThreadPool::push(Fork& fork) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
+    (tail_ ? tail_->next : head_) = &fork;
+    tail_ = &fork;
   }
-  {
-    // A helping thread may sit inside a phase scope; the task's own phases
-    // must still record (obs/phase.hpp).  Idle workers are at depth 0.
-    obs::PhaseTaskDepth depth;
-    obs::Span span("pool.task");
-    task();
-  }
-  return true;
+  cv_.notify_one();
 }
 
-void ThreadPool::worker_loop(int worker_index) {
-  obs::set_thread_name("pool-worker-" + std::to_string(worker_index));
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this]() { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing left to do
-      task = std::move(queue_.front());
-      queue_.pop_front();
+void ThreadPool::help(const Fork* until) {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (until ? !until->done : !stop_) {
+    Fork* fork = head_;
+    if (fork == nullptr) {
+      cv_.wait(lock);
+      continue;
     }
-    obs::Span span("pool.task");
-    task();
+    head_ = fork->next;
+    if (head_ == nullptr) tail_ = nullptr;
+    lock.unlock();
+    {
+      // A helping thread may sit inside a phase scope; the fork's own phases
+      // must still record (obs/phase.hpp).
+      obs::PhaseTaskDepth depth;
+      obs::Span span("pool.task");
+      try {
+        fork->fn(fork->ctx);
+      } catch (...) {
+        fork->error = std::current_exception();
+      }
+    }
+    lock.lock();
+    // The forking frame owns the record and may return once it sees done.
+    fork->done = true;
+    cv_.notify_all();
   }
 }
 

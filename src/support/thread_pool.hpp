@@ -1,38 +1,32 @@
-// Fixed-size worker pool with work-helping waits (extension; threading
-// model in DESIGN.md §5).
+// Fixed-size worker pool with one operation, fork_join (extension;
+// threading model in DESIGN.md §5).
 //
 // The pool runs independent subproblems on workers: the recursive-bisection
 // tree (core/split_recursion.hpp) forks its two halves, and nothing else
 // uses it.  Coarsening, refinement, direct k-way and incremental
 // repartitioning run on the calling thread (DESIGN.md §5.2, §10.2).
 //
-//   * submit() returns a std::future; wait_help() lets a task block on a
-//     future while executing other queued tasks, so nested fork/join
-//     (recursive bisection spawning sub-bisections from inside a pool task)
-//     cannot deadlock on a fixed-size pool.
-//   * A pool constructed with 1 thread spawns no workers at all: every
-//     submit runs inline on the caller, which is exactly the pre-pool
-//     sequential behavior.
+// A fork is a record on the forking frame's stack, queued by pointer on an
+// intrusive FIFO list, so forking allocates nothing.  The joiner helps:
+// until its own fork is done it runs queued forks, sleeping on the pool's
+// condition variable when none is queued, so nested fork/join cannot
+// deadlock on a fixed-size pool.  Workers run the same loop until the pool
+// stops.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
-#include <deque>
-#include <functional>
-#include <future>
+#include <exception>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace mgp {
 
 class ThreadPool {
  public:
-  /// Spawns `num_threads - 1` workers (the caller itself is the remaining
-  /// executor via run-inline submits and wait_help).  num_threads <= 1 or
-  /// 0 workers means fully inline execution.  num_threads == 0 resolves to
+  /// Spawns `num_threads - 1` workers (the caller is the remaining
+  /// executor).  num_threads <= 1 means fully inline execution, exactly the
+  /// sequential code path; num_threads == 0 resolves to
   /// hardware_concurrency().
   explicit ThreadPool(int num_threads = 0);
   ~ThreadPool();
@@ -47,46 +41,52 @@ class ThreadPool {
   /// hardware_concurrency(), never 0.
   static int hardware_threads();
 
-  /// Enqueues `fn` and returns its future.  With no workers the call runs
-  /// inline before returning (the future is already ready).
-  template <typename Fn>
-  auto submit(Fn&& fn) -> std::future<std::invoke_result_t<Fn&>> {
-    using R = std::invoke_result_t<Fn&>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<Fn>(fn));
-    std::future<R> fut = task->get_future();
+  /// Runs `a` and `b` and returns once both have finished; `a` may run on
+  /// a worker, `b` runs on the caller.  With no workers, `a` runs first,
+  /// then `b`.  If a side throws, the other still finishes; then `b`'s
+  /// exception is rethrown, otherwise `a`'s.
+  template <typename A, typename B>
+  void fork_join(A a, B b) {
+    Fork fork{[](void* f) { (*static_cast<A*>(f))(); }, &a};
     if (workers_.empty()) {
-      (*task)();
-      return fut;
+      try {
+        a();
+      } catch (...) {
+        fork.error = std::current_exception();
+      }
+    } else {
+      push(fork);
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queue_.emplace_back([task]() { (*task)(); });
+    std::exception_ptr error;
+    try {
+      b();
+    } catch (...) {
+      error = std::current_exception();
     }
-    cv_.notify_one();
-    return fut;
-  }
-
-  /// Pops and runs one queued task on the calling thread.  Returns false if
-  /// the queue was empty.  The building block of deadlock-free nested waits.
-  bool run_one();
-
-  /// Blocks until `fut` is ready, executing queued tasks while waiting so a
-  /// pool task can join its own children without starving the pool.
-  template <typename T>
-  T wait_help(std::future<T>& fut) {
-    using namespace std::chrono_literals;
-    while (fut.wait_for(0s) != std::future_status::ready) {
-      if (!run_one()) fut.wait_for(50us);
-    }
-    return fut.get();
+    if (!workers_.empty()) help(&fork);
+    if (error) std::rethrow_exception(error);
+    if (fork.error) std::rethrow_exception(fork.error);
   }
 
  private:
-  void worker_loop(int worker_index);
+  /// One forked side, owned by the fork_join frame that made it.
+  struct Fork {
+    void (*fn)(void*);
+    void* ctx;
+    Fork* next = nullptr;
+    bool done = false;  ///< guarded by mu_
+    std::exception_ptr error{};
+  };
+
+  void push(Fork& fork);
+  /// Runs queued forks until `until` is done, or, with nullptr, until the
+  /// pool stops.
+  void help(const Fork* until);
 
   int num_threads_ = 1;
   std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
+  Fork* head_ = nullptr;  ///< queued forks, oldest first
+  Fork* tail_ = nullptr;
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;

@@ -10,8 +10,8 @@
 // steady-state hot path performs no heap allocations at all (the returned
 // labelling is the one per-call exception).  Coarsening runs on the calling
 // thread with or without a pool, so a pooled bisection allocates no more
-// than a serial one; the pool's allocations are the bisection tree's task
-// futures (core/split_recursion.hpp).
+// than a serial one, and forking a subproblem to the pool allocates
+// nothing (support/thread_pool.hpp).
 //
 // WorkspacePool hands workspaces to the recursive-bisection workers:
 // checkout() pops a free workspace (or creates one — at most one per

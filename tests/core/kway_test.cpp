@@ -142,6 +142,17 @@ TEST(KwayTest, DeterministicGivenSeed) {
   EXPECT_EQ(a.part, b.part);
 }
 
+TEST(KwayTest, BestOfRejectsZeroTrials) {
+  const Graph g = grid2d(8, 8);
+  MultilevelConfig cfg;
+  Rng rng(1);
+  EXPECT_THROW(kway_partition_best_of(g, 4, cfg, 0, rng), std::invalid_argument);
+  EXPECT_THROW(kway_partition_best_of(g, 4, cfg, -1, rng), std::invalid_argument);
+  const KwayResult r = kway_partition_best_of(g, 4, cfg, 1, rng);
+  EXPECT_EQ(r.k, 4);
+  EXPECT_EQ(r.part.size(), 64u);
+}
+
 TEST(KwayTest, RngConsumedExactlyOncePerRun) {
   // The whole recursion is seeded by a single next_u64() draw — every
   // subproblem derives its stream from (that draw, tree path).  This is

@@ -77,12 +77,11 @@ TEST(DynamicAllocTest, WarmDeltaLibraryPathIsAllocationFree) {
 TEST(DynamicAllocTest, WarmDeltaHandlerPathIsAllocationFree) {
   ASSERT_TRUE(::mgp::testing::counting_allocator_active());
 
-  WorkspacePool pool;
   server::ResultCache cache(1);
   obs::MetricsRegistry reg;
   server::ServerMetrics ids(reg);
   GraphStore store(256u << 20);
-  server::RequestHandler handler(pool, cache, store, reg, ids);
+  server::RequestHandler handler(cache, store, reg, ids);
 
   Graph g = circuit(1500, 11);
   DeltaBatch fwd, bwd;

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <span>
 #include <vector>
@@ -129,6 +130,26 @@ TEST(AllocRegressionTest, PooledHemLevelIsAllocationFree) {
   EXPECT_EQ(guard.allocations(), 0u)
       << "pooled HEM level allocated in steady state (" << guard.bytes() << " bytes)";
   EXPECT_GT(stats.match_rounds, 0);  // the proposal matcher ran
+}
+
+TEST(AllocRegressionTest, WarmForkJoinIsAllocationFree) {
+  // The fork is a record on the forking frame's stack: once the workers
+  // are up, forking and joining touch no heap, whichever thread runs a side.
+  ThreadPool pool(2);
+  std::atomic<int> ran{0};
+  auto fork = [&]() {
+    for (int i = 0; i < 64; ++i) {
+      pool.fork_join([&ran] { ran.fetch_add(1); }, [&ran] { ran.fetch_add(1); });
+    }
+  };
+
+  fork();
+
+  AllocGuard guard;
+  fork();
+  EXPECT_EQ(guard.allocations(), 0u)
+      << "fork_join allocated when warm (" << guard.bytes() << " bytes)";
+  EXPECT_EQ(ran.load(), 256);
 }
 
 TEST(AllocRegressionTest, GggpSteadyStateIsAllocationFree) {

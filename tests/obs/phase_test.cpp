@@ -8,6 +8,7 @@
 
 #include <future>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "core/kway.hpp"
@@ -107,26 +108,30 @@ TEST(PhaseScopeTest, NestedScopeRecordsOnlyItsSpan) {
 TEST(PhaseScopeTest, PoolTaskRunByAWaitingThreadStartsAtDepthZero) {
   ThreadPool pool(2);  // one worker
   Obs ob;
-  // Park the worker so the task below can only run on this thread.
+  const auto caller = std::this_thread::get_id();
   std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
   std::promise<void> parked;
-  std::future<void> worker = pool.submit([&parked, released]() {
-    parked.set_value();
-    released.wait();
-  });
-  parked.get_future().wait();
-  std::future<void> task = pool.submit([&ob]() {
-    PhaseScope scope(&ob, Phase::kRefine, "refine");
-    busy();
-  });
-  {
-    PhaseScope waiting(&ob, Phase::kCoarsen, "coarsen");
-    EXPECT_TRUE(pool.run_one());
-  }
-  release.set_value();
-  pool.wait_help(worker);
-  task.get();
+  pool.fork_join(
+      [&] {  // the worker parks here until the inner fork has run
+        parked.set_value();
+        release.get_future().wait();
+      },
+      [&] {
+        // Park the worker first, so the fork below can only run on this
+        // thread, inside its coarsen scope, while it joins.
+        parked.get_future().wait();
+        {
+          PhaseScope waiting(&ob, Phase::kCoarsen, "coarsen");
+          pool.fork_join(
+              [&] {
+                EXPECT_EQ(std::this_thread::get_id(), caller);
+                PhaseScope scope(&ob, Phase::kRefine, "refine");
+                busy();
+              },
+              [] {});
+        }
+        release.set_value();
+      });
   EXPECT_GT(phase_ns(ob, Phase::kRefine), 0);
   EXPECT_GT(phase_ns(ob, Phase::kCoarsen), 0);
 }

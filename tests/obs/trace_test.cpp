@@ -4,7 +4,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <future>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -145,8 +144,8 @@ TEST(TraceTest, WriteChromeFailsOnBadPath) {
 }
 
 // Concurrency test, run at the two pool sizes the sanitizers workflow
-// exercises under TSan.  Every pool task records spans concurrently with
-// the main thread; pool.task wrapper spans add one event per executed task.
+// exercises under TSan.  Every fork records spans concurrently with the
+// main thread; pool.task wrapper spans add one event per fork a pool runs.
 class TraceThreadedTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(TraceThreadedTest, ManyThreadsRecordConcurrently) {
@@ -157,17 +156,18 @@ TEST_P(TraceThreadedTest, ManyThreadsRecordConcurrently) {
   trace_start();
   {
     ThreadPool pool(threads);
-    std::vector<std::future<void>> futs;
-    futs.reserve(kTasks);
-    for (int t = 0; t < kTasks; ++t) {
-      futs.push_back(pool.submit([&]() {
-        for (int i = 0; i < kSpansPerTask; ++i) {
-          Span s("worker_span");
-          s.arg("i", i);
-        }
-      }));
-    }
-    for (auto& f : futs) pool.wait_help(f);
+    // A binary tree of forks with kTasks leaves, each recording spans.
+    auto leaves = [&](auto& self, int n) -> void {
+      if (n > 1) {
+        pool.fork_join([&] { self(self, n / 2); }, [&] { self(self, n - n / 2); });
+        return;
+      }
+      for (int i = 0; i < kSpansPerTask; ++i) {
+        Span s("worker_span");
+        s.arg("i", i);
+      }
+    };
+    leaves(leaves, kTasks);
   }
   trace_stop();
   // At least the explicit spans; pool.task wrappers may add more.

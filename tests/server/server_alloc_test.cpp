@@ -2,8 +2,8 @@
 // allocator from tests/support/alloc_guard.cpp).
 //
 // The service's steady-state guarantee: once a worker's RequestHandler has
-// warmed its buffers (decoded-graph CSR, recursion scratch, labelling,
-// response frame) and the shared pool/cache have reached capacity, handling
+// warmed its buffers (decoded-graph CSR, recursion scratch, bisection
+// workspace, labelling, response frame) and the cache has reached capacity, handling
 // a request of no-larger size touches the heap zero times — on the compute
 // path (decode → partition → cache insert with recycling) and on the
 // cache-hit path alike.  Socket and queue plumbing are outside the claim;
@@ -19,7 +19,6 @@
 #include "server/protocol.hpp"
 #include "server/result_cache.hpp"
 #include "support/alloc_guard.hpp"
-#include "support/workspace.hpp"
 
 namespace mgp::server {
 namespace {
@@ -29,12 +28,11 @@ using ::mgp::testing::AllocGuard;
 TEST(ServerAllocTest, SteadyStateComputePathIsAllocationFree) {
   ASSERT_TRUE(::mgp::testing::counting_allocator_active());
 
-  WorkspacePool pool;
   ResultCache cache(1);  // capacity 1: every insert exercises recycling
   obs::MetricsRegistry reg;
   ServerMetrics ids(reg);
   dynamic::GraphStore store(1u << 20);
-  RequestHandler handler(pool, cache, store, reg, ids);
+  RequestHandler handler(cache, store, reg, ids);
 
   const Graph g = grid2d(32, 32);
   std::vector<std::vector<std::uint8_t>> payloads;
@@ -76,12 +74,11 @@ TEST(ServerAllocTest, DirectModeSteadyStateIsAllocationFree) {
   // warm kway_mode=direct request allocates exactly zero times.
   ASSERT_TRUE(::mgp::testing::counting_allocator_active());
 
-  WorkspacePool pool;
   ResultCache cache(1);
   obs::MetricsRegistry reg;
   ServerMetrics ids(reg);
   dynamic::GraphStore store(1u << 20);
-  RequestHandler handler(pool, cache, store, reg, ids);
+  RequestHandler handler(cache, store, reg, ids);
 
   const Graph g = grid2d(32, 32);
   std::vector<std::vector<std::uint8_t>> payloads;
@@ -110,12 +107,11 @@ TEST(ServerAllocTest, ErrorPathsDoNotLeakIntoSteadyState) {
   // request still must not).
   ASSERT_TRUE(::mgp::testing::counting_allocator_active());
 
-  WorkspacePool pool;
   ResultCache cache(1);
   obs::MetricsRegistry reg;
   ServerMetrics ids(reg);
   dynamic::GraphStore store(1u << 20);
-  RequestHandler handler(pool, cache, store, reg, ids);
+  RequestHandler handler(cache, store, reg, ids);
 
   const Graph g = grid2d(24, 24);
   std::vector<std::uint8_t> a, b;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,25 +21,69 @@ TEST(ThreadPoolTest, ZeroResolvesToHardwareConcurrency) {
   EXPECT_EQ(pool.num_threads(), ThreadPool::hardware_threads());
 }
 
-TEST(ThreadPoolTest, SubmitReturnsValueThroughFuture) {
+TEST(ThreadPoolTest, ForkJoinRunsBothSides) {
   ThreadPool pool(4);
-  auto fut = pool.submit([]() { return 6 * 7; });
-  EXPECT_EQ(pool.wait_help(fut), 42);
+  int a = 0, b = 0;
+  pool.fork_join([&a] { a = 6; }, [&b] { b = 7; });
+  EXPECT_EQ(a * b, 42);
 }
 
 TEST(ThreadPoolTest, SingleThreadPoolRunsInlineOnCaller) {
   ThreadPool pool(1);
   const auto caller = std::this_thread::get_id();
-  auto fut = pool.submit([caller]() { return std::this_thread::get_id() == caller; });
-  // With no workers the task has already run by the time submit returns.
-  EXPECT_EQ(fut.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  EXPECT_TRUE(fut.get());
+  std::vector<std::string> order;
+  pool.fork_join(
+      [&] {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back("a");
+      },
+      [&] {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back("b");
+      });
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b"}));
 }
 
-TEST(ThreadPoolTest, ExceptionPropagatesThroughFuture) {
-  ThreadPool pool(2);
-  auto fut = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_help(fut), std::runtime_error);
+TEST(ThreadPoolTest, ExceptionRethrownAfterBothSidesFinish) {
+  using namespace std::chrono_literals;
+  for (int threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    // The forked side is still running when the caller's side throws.
+    std::atomic<bool> a_done{false};
+    EXPECT_THROW(pool.fork_join(
+                     [&] {
+                       std::this_thread::sleep_for(20ms);
+                       a_done = true;
+                     },
+                     [] { throw std::runtime_error("b"); }),
+                 std::runtime_error);
+    EXPECT_TRUE(a_done) << "threads=" << threads;
+
+    // The forked side throws; the caller's side still runs to the end.
+    bool b_done = false;
+    EXPECT_THROW(pool.fork_join([] { throw std::logic_error("a"); },
+                                [&] {
+                                  std::this_thread::sleep_for(20ms);
+                                  b_done = true;
+                                }),
+                 std::logic_error);
+    EXPECT_TRUE(b_done) << "threads=" << threads;
+
+    // Both throw: b's exception wins.
+    EXPECT_THROW(pool.fork_join([] { throw std::logic_error("a"); },
+                                [] { throw std::runtime_error("b"); }),
+                 std::runtime_error);
+  }
+}
+
+/// Forks a binary tree of `leaves` leaves, counting each.
+void fork_tree(ThreadPool& pool, int leaves, std::atomic<int>& done) {
+  if (leaves == 1) {
+    done.fetch_add(1);
+    return;
+  }
+  pool.fork_join([&pool, leaves, &done] { fork_tree(pool, leaves / 2, done); },
+                 [&pool, leaves, &done] { fork_tree(pool, leaves - leaves / 2, done); });
 }
 
 class ThreadPoolSizeTest : public ::testing::TestWithParam<int> {};
@@ -45,11 +91,7 @@ class ThreadPoolSizeTest : public ::testing::TestWithParam<int> {};
 TEST_P(ThreadPoolSizeTest, ManySmallTasksAllComplete) {
   ThreadPool pool(GetParam());
   std::atomic<int> done{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 500; ++i) {
-    futs.push_back(pool.submit([&done]() { done.fetch_add(1); }));
-  }
-  for (auto& f : futs) pool.wait_help(f);
+  fork_tree(pool, 500, done);
   EXPECT_EQ(done.load(), 500);
 }
 
@@ -57,31 +99,20 @@ INSTANTIATE_TEST_SUITE_P(PoolSizes, ThreadPoolSizeTest, ::testing::Values(1, 2, 
 
 int parallel_fib(ThreadPool& pool, int n) {
   if (n < 2) return n;
-  auto fut = pool.submit([&pool, n]() { return parallel_fib(pool, n - 1); });
-  const int b = parallel_fib(pool, n - 2);
-  return pool.wait_help(fut) + b;
+  int a = 0, b = 0;
+  pool.fork_join([&] { a = parallel_fib(pool, n - 1); },
+                 [&] { b = parallel_fib(pool, n - 2); });
+  return a + b;
 }
 
 TEST(ThreadPoolTest, NestedForkJoinDoesNotDeadlock) {
-  // Tasks submitting tasks and joining them: with a fixed pool this
-  // deadlocks unless the waiting thread helps drain the queue.  fib(14)
-  // creates far more simultaneous joins than workers.
-  ThreadPool pool(2);
-  EXPECT_EQ(parallel_fib(pool, 14), 377);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsOutstandingTasks) {
-  std::atomic<int> done{0};
-  std::future<int> fut;
-  {
-    ThreadPool pool(3);
-    for (int i = 0; i < 64; ++i) {
-      pool.submit([&done]() { done.fetch_add(1); });
-    }
-    fut = pool.submit([]() { return 7; });
+  // Forks forking and joining: with a fixed pool this deadlocks unless the
+  // joining thread helps run queued forks.  fib(14) creates far more
+  // simultaneous joins than workers.
+  for (int threads : {1, 2, 4, 8}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(parallel_fib(pool, 14), 377) << "threads=" << threads;
   }
-  EXPECT_EQ(done.load(), 64);
-  EXPECT_EQ(fut.get(), 7);  // no broken promise after pool destruction
 }
 
 }  // namespace
