@@ -63,7 +63,7 @@ void compute_matching(const Graph& g, MatchingScheme scheme,
   const std::size_t un = static_cast<std::size_t>(n);
   obs::Span span("match");
   span.arg("n", n);
-  result.match.assign(static_cast<std::size_t>(n), kInvalidVid);
+  result.match.assign(un, kInvalidVid);
   result.pairs = 0;
   result.weight = 0;
 

@@ -84,12 +84,12 @@ class ThreadPool {
   void help(const Fork* until);
 
   int num_threads_ = 1;
-  std::vector<std::thread> workers_;
-  Fork* head_ = nullptr;  ///< queued forks, oldest first
-  Fork* tail_ = nullptr;
   std::mutex mu_;
   std::condition_variable cv_;
-  bool stop_ = false;
+  Fork* head_ = nullptr;  ///< queued forks, oldest first; guarded by mu_
+  Fork* tail_ = nullptr;
+  bool stop_ = false;  ///< guarded by mu_
+  std::vector<std::thread> workers_;  ///< last: they use everything above
 };
 
 }  // namespace mgp
