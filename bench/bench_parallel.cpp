@@ -29,10 +29,10 @@
 // the concurrently running subproblems warm.  Each row also records the
 // pooled matcher's work, match_rounds and match_proposals, read from one
 // extra untimed run with an obs::Obs attached: pure functions of the input
-// and the code, so CI gates them exactly.  The whole table, with a host block naming the
-// machine and commit it ran on, is emitted as machine-readable JSON
-// (default BENCH_arena.json, override with MGP_BENCH_ARENA_OUT; see
-// README for how to read it).
+// and the code, so CI gates them exactly.  The whole table, with a host
+// block naming the machine and commit it ran on, is emitted as
+// machine-readable JSON (default BENCH_arena.json, override with
+// MGP_BENCH_ARENA_OUT; see README for how to read it).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -194,8 +194,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::function<void()>> cells{[&] { run_seq(); }};
   for (const auto& pool : pools) cells.push_back([&] { run_pooled(*pool); });
-  const std::vector<bench::RepTiming> timed =
-      bench::time_alternating(bench::kTimingReps, cells);
+  const std::vector<bench::RepTiming> timed = bench::time_alternating(cells);
   const bench::RepTiming& seq_kway = timed[0];
   for (std::size_t i = 0; i < rows.size(); ++i) rows[i].kway = timed[i + 1];
 

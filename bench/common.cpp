@@ -27,10 +27,9 @@ std::uint64_t seed_from_env() {
   return static_cast<std::uint64_t>(std::strtoull(s, nullptr, 10));
 }
 
-std::vector<RepTiming> time_alternating(int reps,
-                                        const std::vector<std::function<void()>>& cells) {
+std::vector<RepTiming> time_alternating(const std::vector<std::function<void()>>& cells) {
   std::vector<std::vector<double>> seconds(cells.size());
-  for (int r = 0; r < reps; ++r) {
+  for (int r = 0; r < kTimingReps; ++r) {
     for (std::size_t c = 0; c < cells.size(); ++c) {
       Timer t;
       cells[c]();
@@ -46,14 +45,8 @@ std::vector<RepTiming> time_alternating(int reps,
   };
   std::vector<RepTiming> out;
   for (std::vector<double>& v : seconds) {
-    RepTiming t;
-    t.reps = reps;
-    if (!v.empty()) {
-      std::sort(v.begin(), v.end());
-      t.median = quantile(v, 0.5);
-      t.iqr = quantile(v, 0.75) - quantile(v, 0.25);
-    }
-    out.push_back(t);
+    std::sort(v.begin(), v.end());
+    out.push_back({quantile(v, 0.5), quantile(v, 0.75) - quantile(v, 0.25), kTimingReps});
   }
   return out;
 }

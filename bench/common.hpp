@@ -65,16 +65,15 @@ struct RepTiming {
   int reps = 0;
 };
 
-/// Calls per cell that time_alternating is given by the benches.
+/// Timed calls per cell in time_alternating.
 inline constexpr int kTimingReps = 15;
 
-/// Runs `reps` rounds, each calling every cell once in order and timing
-/// each call, and returns each cell's median and IQR.  Alternating the
-/// cells spreads the host's speed drift over all of them alike, so ratios
-/// between cells hold still where single calls swing.  Warm the cells
-/// first: every call is counted.
-std::vector<RepTiming> time_alternating(int reps,
-                                        const std::vector<std::function<void()>>& cells);
+/// Runs kTimingReps rounds, each calling every cell once in order and
+/// timing each call, and returns each cell's median and IQR.  Alternating
+/// the cells spreads the host's speed drift over all of them alike, so
+/// ratios between cells hold still where single calls swing.  Warm the
+/// cells first: every call is counted.
+std::vector<RepTiming> time_alternating(const std::vector<std::function<void()>>& cells);
 
 /// The paper's phase times of one call, in seconds.
 struct PhaseSeconds {

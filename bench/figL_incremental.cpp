@@ -157,18 +157,21 @@ int main() {
                                        res.churn_ratio, iws, &bws);
     };
 
-    // Warm-up: two full A/B cycles reach every buffer's high-water mark.
-    for (int warm = 0; warm < 2; ++warm) {
+    // One A/B pair: two delta services, back to the anchor graph.
+    const auto incr_pair = [&] {
       cycle(fwd);
       cycle(bwd);
-    }
+    };
 
-    // Steady state: one guarded A/B pair (two delta services).
+    // Warm-up: two full A/B cycles reach every buffer's high-water mark.
+    incr_pair();
+    incr_pair();
+
+    // Steady state: one guarded A/B pair.
     std::uint64_t allocs;
     {
       mgp::testing::AllocGuard guard;
-      cycle(fwd);
-      cycle(bwd);
+      incr_pair();
       allocs = guard.allocations();
     }
 
@@ -193,14 +196,9 @@ int main() {
     scratch_run();
 
     // Timed: one incremental A/B pair, then one scratch run, per round.
-    const std::vector<RepTiming> timed = time_alternating(
-        kTimingReps, {[&] {
-                        cycle(fwd);
-                        cycle(bwd);
-                      },
-                      scratch_run});
+    const std::vector<RepTiming> timed = time_alternating({incr_pair, scratch_run});
     RepTiming t_incr = timed[0];
-    t_incr.median /= 2.0;  // two delta services per call
+    t_incr.median /= 2.0;  // per delta service
     t_incr.iqr /= 2.0;
     const RepTiming& t_scr = timed[1];
 

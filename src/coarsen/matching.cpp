@@ -97,20 +97,24 @@ void compute_matching(const Graph& g, MatchingScheme scheme,
       }
       case MatchingScheme::kHeavyEdge: {
         ewt_t best = -1;
-        double best_d = 0.0;
         for (std::size_t i = 0; i < nbrs.size(); ++i) {
           vid_t v = nbrs[i];
           if (matched(v)) continue;
           if (wgts[i] > best) {
             best = wgts[i];
             chosen = v;
-            if (!coords.empty()) best_d = coord_distance(coords, un, u, v);
-          } else if (!coords.empty() && wgts[i] == best) {
-            const double d = coord_distance(coords, un, u, v);
-            if (d < best_d) {
-              best_d = d;
-              chosen = v;
-            }
+          }
+        }
+        if (coords.empty() || chosen == kInvalidVid) break;
+        // Among the heaviest edges, the first to the closest neighbour.
+        double best_d = coord_distance(coords, un, u, chosen);
+        for (std::size_t i = 0; i < nbrs.size(); ++i) {
+          const vid_t v = nbrs[i];
+          if (wgts[i] != best || v == chosen || matched(v)) continue;
+          const double d = coord_distance(coords, un, u, v);
+          if (d < best_d) {
+            best_d = d;
+            chosen = v;
           }
         }
         break;

@@ -57,8 +57,9 @@ inline constexpr int kDefaultDirectMinK = 64;
 
 class RequestHandler {
  public:
-  RequestHandler(ResultCache& cache, dynamic::GraphStore& store, obs::MetricsRegistry& reg,
-                 const ServerMetrics& ids, int direct_min_k = kDefaultDirectMinK);
+  RequestHandler(ResultCache& cache, dynamic::GraphStore& store,
+                 obs::MetricsRegistry& reg, const ServerMetrics& ids,
+                 int direct_min_k = kDefaultDirectMinK);
 
   RequestHandler(const RequestHandler&) = delete;
   RequestHandler& operator=(const RequestHandler&) = delete;

@@ -44,16 +44,17 @@ void ThreadPool::push(Fork& fork) {
 }
 
 void ThreadPool::help(const Fork* until) {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (until ? !until->done : !stop_) {
-    Fork* fork = head_;
-    if (fork == nullptr) {
-      cv_.wait(lock);
-      continue;
+  const auto finished = [&] { return until ? until->done : stop_; };
+  for (;;) {
+    Fork* fork;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [&] { return finished() || head_ != nullptr; });
+      if (finished()) return;
+      fork = head_;
+      head_ = fork->next;
+      if (head_ == nullptr) tail_ = nullptr;
     }
-    head_ = fork->next;
-    if (head_ == nullptr) tail_ = nullptr;
-    lock.unlock();
     {
       // A helping thread may sit inside a phase scope; the fork's own phases
       // must still record (obs/phase.hpp).
@@ -65,9 +66,12 @@ void ThreadPool::help(const Fork* until) {
         fork->error = std::current_exception();
       }
     }
-    lock.lock();
-    // The forking frame owns the record and may return once it sees done.
-    fork->done = true;
+    {
+      // The forking frame owns the record and may return once it sees done.
+      std::lock_guard<std::mutex> lock(mu_);
+      fork->done = true;
+    }
+    // Outside the lock, so a woken joiner does not block on it at once.
     cv_.notify_all();
   }
 }
